@@ -10,6 +10,7 @@ import click
 
 from . import config as cfgmod
 from .config import ConfigError, expand_grid, load_config, resolve_hypers, validate_config
+from .embeddings import EmbeddingProviderError
 from .evaluation import leakage_diagnostic, write_report
 from .graph import TagFormatError, load_tag, save_tag
 from .prompts import default_template, emit_instruction_jsonl
@@ -24,7 +25,8 @@ from .sessions import (
 from .synth import SynthConfig, synth_tag
 from .trainers import METHOD_IDS, TrainingError, run_method
 
-_ERRORS = (ConfigError, TagFormatError, PlanError, TrainingError, ValueError, OSError, IndexError)
+_ERRORS = (ConfigError, TagFormatError, PlanError, TrainingError, EmbeddingProviderError,
+           ValueError, OSError, IndexError)
 
 
 def _fail(exc: Exception) -> None:

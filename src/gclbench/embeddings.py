@@ -109,14 +109,23 @@ class HttpSource:
 
     @staticmethod
     def _parse(payload: dict, expected: int) -> np.ndarray:
-        data = payload.get("data")
+        data = payload.get("data") if isinstance(payload, dict) else None
         if not isinstance(data, list) or len(data) != expected:
             raise EmbeddingProviderError("malformed embedding response")
         rows: list[np.ndarray | None] = [None] * expected
         for item in data:
-            rows[int(item["index"])] = np.asarray(item["embedding"], dtype=np.float32)
-        if any(r is None for r in rows):
-            raise EmbeddingProviderError("embedding response missing indices")
+            try:
+                idx = int(item["index"])
+                vec = np.asarray(item["embedding"], dtype=np.float32)
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise EmbeddingProviderError(f"malformed embedding item: {exc!r}") from exc
+            if not 0 <= idx < expected:
+                raise EmbeddingProviderError(f"embedding index {idx} outside [0, {expected})")
+            if rows[idx] is not None:
+                raise EmbeddingProviderError(f"embedding response missing indices: {idx} repeated")
+            if vec.ndim != 1 or not np.isfinite(vec).all():
+                raise EmbeddingProviderError(f"embedding {idx} is not a finite vector")
+            rows[idx] = vec
         dims = {r.shape[0] for r in rows}
         if len(dims) != 1:
             raise EmbeddingProviderError("dimension drift within one response")

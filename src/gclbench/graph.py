@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,10 @@ class TextAttributedGraph:
 
     Edges are canonical (min, max) pairs, deduplicated and lexicographically
     sorted. Instances are immutable after construction and safe to share
-    across workers.
+    across workers. The neighbour CSR (`neighbor_csr`) is built lazily on
+    first read and cached on the instance; if two threads race on that first
+    read, each builds the same read-only arrays and one of them is kept, which
+    is harmless.
     """
 
     features: np.ndarray  # (n, d) float32
@@ -50,15 +54,23 @@ class TextAttributedGraph:
     def edge_count(self) -> int:
         return self.edges.shape[0]
 
+    @cached_property
+    def neighbor_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices): node i's sorted neighbours, a self-loop listed once."""
+        a, b = self.edges[:, 0], self.edges[:, 1]
+        rows = np.concatenate([a, b[a != b]])
+        cols = np.concatenate([b, a[a != b]])
+        indptr = np.zeros(self.node_count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.node_count), out=indptr[1:])
+        indices = cols[np.lexsort((cols, rows))]
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        return indptr, indices
+
     def neighbor_lists(self) -> list[np.ndarray]:
         """Sorted neighbor array per node (self-loops appear as own id)."""
-        n = self.node_count
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        for a, b in self.edges:
-            nbrs[a].append(int(b))
-            if a != b:
-                nbrs[b].append(int(a))
-        return [np.array(sorted(lst), dtype=np.int64) for lst in nbrs]
+        indptr, indices = self.neighbor_csr
+        return [indices[indptr[i]:indptr[i + 1]] for i in range(self.node_count)]
 
 
 @dataclass(frozen=True)
@@ -80,6 +92,11 @@ class SparseAdjacency:
         return (n, n)
 
     def to_scipy(self) -> sp.csr_matrix:
+        """The operator as one scipy matrix, built on first call and shared after."""
+        return self._scipy
+
+    @cached_property
+    def _scipy(self) -> sp.csr_matrix:
         return sp.csr_matrix((self.values, self.indices, self.indptr), shape=self.shape)
 
     def to_dense(self) -> np.ndarray:
@@ -298,44 +315,17 @@ def induced_subgraph(
 
 def degrees(g: TextAttributedGraph, self_loops: bool = True) -> np.ndarray:
     """Node degrees of the adjacency, optionally augmented with self-loops."""
-    deg = np.zeros(g.node_count, dtype=np.float64)
-    for a, b in g.edges:
-        deg[a] += 1.0
-        if a != b:
-            deg[b] += 1.0
+    deg = np.diff(g.neighbor_csr[0]).astype(np.float64)
     if self_loops:
         deg += 1.0
     return deg
 
 
-def _adjacency_coo(g: TextAttributedGraph, self_loops: bool) -> sp.coo_matrix:
+def _adjacency(g: TextAttributedGraph, self_loops: bool) -> sp.csr_matrix:
     n = g.node_count
-    if g.edges.size:
-        a, b = g.edges[:, 0], g.edges[:, 1]
-        off = a != b
-        rows = np.concatenate([a, b[off]])
-        cols = np.concatenate([b, a[off]])
-        vals = np.ones(rows.size, dtype=np.float64)
-    else:
-        rows = np.zeros(0, np.int64)
-        cols = np.zeros(0, np.int64)
-        vals = np.zeros(0, np.float64)
-    if self_loops:
-        rows = np.concatenate([rows, np.arange(n)])
-        cols = np.concatenate([cols, np.arange(n)])
-        vals = np.concatenate([vals, np.ones(n)])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
-
-
-def _csr_to_sparse_adjacency(m: sp.csr_matrix) -> SparseAdjacency:
-    m = m.tocsr()
-    m.sum_duplicates()
-    m.sort_indices()
-    return SparseAdjacency(
-        indptr=m.indptr.astype(np.int64),
-        indices=m.indices.astype(np.int64),
-        values=m.data.astype(np.float64),
-    )
+    indptr, indices = g.neighbor_csr
+    a = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+    return a + sp.identity(n, format="csr") if self_loops else a
 
 
 def gcn_normalized_adjacency(g: TextAttributedGraph) -> SparseAdjacency:
@@ -344,11 +334,7 @@ def gcn_normalized_adjacency(g: TextAttributedGraph) -> SparseAdjacency:
     Self-loops keep isolated nodes well-defined; the operator is symmetric
     with spectral radius <= 1.
     """
-    ahat = _adjacency_coo(g, self_loops=True).tocsr()
-    deg = np.asarray(ahat.sum(axis=1)).ravel()
-    dinv = 1.0 / np.sqrt(deg)
-    s = sp.diags(dinv) @ ahat @ sp.diags(dinv)
-    return _csr_to_sparse_adjacency(s.tocsr())
+    return smoothing_operator(g, "laplacian", self_loops=True)
 
 
 def smoothing_operator(
@@ -364,7 +350,7 @@ def smoothing_operator(
     """
     if weighting not in ("laplacian", "plain-mean"):
         raise ValueError(f"unknown weighting {weighting!r}")
-    ahat = _adjacency_coo(g, self_loops=self_loops).tocsr()
+    ahat = _adjacency(g, self_loops)
     deg = np.asarray(ahat.sum(axis=1)).ravel()
     with np.errstate(divide="ignore"):
         dinv = np.where(deg > 0, 1.0 / deg, 0.0)
@@ -373,7 +359,14 @@ def smoothing_operator(
         s = sp.diags(dinv_sqrt) @ ahat @ sp.diags(dinv_sqrt)
     else:
         s = sp.diags(dinv) @ ahat
-    return _csr_to_sparse_adjacency(s.tocsr())
+    s = s.tocsr()
+    s.sum_duplicates()
+    s.sort_indices()
+    return SparseAdjacency(
+        indptr=s.indptr.astype(np.int64),
+        indices=s.indices.astype(np.int64),
+        values=s.data.astype(np.float64),
+    )
 
 
 def laplacian_smooth(
@@ -411,13 +404,14 @@ def sample_ego_graph(
     fanouts = list(fanouts)
     if not fanouts:
         raise ValueError("fanouts must be non-empty")
-    nbrs = g.neighbor_lists()
+    indptr, indices = g.neighbor_csr
     rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, v])
     visited = {v}
     frontier = [v]
     hops: list[tuple[int, ...]] = []
     for cap in fanouts:
-        candidates = sorted({int(u) for w in frontier for u in nbrs[w]} - visited)
+        reach = {u for w in frontier for u in indices[indptr[w]:indptr[w + 1]].tolist()}
+        candidates = sorted(reach - visited)
         if len(candidates) > cap:
             picked_idx = rng.choice(len(candidates), size=cap, replace=False)
             picked = [candidates[i] for i in picked_idx]

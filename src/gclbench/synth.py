@@ -13,6 +13,9 @@ import numpy as np
 
 from .graph import TextAttributedGraph, make_graph
 
+# Rows of the n x n uniform draw held at once; bounds the SBM's memory to O(rows * n).
+_SBM_BLOCK_ROWS = 256
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -43,6 +46,24 @@ def _default_vocab(num_classes: int) -> tuple[tuple[str, ...], ...]:
     )
 
 
+def _sbm_edges(rng: np.random.Generator, labels: np.ndarray, intra_p: float,
+               inter_p: float) -> np.ndarray:
+    """Stochastic block model over the upper triangle, drawn _SBM_BLOCK_ROWS rows at a time.
+
+    Consumes the same n*n uniforms, in the same order, as one rng.random((n, n))
+    draw, and keeps pair (i, j) when j > i and its uniform falls below p.
+    """
+    n = labels.size
+    parts = [np.zeros((0, 2), dtype=np.int64)]
+    for r0 in range(0, n, _SBM_BLOCK_ROWS):
+        rows = np.arange(r0, min(r0 + _SBM_BLOCK_ROWS, n))
+        p = np.where(labels[rows, None] == labels[None, :], intra_p, inter_p)
+        hit = (rng.random((rows.size, n)) < p) & (np.arange(n)[None, :] > rows[:, None])
+        i, j = np.nonzero(hit)
+        parts.append(np.stack([rows[i], j], axis=1))
+    return np.concatenate(parts)
+
+
 def synth_tag(cfg: SynthConfig) -> TextAttributedGraph:
     """Generate a graph; byte-identical output for identical configs."""
     if cfg.feature_dim < cfg.num_classes:
@@ -59,13 +80,7 @@ def synth_tag(cfg: SynthConfig) -> TextAttributedGraph:
     feats = centroids[labels] + cfg.noise_sigma * rng.standard_normal((n, cfg.feature_dim))
     feats = feats.astype(np.float32)
 
-    # Stochastic block model over the upper triangle.
-    same = labels[:, None] == labels[None, :]
-    p = np.where(same, cfg.intra_p, cfg.inter_p)
-    draw = rng.random((n, n))
-    iu, ju = np.triu_indices(n, k=1)
-    hit = draw[iu, ju] < p[iu, ju]
-    edges = np.stack([iu[hit], ju[hit]], axis=1).astype(np.int64)
+    edges = _sbm_edges(rng, labels, cfg.intra_p, cfg.inter_p)
 
     vocab = cfg.text_vocab if cfg.text_vocab else _default_vocab(cfg.num_classes)
     if len(vocab) != cfg.num_classes:

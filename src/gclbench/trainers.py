@@ -68,8 +68,12 @@ class TrainingError(RuntimeError):
 
 
 def _mix(*parts: int) -> int:
-    """Stable derived seed from integer parts."""
-    return int(np.random.SeedSequence([abs(int(p)) for p in parts]).generate_state(1)[0])
+    """Stable derived seed from integer parts, each taken as 64-bit two's complement.
+
+    Negative parts thus differ from their absolute values: _mix(-s) != _mix(s).
+    """
+    words = [int(p) & 0xFFFFFFFFFFFFFFFF for p in parts]
+    return int(np.random.SeedSequence(words).generate_state(1)[0])
 
 
 # ---------------------------------------------------------------------------

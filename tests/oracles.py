@@ -187,3 +187,54 @@ def nearest_centroid_accuracy(X: np.ndarray, labels: np.ndarray) -> float:
         pred = min(sorted(dists), key=lambda c: dists[c])
         hits += int(pred == int(labels[i]))
     return hits / X.shape[0]
+
+
+def neighbor_lists_loop(g) -> list[np.ndarray]:
+    """Sorted neighbours per node by a loop over edges; a self-loop is listed once."""
+    nbrs: list[list[int]] = [[] for _ in range(g.node_count)]
+    for a, b in g.edges:
+        nbrs[a].append(int(b))
+        if a != b:
+            nbrs[b].append(int(a))
+    return [np.array(sorted(lst), dtype=np.int64) for lst in nbrs]
+
+
+def degrees_loop(g, self_loops: bool = True) -> np.ndarray:
+    deg = np.zeros(g.node_count, dtype=np.float64)
+    for a, b in g.edges:
+        deg[a] += 1.0
+        if a != b:
+            deg[b] += 1.0
+    if self_loops:
+        deg += 1.0
+    return deg
+
+
+def ego_hops_loop(g, v: int, fanouts, seed: int) -> tuple[tuple[int, ...], ...]:
+    """Hop node tuples of the seeded breadth-first ego sample, on the loop neighbour lists."""
+    nbrs = neighbor_lists_loop(g)
+    rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, v])
+    visited = {v}
+    frontier = [v]
+    hops = []
+    for cap in fanouts:
+        candidates = sorted({int(u) for w in frontier for u in nbrs[w]} - visited)
+        if len(candidates) > cap:
+            picked = [candidates[i] for i in rng.choice(len(candidates), size=cap, replace=False)]
+        else:
+            picked = candidates
+        hops.append(tuple(picked))
+        visited.update(picked)
+        frontier = picked
+    return tuple(hops)
+
+
+def sbm_edges_dense(rng, labels, intra_p: float, inter_p: float) -> np.ndarray:
+    """Upper-triangle stochastic block model from one dense n x n uniform draw."""
+    n = len(labels)
+    same = labels[:, None] == labels[None, :]
+    p = np.where(same, intra_p, inter_p)
+    draw = rng.random((n, n))
+    iu, ju = np.triu_indices(n, k=1)
+    hit = draw[iu, ju] < p[iu, ju]
+    return np.stack([iu[hit], ju[hit]], axis=1).astype(np.int64)

@@ -1,10 +1,11 @@
 import json
+import struct
 
 import pytest
 from click.testing import CliRunner
 
 from gclbench.cli import main
-from gclbench.graph import load_tag, save_tag
+from gclbench.graph import FEATURES_MAGIC, load_tag, save_tag
 from gclbench.synth import SynthConfig, synth_tag
 
 
@@ -114,6 +115,24 @@ def test_run_unknown_method_lists_valid_ids(runner, config_file, tmp_path):
     assert result.exit_code != 0
     assert "not_a_method" in result.output
     assert "cosine" in result.output and "gcn" in result.output
+
+
+def test_run_provider_error_fails_cleanly(runner, tmp_path, dataset_dir):
+    matrix = tmp_path / "emb.bin"
+    matrix.write_bytes(struct.pack("<4sIQQ", FEATURES_MAGIC, 1, 1, 2) + bytes(8))
+    index = tmp_path / "emb.json"
+    index.write_text("[0]")
+    doc = {"version": 1, "dataset": str(dataset_dir), "methods": ["simplecil"], "seeds": [0],
+           "plan": {"classes_per_session": 2, "num_sessions": 3, "shots": 20, "test_cap": 100},
+           "hyperparameters": {"provider": {"kind": "file", "matrix": str(matrix),
+                                            "index": str(index)},
+                               "cache_path": str(tmp_path / "cache.bin")}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "missing from embedding index" in result.output
 
 
 def test_run_rejects_unknown_config_key(runner, tmp_path, dataset_dir):

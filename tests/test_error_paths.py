@@ -167,6 +167,35 @@ def test_http_malformed_response_payload():
                                     {"index": 0, "embedding": [1.0]}]}, 2)
 
 
+def _item(index, vec=(0.0, 1.0)):
+    return {"index": index, "embedding": vec}
+
+
+@pytest.mark.parametrize("data,match", [
+    ([{"embedding": [0.0, 1.0]}], "malformed embedding item"),
+    ([{"index": 0}], "malformed embedding item"),
+    ([_item(None)], "malformed embedding item"),
+    ([_item("one")], "malformed embedding item"),
+    ([_item(float("inf"))], "malformed embedding item"),
+    (["not an object"], "malformed embedding item"),
+    ([_item(0, [[0.0], [1.0, 2.0]])], "malformed embedding item"),
+    ([_item(1)], "outside"),
+    ([_item(-1)], "outside"),
+    ([_item(0), _item(0)], "repeated"),
+    ([_item(0, [0.0, float("nan")])], "finite"),
+    ([_item(0, [float("inf"), 1.0])], "finite"),
+    ([_item(0, 3.0)], "finite vector"),
+])
+def test_http_bad_payload_items_are_provider_errors(data, match):
+    with pytest.raises(EmbeddingProviderError, match=match):
+        HttpSource._parse({"data": data}, len(data))
+
+
+def test_http_non_object_payload():
+    with pytest.raises(EmbeddingProviderError, match="malformed"):
+        HttpSource._parse(["data"], 1)
+
+
 def test_http_empty_text_list():
     src = HttpSource("http://localhost:1", "m")
     assert src.embed([]).shape == (0, 0)

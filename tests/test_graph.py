@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gclbench.graph import (
     TagFormatError,
+    degrees,
     gcn_normalized_adjacency,
     induced_subgraph,
     laplacian_smooth,
@@ -14,7 +17,16 @@ from gclbench.graph import (
 )
 from gclbench.synth import SynthConfig, synth_tag
 
-from oracles import dense_gcn_operator, dense_smooth, khop_nodes, smoothing_limit, spectral_radius_power_iteration
+from oracles import (
+    degrees_loop,
+    dense_gcn_operator,
+    dense_smooth,
+    ego_hops_loop,
+    khop_nodes,
+    neighbor_lists_loop,
+    smoothing_limit,
+    spectral_radius_power_iteration,
+)
 
 
 def _star_graph(n_leaves):
@@ -255,3 +267,66 @@ def test_ego_within_khop_oracle(testkit_graph):
 def test_ego_invalid_node(path_graph):
     with pytest.raises(ValueError, match="invalid node id"):
         sample_ego_graph(path_graph, 9, [2], seed=0)
+
+
+# ------------------------------------------------------------ neighbour cache
+
+
+@st.composite
+def _random_graphs(draw):
+    """Graphs of 0-12 nodes from raw edge lists with self-loops, duplicates and reversed pairs."""
+    n = draw(st.integers(0, 12))
+    node = st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(node, node), max_size=40 if n else 0))
+    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    feats = np.zeros((n, 1), dtype=np.float32)
+    return make_graph(feats, [f"t{i}" for i in range(n)], np.zeros(n, np.int64), ["c"], edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_random_graphs())
+def test_neighbor_csr_and_degrees_match_loop_oracle(g):
+    indptr, indices = g.neighbor_csr
+    expected = neighbor_lists_loop(g)
+    assert indptr.dtype == indices.dtype == np.int64
+    assert len(indptr) == g.node_count + 1 and indptr[-1] == indices.size
+    for i, want in enumerate(expected):
+        assert np.array_equal(indices[indptr[i]:indptr[i + 1]], want)
+    got = g.neighbor_lists()
+    assert len(got) == len(expected)
+    assert all(a.dtype == np.int64 and np.array_equal(a, b) for a, b in zip(got, expected))
+    for self_loops in (True, False):
+        assert np.array_equal(degrees(g, self_loops), degrees_loop(g, self_loops))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_random_graphs(), st.integers(-2**63, 2**64 - 1),
+       st.lists(st.integers(1, 4), min_size=1, max_size=3))
+def test_ego_sample_matches_loop_oracle(g, seed, fanouts):
+    for v in range(g.node_count):
+        assert sample_ego_graph(g, v, fanouts, seed).hop_nodes == ego_hops_loop(g, v, fanouts, seed)
+
+
+def test_ego_sample_matches_loop_oracle_on_testkit(testkit_graph):
+    for v in (0, 57, 123, 299):
+        for fanouts in ((20, 20), (3, 2, 1), (1,)):
+            for seed in (0, 9, -4):
+                ego = sample_ego_graph(testkit_graph, v, fanouts, seed)
+                assert ego.hop_nodes == ego_hops_loop(testkit_graph, v, fanouts, seed)
+
+
+def test_neighbor_csr_built_once_per_graph(path_graph):
+    first = path_graph.neighbor_csr
+    degrees(path_graph)
+    path_graph.neighbor_lists()
+    sample_ego_graph(path_graph, 1, [2, 2], seed=0)
+    gcn_normalized_adjacency(path_graph)
+    assert path_graph.neighbor_csr is first
+    assert not first[0].flags.writeable and not first[1].flags.writeable
+    other = induced_subgraph(path_graph, [0, 1, 2])[0]
+    assert other.neighbor_csr is not first
+
+
+def test_operator_scipy_matrix_built_once(testkit_graph):
+    s = gcn_normalized_adjacency(testkit_graph)
+    assert s.to_scipy() is s.to_scipy()

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from gclbench.graph import load_tag, save_tag
-from gclbench.synth import SynthConfig, synth_tag
+from gclbench.synth import SynthConfig, _sbm_edges, synth_tag
 
-from oracles import nearest_centroid_accuracy
+from oracles import nearest_centroid_accuracy, sbm_edges_dense
 
 
 def test_inter_p_zero_no_cross_class_edges():
@@ -79,3 +79,22 @@ def test_texts_embed_class_keyword():
                               text_vocab=vocab, seed=3))
     for i, text in enumerate(g.texts):
         assert vocab[g.labels[i]][0] in text
+
+
+@pytest.mark.parametrize("num_classes,per_class,intra_p,inter_p,seed", [
+    (0, 1, 0.5, 0.5, 0),
+    (1, 1, 0.5, 0.5, 0),
+    (3, 85, 0.2, 0.02, 1),    # 255 nodes: one partial block
+    (4, 64, 0.1, 0.01, 2),    # 256 nodes: exactly one block
+    (7, 37, 0.3, 0.05, 3),    # 259 nodes: one full block and 3 rows
+    (6, 100, 0.02, 0.002, 4),  # 600 nodes: two full blocks and a partial one
+    (2, 150, 1.0, 0.0, 5),
+])
+def test_blocked_sbm_matches_dense_draw(num_classes, per_class, intra_p, inter_p, seed):
+    labels = np.repeat(np.arange(num_classes), per_class).astype(np.int64)
+    rng_blocked, rng_dense = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _sbm_edges(rng_blocked, labels, intra_p, inter_p)
+    want = sbm_edges_dense(rng_dense, labels, intra_p, inter_p)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    # The stream is consumed identically, so the texts drawn after the edges match too.
+    assert np.array_equal(rng_blocked.random(8), rng_dense.random(8))

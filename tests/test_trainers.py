@@ -24,6 +24,7 @@ from gclbench.trainers import (
     lwf_distill,
     predict_routed,
     run_method,
+    _mix,
     train_session,
 )
 
@@ -410,3 +411,14 @@ def test_missing_head_for_predicted_task(testkit_plan):
     s3 = testkit_plan.sessions[2]
     with pytest.raises(ValueError, match="missing head"):
         predict_routed(s3.subgraph, s3.local_ids(s3.test_nodes), heads, protos)
+
+
+def test_mix_separates_signs_and_keeps_non_negative_seeds():
+    def mix_abs(*parts):  # the formula before signs were kept
+        return int(np.random.SeedSequence([abs(int(p)) for p in parts]).generate_state(1)[0])
+
+    for s in (1, 7, 2**31, 2**63 - 1):
+        assert _mix(s) != _mix(-s)
+        assert _mix(s, 3) != _mix(-s, 3)
+    for parts in ((0,), (5,), (5, 7, 0), (2**63, 11), (2**64 - 1, 2)):
+        assert _mix(*parts) == mix_abs(*parts)
