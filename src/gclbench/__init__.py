@@ -8,7 +8,6 @@ local testing, and reports the standard continual-learning metrics.
 from .evaluation import AccuracyMatrix, evaluate, leakage_diagnostic, summarize, write_report
 from .graph import (
     EgoGraph,
-    SparseAdjacency,
     TextAttributedGraph,
     gcn_normalized_adjacency,
     induced_subgraph,
@@ -21,7 +20,6 @@ from .prototypes import (
     PrototypeBank,
     TaskPrototypeSet,
     build_prototypes,
-    classify,
     predict_task_id,
     task_prototype,
     teen_calibrate,
@@ -48,13 +46,11 @@ __all__ = [
     "PrototypeBank",
     "RunResult",
     "SessionPlan",
-    "SparseAdjacency",
     "SynthConfig",
     "TaskPrototypeSet",
     "TextAttributedGraph",
     "build_eval_task",
     "build_prototypes",
-    "classify",
     "evaluate",
     "filter_classes",
     "gcn_normalized_adjacency",

@@ -147,15 +147,6 @@ class HttpSource:
         return np.concatenate(parts, axis=0)
 
 
-def embed_texts(src, texts: list[str]) -> np.ndarray:
-    """Embedding matrix for a text list, one row per input, via any source."""
-    if src.kind == "http":
-        return src.embed(list(texts))
-    raise EmbeddingProviderError(
-        "file sources are keyed by node id; use embed_nodes or get_or_embed"
-    )
-
-
 # ---------------------------------------------------------------------------
 # Persistent cache: repeated records [32-byte key][u32 dim][dim * f32 LE]
 # ---------------------------------------------------------------------------
@@ -170,7 +161,11 @@ def cache_key(source_id: str, model: str, prompt: str) -> bytes:
 
 
 class EmbeddingCache:
-    """Append-only on-disk store; corrupt files are reported and rebuilt."""
+    """Append-only on-disk store.
+
+    A truncated last record (say, from a crash mid-append) is reported and cut
+    off; every complete record before it is kept.
+    """
 
     def __init__(self, path):
         self.path = Path(path)
@@ -182,26 +177,20 @@ class EmbeddingCache:
             return
         data = self.path.read_bytes()
         off = 0
-        entries: dict[bytes, np.ndarray] = {}
-        while off < len(data):
-            if off + CACHE_KEY_BYTES + 4 > len(data):
-                self._rebuild("truncated record header")
-                return
+        while off + CACHE_KEY_BYTES + 4 <= len(data):
+            (dim,) = struct.unpack_from("<I", data, off + CACHE_KEY_BYTES)
+            end = off + CACHE_KEY_BYTES + 4 + dim * 4
+            if end > len(data):
+                break
             key = data[off:off + CACHE_KEY_BYTES]
-            off += CACHE_KEY_BYTES
-            (dim,) = struct.unpack_from("<I", data, off)
-            off += 4
-            if off + dim * 4 > len(data):
-                self._rebuild("truncated record payload")
-                return
-            entries[key] = np.frombuffer(data, dtype="<f4", count=dim, offset=off).copy()
-            off += dim * 4
-        self._entries = entries
-
-    def _rebuild(self, reason: str) -> None:
-        log.warning("embedding cache %s corrupt (%s); rebuilding", self.path, reason)
-        self._entries = {}
-        self.path.unlink(missing_ok=True)
+            self._entries[key] = np.frombuffer(data, dtype="<f4", count=dim,
+                                               offset=off + CACHE_KEY_BYTES + 4).copy()
+            off = end
+        if off < len(data):
+            log.warning("embedding cache %s has a truncated record at byte %d; "
+                        "keeping %d complete records", self.path, off, len(self._entries))
+            with open(self.path, "r+b") as fh:
+                fh.truncate(off)
 
     def get(self, key: bytes) -> np.ndarray | None:
         return self._entries.get(key)

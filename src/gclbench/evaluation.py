@@ -205,7 +205,9 @@ def write_report(results: list[dict], path, format: str = "json") -> None:
     csv:  flat (method, dataset, session, metric, value) rows.
     md:   methods x datasets table of mean/final accuracy with fractional
           ranks (rank rule: mean over datasets and both metrics; ties share
-          the average of their positions).
+          the average of their positions). Runs of one method and dataset
+          (seeds) share a cell: mean ± population std (n=runs); each grid
+          point of a method gets its own row.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -246,24 +248,44 @@ def _fractional_ranks(values: list[float]) -> list[float]:
     return ranks
 
 
-def _markdown_table(results: list[dict]) -> str:
-    methods = sorted({doc["run"]["method"] for doc in results})
-    datasets = sorted({doc["run"]["dataset"] for doc in results})
-    cell: dict[tuple[str, str], tuple[float, float]] = {}
-    for doc in results:
-        key = (doc["run"]["method"], doc["run"]["dataset"])
-        cell[key] = (doc["summary"]["mean_acc"], doc["summary"]["final_acc"])
+def _row_labels(docs: list[dict]) -> list[str]:
+    """One row label per run of one method: the method id, plus the grid_point
+    keys whose values differ between the method's runs."""
+    method = docs[0]["run"]["method"]
+    points = [doc["run"].get("grid_point", {}) for doc in docs]
+    keys = sorted({k for p in points for k in p})
+    varying = [k for k in keys if len({json.dumps(p.get(k)) for p in points}) > 1]
+    if not varying:
+        return [method] * len(docs)
+    return [f"{method} ({', '.join(f'{k}={p.get(k)}' for k in varying)})" for p in points]
 
-    # Rank methods per dataset and metric, then average (fractional ties).
-    rank_sum = {m: 0.0 for m in methods}
-    rank_cnt = {m: 0 for m in methods}
+
+def _markdown_table(results: list[dict]) -> str:
+    datasets = sorted({doc["run"]["dataset"] for doc in results})
+    by_method: dict[str, list[dict]] = {}
+    for doc in results:
+        by_method.setdefault(doc["run"]["method"], []).append(doc)
+    # (row label, dataset) -> (mean_acc, final_acc) of every run in the cell
+    runs: dict[tuple[str, str], list[tuple[float, float]]] = {}
+    labels: list[str] = []
+    for m in sorted(by_method):
+        for doc, label in zip(by_method[m], _row_labels(by_method[m])):
+            if label not in labels:
+                labels.append(label)
+            runs.setdefault((label, doc["run"]["dataset"]), []).append(
+                (doc["summary"]["mean_acc"], doc["summary"]["final_acc"]))
+    cell = {key: np.mean(v, axis=0) for key, v in runs.items()}
+
+    # Rank rows per dataset and metric on the means, then average (fractional ties).
+    rank_sum = {r: 0.0 for r in labels}
+    rank_cnt = {r: 0 for r in labels}
     for d in datasets:
-        present = [m for m in methods if (m, d) in cell]
+        present = [r for r in labels if (r, d) in cell]
         for metric in (0, 1):
-            vals = [cell[(m, d)][metric] for m in present]
-            for m, r in zip(present, _fractional_ranks(vals)):
-                rank_sum[m] += r
-                rank_cnt[m] += 1
+            vals = [cell[(r, d)][metric] for r in present]
+            for r, rank in zip(present, _fractional_ranks(vals)):
+                rank_sum[r] += rank
+                rank_cnt[r] += 1
 
     header = ["Method"]
     for d in datasets:
@@ -271,19 +293,25 @@ def _markdown_table(results: list[dict]) -> str:
     header.append("Rank")
     lines = ["| " + " | ".join(header) + " |",
              "|" + "---|" * len(header)]
-    for m in methods:
-        row = [m]
+    for r in labels:
+        row = [r]
         for d in datasets:
-            if (m, d) in cell:
-                a, f = cell[(m, d)]
-                row += [f"{100 * a:.1f}", f"{100 * f:.1f}"]
-            else:
+            v = runs.get((r, d))
+            if v is None:
                 row += ["-", "-"]
-        rank = rank_sum[m] / rank_cnt[m] if rank_cnt[m] else float("nan")
-        row.append(f"{rank:.1f}")
+            elif len(v) == 1:
+                row += [f"{100 * x:.1f}" for x in v[0]]
+            else:
+                std = np.std(v, axis=0)
+                row += [f"{100 * mu:.1f} ± {100 * sd:.1f} (n={len(v)})"
+                        for mu, sd in zip(cell[(r, d)], std)]
+        row.append(f"{rank_sum[r] / rank_cnt[r]:.1f}")
         lines.append("| " + " | ".join(row) + " |")
     lines.append("")
     lines.append("Rank rule: mean of per-dataset fractional ranks over both metrics "
                  "(ties share averaged positions). Accuracies are percentages "
                  "rounded to one decimal.")
+    if any(len(v) > 1 for v in runs.values()):
+        lines.append("A cell over several runs shows their mean ± population std "
+                     "(n = runs); ranks use the means.")
     return "\n".join(lines) + "\n"

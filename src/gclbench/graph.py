@@ -74,36 +74,6 @@ class TextAttributedGraph:
 
 
 @dataclass(frozen=True)
-class SparseAdjacency:
-    """CSR operator with symmetric (undirected) semantics."""
-
-    indptr: np.ndarray  # (n+1,) int64
-    indices: np.ndarray  # (nnz,) int64, strictly increasing within each row
-    values: np.ndarray  # (nnz,) float64
-
-    def __post_init__(self):
-        self.indptr.setflags(write=False)
-        self.indices.setflags(write=False)
-        self.values.setflags(write=False)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        n = len(self.indptr) - 1
-        return (n, n)
-
-    def to_scipy(self) -> sp.csr_matrix:
-        """The operator as one scipy matrix, built on first call and shared after."""
-        return self._scipy
-
-    @cached_property
-    def _scipy(self) -> sp.csr_matrix:
-        return sp.csr_matrix((self.values, self.indices, self.indptr), shape=self.shape)
-
-    def to_dense(self) -> np.ndarray:
-        return self.to_scipy().toarray()
-
-
-@dataclass(frozen=True)
 class EgoGraph:
     """Seeded hop-limited neighborhood sample around a center node."""
 
@@ -114,10 +84,10 @@ class EgoGraph:
     hop_label_names: tuple[tuple[str, ...], ...] = field(default=())
 
 
-def canonicalize_edges(edges: np.ndarray, node_count: int) -> tuple[np.ndarray, int]:
-    """Return ((min,max)-ordered, deduped, sorted) edges and the duplicate count."""
+def canonicalize_edges(edges: np.ndarray, node_count: int) -> np.ndarray:
+    """Return (min,max)-ordered, deduplicated, sorted edges."""
     if edges.size == 0:
-        return np.zeros((0, 2), dtype=np.int64), 0
+        return np.zeros((0, 2), dtype=np.int64)
     edges = np.asarray(edges, dtype=np.int64)
     if edges.ndim != 2 or edges.shape[1] != 2:
         raise TagFormatError("edge array must have shape (m, 2)")
@@ -126,8 +96,7 @@ def canonicalize_edges(edges: np.ndarray, node_count: int) -> tuple[np.ndarray, 
         raise TagFormatError(f"edge endpoint out of range at record {bad}")
     lo = edges.min(axis=1)
     hi = edges.max(axis=1)
-    canon = np.unique(np.stack([lo, hi], axis=1), axis=0)
-    return canon, edges.shape[0] - canon.shape[0]
+    return np.unique(np.stack([lo, hi], axis=1), axis=0)
 
 
 def make_graph(
@@ -148,13 +117,12 @@ def make_graph(
     if n > 0 and (labels.min() < 0 or labels.max() >= len(class_names)):
         bad = int(np.argmax((labels < 0) | (labels >= len(class_names))))
         raise TagFormatError(f"label out of range at record {bad}")
-    canon, _ = canonicalize_edges(np.asarray(edges), n)
     return TextAttributedGraph(
         features=features,
         texts=tuple(texts),
         labels=labels,
         class_names=tuple(class_names),
-        edges=canon,
+        edges=canonicalize_edges(np.asarray(edges), n),
     )
 
 
@@ -167,15 +135,8 @@ def make_graph(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LoadReport:
-    node_count: int = 0
-    edge_count: int = 0
-    duplicate_edges: int = 0
-    self_loops: int = 0
-
-
-def load_tag_with_report(directory) -> tuple[TextAttributedGraph, LoadReport]:
+def load_tag(directory) -> TextAttributedGraph:
+    """Load and fully validate a dataset directory."""
     d = Path(directory)
     for name in ("nodes.jsonl", "edges.tsv", "class_names.json", "features.bin"):
         if not (d / name).exists():
@@ -223,21 +184,7 @@ def load_tag_with_report(directory) -> tuple[TextAttributedGraph, LoadReport]:
         raise TagFormatError("class_names.json: expected an array of strings")
 
     features = read_features_bin(d / "features.bin", expected_rows=n)
-
-    canon, dupes = canonicalize_edges(edges, n) if n else (np.zeros((0, 2), np.int64), 0)
-    graph = make_graph(features, texts, np.array(labels, np.int64), class_names, canon)
-    report = LoadReport(
-        node_count=n,
-        edge_count=graph.edge_count,
-        duplicate_edges=dupes,
-        self_loops=int((graph.edges[:, 0] == graph.edges[:, 1]).sum()),
-    )
-    return graph, report
-
-
-def load_tag(directory) -> TextAttributedGraph:
-    """Load and fully validate a dataset directory."""
-    return load_tag_with_report(directory)[0]
+    return make_graph(features, texts, np.array(labels, np.int64), class_names, edges)
 
 
 def read_features_bin(path, expected_rows: int) -> np.ndarray:
@@ -328,7 +275,7 @@ def _adjacency(g: TextAttributedGraph, self_loops: bool) -> sp.csr_matrix:
     return a + sp.identity(n, format="csr") if self_loops else a
 
 
-def gcn_normalized_adjacency(g: TextAttributedGraph) -> SparseAdjacency:
+def gcn_normalized_adjacency(g: TextAttributedGraph) -> sp.csr_matrix:
     """S = D^{-1/2} (A + I) D^{-1/2}, degrees taken from A + I.
 
     Self-loops keep isolated nodes well-defined; the operator is symmetric
@@ -339,8 +286,8 @@ def gcn_normalized_adjacency(g: TextAttributedGraph) -> SparseAdjacency:
 
 def smoothing_operator(
     g: TextAttributedGraph, weighting: str = "laplacian", self_loops: bool = True
-) -> SparseAdjacency:
-    """Propagation operator used by laplacian_smooth.
+) -> sp.csr_matrix:
+    """Propagation operator used by laplacian_smooth, as CSR with sorted indices.
 
     laplacian:  S = I - D^{-1/2} L D^{-1/2} = D^{-1/2} A_hat D^{-1/2}
     plain-mean: S = D^{-1} A_hat  (row-normalized adjacency)
@@ -362,11 +309,7 @@ def smoothing_operator(
     s = s.tocsr()
     s.sum_duplicates()
     s.sort_indices()
-    return SparseAdjacency(
-        indptr=s.indptr.astype(np.int64),
-        indices=s.indices.astype(np.int64),
-        values=s.data.astype(np.float64),
-    )
+    return s
 
 
 def laplacian_smooth(
@@ -384,7 +327,7 @@ def laplacian_smooth(
         raise ValueError("k must be >= 0")
     if k == 0:
         return X.copy()
-    s = smoothing_operator(g, weighting, self_loops).to_scipy()
+    s = smoothing_operator(g, weighting, self_loops)
     z = X
     for _ in range(k):
         z = s @ z

@@ -6,19 +6,13 @@ hand and cross-checked against central finite differences. No autodiff.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
-from .graph import SparseAdjacency
-
-CHECKPOINT_MAGIC = b"GCLM"
-CHECKPOINT_VERSION = 1
 ARCH_GCN = "gcn2_mlp1"
 ARCH_MLP = "mlp2"
-_ARCH_TAGS = {ARCH_GCN: 1, ARCH_MLP: 2}
-_ARCH_FROM_TAG = {v: k for k, v in _ARCH_TAGS.items()}
 
 
 @dataclass
@@ -112,18 +106,18 @@ def grow_output(p: ModelParams, extra_classes: int, seed: int) -> ModelParams:
     return q
 
 
-def spmm(S: SparseAdjacency, X: np.ndarray) -> np.ndarray:
+def spmm(S: sp.csr_matrix, X: np.ndarray) -> np.ndarray:
     """Exact sparse @ dense product."""
     X = np.asarray(X, dtype=np.float64)
     n = S.shape[1]
     if X.shape[0] != n:
         raise ValueError(f"dimension mismatch: S is {S.shape}, X has {X.shape[0]} rows")
-    return np.asarray(S.to_scipy() @ X)
+    return np.asarray(S @ X)
 
 
-def _spmm_t(S: SparseAdjacency, X: np.ndarray) -> np.ndarray:
+def _spmm_t(S: sp.csr_matrix, X: np.ndarray) -> np.ndarray:
     # Exact S^T @ X; S is symmetric by construction but we do not rely on it.
-    return np.asarray(S.to_scipy().T @ X)
+    return np.asarray(S.T @ X)
 
 
 def _dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
@@ -134,7 +128,7 @@ def _dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
 
 def model_forward(
     p: ModelParams,
-    S: SparseAdjacency | None,
+    S: sp.csr_matrix | None,
     X: np.ndarray,
     dropout_seed: int | None = None,
 ) -> tuple[np.ndarray, dict]:
@@ -190,7 +184,7 @@ def model_forward(
     return logits, cache
 
 
-def model_embed(p: ModelParams, S: SparseAdjacency | None, X: np.ndarray) -> np.ndarray:
+def model_embed(p: ModelParams, S: sp.csr_matrix | None, X: np.ndarray) -> np.ndarray:
     """Pre-classifier hidden representation in evaluation mode.
 
     gcn2_mlp1: output of the second graph-conv layer (post-ReLU); mlp2: the
@@ -365,53 +359,3 @@ def finite_diff_check(
         per_param=per_param,
     )
 
-
-def save_checkpoint(p: ModelParams, path) -> None:
-    """GCLM | u32 version | u8 arch | f64 dropout | u32 hidden | tensors."""
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIBdI", CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-                             _ARCH_TAGS[p.arch], p.dropout_rate, p.hidden_dim))
-        names = sorted(p.weights)
-        fh.write(struct.pack("<I", len(names)))
-        for name in names:
-            arr = np.ascontiguousarray(p.weights[name], dtype="<f8")
-            nb = name.encode()
-            fh.write(struct.pack("<H", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<B", arr.ndim))
-            for d in arr.shape:
-                fh.write(struct.pack("<Q", d))
-            fh.write(arr.tobytes())
-
-
-def load_checkpoint(path) -> ModelParams:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    off = 0
-    magic, version, arch_tag, dropout, hidden = struct.unpack_from("<4sIBdI", data, off)
-    off += struct.calcsize("<4sIBdI")
-    if magic != CHECKPOINT_MAGIC:
-        raise ValueError("bad checkpoint magic")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    (count,) = struct.unpack_from("<I", data, off)
-    off += 4
-    weights: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (ln,) = struct.unpack_from("<H", data, off)
-        off += 2
-        name = data[off:off + ln].decode()
-        off += ln
-        (ndim,) = struct.unpack_from("<B", data, off)
-        off += 1
-        shape = []
-        for _ in range(ndim):
-            (d,) = struct.unpack_from("<Q", data, off)
-            off += 8
-            shape.append(d)
-        size = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(data, dtype="<f8", count=size, offset=off).reshape(shape)
-        off += size * 8
-        weights[name] = arr.copy()
-    return ModelParams(arch=_ARCH_FROM_TAG[arch_tag], weights=weights,
-                       hidden_dim=hidden, dropout_rate=dropout)

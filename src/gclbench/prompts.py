@@ -106,19 +106,6 @@ def render_prompt(ego: EgoGraph, template: PromptTemplate, class_names) -> str:
     return "\n".join(parts)
 
 
-def render_node_prompt(
-    graph,
-    node: int,
-    template: PromptTemplate,
-    class_names,
-    fanouts=(20, 20),
-    seed: int = 0,
-) -> str:
-    """Sample the node's ego graph and render it in one step."""
-    ego = sample_ego_graph(graph, node, fanouts, seed)
-    return render_prompt(ego, template, class_names)
-
-
 def emit_instruction_jsonl(
     plan: SessionPlan,
     session_index: int,

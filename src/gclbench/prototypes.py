@@ -2,15 +2,13 @@
 
 Class prototypes are unweighted means over (seeded subsets of) per-class
 embeddings, written once in the session their class appears and never
-updated afterwards; classification scores each embedding by scaled cosine
-similarity against every stored prototype.
+updated afterwards; classification predicts, for each embedding, the class
+whose prototype has the highest cosine similarity.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -19,7 +17,11 @@ from .graph import TextAttributedGraph, degrees, laplacian_smooth
 
 @dataclass
 class PrototypeBank:
-    """class id -> prototype vector, with session provenance and temperature."""
+    """class id -> prototype vector, with session provenance and temperature.
+
+    A positive temperature only rescales cosine scores, so it never changes a
+    prediction; it is kept because run configs carry it as `tau`.
+    """
 
     temperature: float = 1.0
     prototypes: dict[int, np.ndarray] = field(default_factory=dict)
@@ -85,41 +87,19 @@ def build_prototypes(
     return bank
 
 
-def _cosine_row(h: np.ndarray, protos: np.ndarray) -> np.ndarray:
-    hn = np.linalg.norm(h)
-    pn = np.linalg.norm(protos, axis=1)
-    scores = np.zeros(protos.shape[0])
-    if hn == 0.0:
-        return scores
-    ok = pn > 0
-    scores[ok] = (protos[ok] @ h) / (pn[ok] * hn)
-    return scores
-
-
-def classify(bank: PrototypeBank, h: np.ndarray) -> tuple[dict[int, float], int]:
-    """Scores tau * cos(h, c_j) per class and the argmax prediction.
-
-    Ties break toward the lowest class id; zero-norm vectors score 0.
-    """
-    if not bank.prototypes:
-        raise ValueError("empty prototype bank")
-    h = np.asarray(h, dtype=np.float64)
-    ids = bank.class_ids
-    protos = np.stack([bank.prototypes[c] for c in ids])
-    if h.shape[0] != protos.shape[1]:
-        raise ValueError("embedding dim mismatch")
-    scores = bank.temperature * _cosine_row(h, protos)
-    best = ids[int(np.argmax(scores))]
-    return {c: float(s) for c, s in zip(ids, scores)}, best
-
-
 def classify_batch(bank: PrototypeBank, H: np.ndarray) -> np.ndarray:
-    """Vectorized argmax predictions for many embeddings (same tie rule)."""
+    """Class id of the most cosine-similar prototype, one per row of H.
+
+    Ties break toward the lowest class id; a zero-norm row or prototype
+    scores 0 against everything.
+    """
     if not bank.prototypes:
         raise ValueError("empty prototype bank")
     H = np.asarray(H, dtype=np.float64)
     ids = np.array(bank.class_ids)
     protos = np.stack([bank.prototypes[c] for c in ids])
+    if H.ndim != 2 or H.shape[1] != protos.shape[1]:
+        raise ValueError("embedding dim mismatch")
     pn = np.linalg.norm(protos, axis=1)
     hn = np.linalg.norm(H, axis=1)
     sim = H @ protos.T
@@ -225,39 +205,3 @@ def predict_task_id(query: np.ndarray, prototypes: TaskPrototypeSet) -> int:
     dists = [float(np.linalg.norm(query - p)) for p in prototypes.vectors]
     return int(np.argmin(dists))
 
-
-# ---------------------------------------------------------------------------
-# Serialization: bank.json (ids, sessions, temperature) + bank.bin (vectors)
-# ---------------------------------------------------------------------------
-
-
-def save_bank(bank: PrototypeBank, json_path, bin_path) -> None:
-    """bank.json holds ids/sessions/temperature/dim; bank.bin is the f64 LE
-    vectors concatenated in bank.json order."""
-    ids = bank.class_ids
-    meta = {
-        "temperature": bank.temperature,
-        "dim": bank.dim or 0,
-        "classes": [
-            {"class_id": c, "session": bank.source_session.get(c, 0)} for c in ids
-        ],
-    }
-    Path(json_path).write_text(json.dumps(meta, indent=1, sort_keys=True), encoding="utf-8")
-    with open(bin_path, "wb") as fh:
-        for c in ids:
-            fh.write(np.ascontiguousarray(bank.prototypes[c], dtype="<f8").tobytes())
-
-
-def load_bank(json_path, bin_path) -> PrototypeBank:
-    meta = json.loads(Path(json_path).read_text(encoding="utf-8"))
-    bank = PrototypeBank(temperature=meta["temperature"])
-    dim = meta["dim"]
-    data = Path(bin_path).read_bytes()
-    expected = dim * 8 * len(meta["classes"])
-    if len(data) != expected:
-        raise ValueError(f"bank.bin length {len(data)} != expected {expected}")
-    for i, rec in enumerate(meta["classes"]):
-        vec = np.frombuffer(data, dtype="<f8", count=dim, offset=i * dim * 8).copy()
-        bank.prototypes[rec["class_id"]] = vec
-        bank.source_session[rec["class_id"]] = rec["session"]
-    return bank

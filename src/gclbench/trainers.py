@@ -50,18 +50,6 @@ from .prototypes import (
 )
 from .sessions import EvalTask, SessionPlan, build_eval_task
 
-METHOD_IDS = (
-    "gcn",
-    "ewc",
-    "lwf",
-    "cosine",
-    "teen",
-    "simplecil",
-    "simgcl_proto",
-    "tpp_heads",
-    "meanpool_tpp",
-)
-
 
 class TrainingError(RuntimeError):
     pass
@@ -184,19 +172,6 @@ def distill_loss(
     return loss, dl
 
 
-def lwf_distill(
-    new_logits: np.ndarray, source: DistillSource, inputs: tuple
-) -> tuple[float, np.ndarray]:
-    """Distillation against the frozen copy evaluated on `inputs` = (S, X)."""
-    S, X = inputs
-    old_logits, _ = model_forward(source.frozen, S, X, dropout_seed=None)
-    pad = new_logits.shape[1] - old_logits.shape[1]
-    if pad:
-        old_logits = np.concatenate([old_logits, np.zeros((old_logits.shape[0], pad))], axis=1)
-    return distill_loss(new_logits, old_logits, source.old_class_mask,
-                        source.temperature, source.weight)
-
-
 def _softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -309,7 +284,7 @@ def predict_routed(
     protos: TaskPrototypeSet,
     X: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
-    """Route a query node set to one session head and classify with it.
+    """Route a query node set to one session head and predict with that head.
 
     The query prototype is matched against stored train prototypes; the
     winning session's head then predicts among its own classes only (the
@@ -643,26 +618,20 @@ def make_embedding_source(cfg: dict | None):
     raise TrainingError(f"unknown provider kind {kind!r}")
 
 
-def _make_runner(method: str, plan: SessionPlan, config: dict, seed: int, dataset: str):
-    if method == "gcn":
-        return _GcnFamily(plan, config, seed)
-    if method == "ewc":
-        return _GcnFamily(plan, config, seed, use_ewc=True)
-    if method == "lwf":
-        return _GcnFamily(plan, config, seed, use_lwf=True)
-    if method == "cosine":
-        return _FrozenGnnPrototypes(plan, config, seed)
-    if method == "teen":
-        return _FrozenGnnPrototypes(plan, config, seed, use_teen=True)
-    if method == "simplecil":
-        return _ProviderPrototypes(plan, config, seed, "text", dataset)
-    if method == "simgcl_proto":
-        return _ProviderPrototypes(plan, config, seed, "ego", dataset)
-    if method == "tpp_heads":
-        return _RoutedHeads(plan, config, seed, "laplacian")
-    if method == "meanpool_tpp":
-        return _RoutedHeads(plan, config, seed, "plain-mean")
-    raise ValueError(f"unknown method {method!r}; valid ids: {', '.join(METHOD_IDS)}")
+# method id -> runner constructor (plan, config, seed, dataset); METHOD_IDS
+# lists the ids in this order.
+_RUNNERS = {
+    "gcn": lambda p, c, s, d: _GcnFamily(p, c, s),
+    "ewc": lambda p, c, s, d: _GcnFamily(p, c, s, use_ewc=True),
+    "lwf": lambda p, c, s, d: _GcnFamily(p, c, s, use_lwf=True),
+    "cosine": lambda p, c, s, d: _FrozenGnnPrototypes(p, c, s),
+    "teen": lambda p, c, s, d: _FrozenGnnPrototypes(p, c, s, use_teen=True),
+    "simplecil": lambda p, c, s, d: _ProviderPrototypes(p, c, s, "text", d),
+    "simgcl_proto": lambda p, c, s, d: _ProviderPrototypes(p, c, s, "ego", d),
+    "tpp_heads": lambda p, c, s, d: _RoutedHeads(p, c, s, "laplacian"),
+    "meanpool_tpp": lambda p, c, s, d: _RoutedHeads(p, c, s, "plain-mean"),
+}
+METHOD_IDS = tuple(_RUNNERS)
 
 
 @dataclass
@@ -718,7 +687,7 @@ def run_method(
     if mode not in (LOCAL, GLOBAL):
         raise ValueError(f"unknown mode {mode!r}")
     config = dict(config or {})
-    runner = _make_runner(method, plan, config, seed, dataset)
+    runner = _RUNNERS[method](plan, config, seed, dataset)
     matrix = AccuracyMatrix(mode=mode)
     times: list[float] = []
     for i in range(1, plan.num_sessions + 1):

@@ -28,7 +28,7 @@ from gclbench.prototypes import (
     PrototypeBank,
     TaskPrototypeSet,
     build_prototypes,
-    classify,
+    classify_batch,
     predict_task_id,
     task_prototype,
 )
@@ -148,12 +148,10 @@ def test_criterion_4_prototype_oracle_equivalence():
         for c, mean in oracle_means.items():
             assert np.array_equal(bank.prototypes[c], mean)  # exact
 
-        h = rng.standard_normal(d)
-        scores, pred = classify(bank, h)
-        oracle = cosine_scores(h, bank.prototypes, bank.temperature)
-        for c in scores:
-            assert abs(scores[c] - oracle[c]) <= 1e-12
-        assert pred == argmax_lowest(oracle)  # exact argmax
+        H = rng.standard_normal((int(rng.integers(1, 6)), d))
+        preds = classify_batch(bank, H)
+        # exact argmax; the bank's temperature never moves it, so the oracle runs at tau = 1
+        assert list(preds) == [argmax_lowest(cosine_scores(h, bank.prototypes, 1.0)) for h in H]
 
         g = synth_tag(SynthConfig(
             num_classes=2, nodes_per_class=max(2, n // 2), feature_dim=4,
@@ -174,8 +172,8 @@ def test_criterion_4_prototype_oracle_equivalence():
             protos.add(v)
         q = rng.standard_normal(d)
         assert predict_task_id(q, protos) == nearest_task(q, vecs)  # exact argmin
-    _report(4, "build_prototypes/classify/task_prototype/predict_task_id match "
-               "brute force on 100 instances (means/argmins exact, cosines <= 1e-12)")
+    _report(4, "build_prototypes/classify_batch/task_prototype/predict_task_id match "
+               "brute force on 100 instances (means, cosine argmaxes and argmins exact)")
 
 
 def test_criterion_5_metric_oracle():
@@ -207,15 +205,15 @@ def test_criterion_6_similarity_invariance():
         k = int(rng.integers(2, 6))
         protos = {c: rng.standard_normal(d) for c in range(k)}
         tau = float(rng.uniform(0.2, 5.0))
-        h = rng.standard_normal(d)
-        _, base = classify(PrototypeBank(tau, {c: v.copy() for c, v in protos.items()}), h)
+        h = rng.standard_normal((1, d))
+        (base,) = classify_batch(PrototypeBank(tau, {c: v.copy() for c, v in protos.items()}), h)
 
         a = float(rng.uniform(0.05, 20.0))
-        _, p1 = classify(PrototypeBank(tau * a, {c: v.copy() for c, v in protos.items()}), h)
-        _, p2 = classify(PrototypeBank(tau, {c: v.copy() for c, v in protos.items()}), a * h)
+        (p1,) = classify_batch(PrototypeBank(tau * a, {c: v.copy() for c, v in protos.items()}), h)
+        (p2,) = classify_batch(PrototypeBank(tau, {c: v.copy() for c, v in protos.items()}), a * h)
         target = int(rng.integers(0, k))
         scaled = {c: (a * v if c == target else v.copy()) for c, v in protos.items()}
-        _, p3 = classify(PrototypeBank(tau, scaled), h)
+        (p3,) = classify_batch(PrototypeBank(tau, scaled), h)
         assert base == p1 == p2 == p3
     _report(6, "argmax invariant to positive rescaling of tau, h, and any "
                "prototype on 1000 random banks")

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gclbench.embeddings import (
     EmbeddingCache,
@@ -10,7 +12,6 @@ from gclbench.embeddings import (
     FileSource,
     HttpSource,
     cache_key,
-    embed_texts,
     get_or_embed,
 )
 from gclbench.graph import FEATURES_MAGIC, FEATURES_VERSION
@@ -53,7 +54,7 @@ def test_file_source_missing_id(file_source):
 def test_http_batch_order_and_shape():
     with StubEmbeddingServer(dim=8) as srv:
         src = HttpSource(srv.endpoint, "stub", batch_size=2, max_in_flight=1)
-        out = embed_texts(src, ["alpha", "beta"])
+        out = src.embed(["alpha", "beta"])
         assert out.shape == (2, 8)
         assert np.array_equal(out[0], np.array(deterministic_embedding("alpha", 8), np.float32))
         assert np.array_equal(out[1], np.array(deterministic_embedding("beta", 8), np.float32))
@@ -63,7 +64,7 @@ def test_http_multi_batch_concurrent_order():
     with StubEmbeddingServer(dim=4) as srv:
         src = HttpSource(srv.endpoint, "stub", batch_size=2, max_in_flight=3)
         texts = [f"t{i}" for i in range(9)]
-        out = embed_texts(src, texts)
+        out = src.embed(texts)
         assert out.shape == (9, 4)
         for i, t in enumerate(texts):
             assert np.array_equal(out[i], np.array(deterministic_embedding(t, 4), np.float32))
@@ -74,14 +75,14 @@ def test_http_dimension_drift_rejected():
     with StubEmbeddingServer(dim=8, drift_dim=16, drift_after=1) as srv:
         src = HttpSource(srv.endpoint, "stub", batch_size=1, max_in_flight=1)
         with pytest.raises(EmbeddingProviderError, match="dimension drift"):
-            embed_texts(src, ["one", "two"])
+            src.embed(["one", "two"])
 
 
 def test_http_retries_then_succeeds():
     with StubEmbeddingServer(dim=4, fail_first=2) as srv:
         src = HttpSource(srv.endpoint, "stub", batch_size=4, max_in_flight=1,
                          retries=3, backoff=0.01)
-        out = embed_texts(src, ["x"])
+        out = src.embed(["x"])
         assert out.shape == (1, 4)
         assert srv.request_count == 3
 
@@ -90,7 +91,7 @@ def test_http_fails_after_retries():
     with StubEmbeddingServer(dim=4, fail_first=10) as srv:
         src = HttpSource(srv.endpoint, "stub", batch_size=4, retries=3, backoff=0.01)
         with pytest.raises(EmbeddingProviderError, match="status"):
-            embed_texts(src, ["x"])
+            src.embed(["x"])
         assert srv.request_count == 3
 
 
@@ -98,13 +99,13 @@ def test_http_bearer_token_from_env(monkeypatch):
     monkeypatch.setenv("EMBEDDINGS_API_KEY", "sekret")
     with StubEmbeddingServer(dim=4) as srv:
         src = HttpSource(srv.endpoint, "stub", batch_size=4)
-        out = embed_texts(src, ["a"])
+        out = src.embed(["a"])
         assert out.shape == (1, 4)
         assert srv.last_auth_header == "Bearer sekret"
     monkeypatch.delenv("EMBEDDINGS_API_KEY")
     with StubEmbeddingServer(dim=4) as srv:
         src = HttpSource(srv.endpoint, "stub", batch_size=4)
-        embed_texts(src, ["a"])
+        src.embed(["a"])
         assert srv.last_auth_header is None
 
 
@@ -125,13 +126,54 @@ def test_cache_corruption_rebuilt(tmp_path, caplog):
     path = tmp_path / "c.bin"
     cache = EmbeddingCache(path)
     cache.put(cache_key("s", "m", "p"), np.ones(4, np.float32))
+    whole = path.read_bytes()
+    cache.put(cache_key("s", "m", "q"), np.full(4, 2.0, np.float32))
     data = path.read_bytes()
-    path.write_bytes(data[:-3])  # truncate payload
+    path.write_bytes(data[:-3])  # truncate the second record's payload
     with caplog.at_level("WARNING"):
         rebuilt = EmbeddingCache(path)
-    assert len(rebuilt) == 0
-    assert not path.exists()
-    assert any("rebuilding" in r.message for r in caplog.records)
+    assert len(rebuilt) == 1
+    assert np.array_equal(rebuilt.get(cache_key("s", "m", "p")), np.ones(4, np.float32))
+    assert path.read_bytes() == whole  # the file holds only the complete record
+    assert any("truncated" in r.message for r in caplog.records)
+
+
+def _record_ends(vecs):
+    ends, end = [], 0
+    for v in vecs:
+        end += 32 + 4 + 4 * len(v)
+        ends.append(end)
+    return ends
+
+
+@settings(max_examples=80, deadline=None)
+@given(dims=st.lists(st.integers(0, 5), min_size=1, max_size=6), data=st.data())
+def test_cache_truncated_tail_keeps_complete_records(tmp_path_factory, dims, data):
+    path = tmp_path_factory.mktemp("cache") / "c.bin"
+    cache = EmbeddingCache(path)
+    keys = [cache_key("s", "m", f"p{i}") for i in range(len(dims))]
+    vecs = [np.arange(d, dtype=np.float32) + i for i, d in enumerate(dims)]
+    for k, v in zip(keys, vecs):
+        cache.put(k, v)
+    raw = path.read_bytes()
+    cut = data.draw(st.integers(0, len(raw)), label="cut")
+    path.write_bytes(raw[:cut])
+
+    reloaded = EmbeddingCache(path)
+    kept = [i for i, end in enumerate(_record_ends(vecs)) if end <= cut]
+    assert len(reloaded) == len(kept)
+    for i in range(len(dims)):
+        got = reloaded.get(keys[i])
+        assert (got is not None) == (i in kept)
+        if got is not None:
+            assert np.array_equal(got, vecs[i])
+    assert path.stat().st_size == (_record_ends(vecs)[kept[-1]] if kept else 0)
+
+    extra = cache_key("s", "m", "after")
+    reloaded.put(extra, np.array([7.0, -1.5], np.float32))
+    again = EmbeddingCache(path)
+    assert np.array_equal(again.get(extra), np.array([7.0, -1.5], np.float32))
+    assert len(again) == len(kept) + 1
 
 
 def test_get_or_embed_cache_hits_skip_provider(tmp_path):

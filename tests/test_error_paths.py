@@ -15,7 +15,7 @@ from gclbench.graph import (
     save_tag,
     smoothing_operator,
 )
-from gclbench.nn import ARCH_GCN, init_params, load_checkpoint, model_forward, save_checkpoint
+from gclbench.nn import ARCH_GCN, init_params, model_forward
 from gclbench.prototypes import PrototypeBank, build_prototypes, classify_batch, task_prototype
 from gclbench.sessions import build_eval_task, filter_classes
 from gclbench.synth import SynthConfig, synth_tag
@@ -85,24 +85,6 @@ def test_make_graph_label_count_mismatch():
 def test_smoothing_operator_unknown_weighting(two_node_graph):
     with pytest.raises(ValueError, match="unknown weighting"):
         smoothing_operator(two_node_graph, "harmonic")
-
-
-def test_checkpoint_bad_magic(tmp_path):
-    path = tmp_path / "bad.gclm"
-    path.write_bytes(b"XXXX" + b"\x00" * 32)
-    with pytest.raises(ValueError, match="magic"):
-        load_checkpoint(path)
-
-
-def test_checkpoint_bad_version(tmp_path):
-    p = init_params(ARCH_GCN, 2, 3, 2, seed=0)
-    path = tmp_path / "v.gclm"
-    save_checkpoint(p, path)
-    raw = bytearray(path.read_bytes())
-    struct.pack_into("<I", raw, 4, 77)
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="version"):
-        load_checkpoint(path)
 
 
 def test_init_params_unknown_arch():

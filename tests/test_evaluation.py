@@ -301,3 +301,40 @@ def test_report_md_fractional_tie_ranks(tmp_path):
 def test_report_unknown_format(tmp_path):
     with pytest.raises(ValueError, match="unknown report format"):
         write_report([], tmp_path / "x", "xml")
+
+
+def _final_only(method, acc, dataset="ds1", seed=0, grid_point=None):
+    doc = _dummy_result(method, dataset)
+    m = AccuracyMatrix(mode="global")
+    m.add_row([acc])
+    doc["matrix"], doc["summary"] = m.to_dict(), summarize(m)
+    doc["run"]["seed"] = seed
+    if grid_point is not None:
+        doc["run"]["grid_point"] = grid_point
+    return doc
+
+
+def test_report_md_averages_seeds(tmp_path):
+    results = [_final_only("gcn", 0.2, seed=0), _final_only("gcn", 0.8, seed=1),
+               _final_only("cosine", 0.6)]
+    write_report(results, tmp_path / "r.md", "md")
+    lines = (tmp_path / "r.md").read_text().splitlines()
+    assert lines[2] == "| cosine | 60.0 | 60.0 | 1.0 |"
+    assert lines[3] == "| gcn | 50.0 ± 30.0 (n=2) | 50.0 ± 30.0 (n=2) | 2.0 |"
+    assert "population std" in lines[-1]
+
+
+def test_report_md_grid_points_get_own_rows(tmp_path):
+    results = [
+        _final_only("gcn", 0.2, grid_point={"epochs": 5, "lr": 0.01}),
+        _final_only("gcn", 0.9, grid_point={"epochs": 5, "lr": 0.1}),
+        _final_only("gcn", 0.4, seed=1, grid_point={"epochs": 5, "lr": 0.01}),
+        _final_only("ewc", 0.5, grid_point={"epochs": 5, "lr": 0.01}),
+    ]
+    write_report(results, tmp_path / "r.md", "md")
+    lines = (tmp_path / "r.md").read_text().splitlines()
+    assert lines[2:5] == [
+        "| ewc | 50.0 | 50.0 | 2.0 |",
+        "| gcn (lr=0.01) | 30.0 ± 10.0 (n=2) | 30.0 ± 10.0 (n=2) | 3.0 |",
+        "| gcn (lr=0.1) | 90.0 | 90.0 | 1.0 |",
+    ]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,11 +11,11 @@ from gclbench.graph import (
     induced_subgraph,
     laplacian_smooth,
     load_tag,
-    load_tag_with_report,
     make_graph,
     sample_ego_graph,
     save_tag,
 )
+from gclbench.nn import _spmm_t, spmm
 from gclbench.synth import SynthConfig, synth_tag
 
 from oracles import (
@@ -115,10 +116,10 @@ def test_duplicate_edges_counted(tmp_path):
     g = make_graph(np.zeros((3, 2), np.float32), ["a", "b", "c"],
                    np.zeros(3, np.int64), ["c"], np.array([[0, 1]]))
     save_tag(g, tmp_path)
-    (tmp_path / "edges.tsv").write_text("0\t1\n1\t0\n1\t2\n")
-    loaded, report = load_tag_with_report(tmp_path)
-    assert loaded.edge_count == 2
-    assert report.duplicate_edges == 1
+    (tmp_path / "edges.tsv").write_text("0\t1\n1\t0\n1\t2\n2\t1\n0\t1\n")
+    loaded = load_tag(tmp_path)
+    assert loaded.edge_count == 2  # five records, two distinct undirected edges
+    assert loaded.edges.tolist() == [[0, 1], [1, 2]]
 
 
 # ------------------------------------------------------------------ subgraphs
@@ -157,22 +158,22 @@ def test_induced_subgraph_out_of_range(path_graph):
 
 def test_gcn_adjacency_isolated_node(isolated_node_graph):
     s = gcn_normalized_adjacency(isolated_node_graph)
-    assert np.allclose(s.to_dense(), [[1.0]])
+    assert np.allclose(s.toarray(), [[1.0]])
 
 
 def test_gcn_adjacency_two_nodes(two_node_graph):
     s = gcn_normalized_adjacency(two_node_graph)
-    assert np.allclose(s.to_dense(), 0.5 * np.ones((2, 2)))
+    assert np.allclose(s.toarray(), 0.5 * np.ones((2, 2)))
 
 
 def test_gcn_adjacency_symmetric_and_matches_dense(testkit_graph):
-    s = gcn_normalized_adjacency(testkit_graph).to_dense()
+    s = gcn_normalized_adjacency(testkit_graph).toarray()
     assert np.allclose(s, s.T)
     assert np.allclose(s, dense_gcn_operator(testkit_graph))
 
 
 def test_gcn_adjacency_spectral_radius(testkit_graph):
-    s = gcn_normalized_adjacency(testkit_graph).to_dense()
+    s = gcn_normalized_adjacency(testkit_graph).toarray()
     assert spectral_radius_power_iteration(s) <= 1.0 + 1e-9
 
 
@@ -328,5 +329,11 @@ def test_neighbor_csr_built_once_per_graph(path_graph):
 
 
 def test_operator_scipy_matrix_built_once(testkit_graph):
+    # The operator is the scipy CSR matrix itself: spmm and its transpose
+    # multiply by it with no per-call conversion.
     s = gcn_normalized_adjacency(testkit_graph)
-    assert s.to_scipy() is s.to_scipy()
+    assert isinstance(s, sp.csr_matrix) and s.has_sorted_indices
+    assert s.dtype == np.float64
+    X = np.asarray(testkit_graph.features, dtype=np.float64)
+    assert np.array_equal(spmm(s, X), s @ X)
+    assert np.array_equal(_spmm_t(s, X), s.T @ X)

@@ -11,13 +11,11 @@ from gclbench.nn import (
     grow_output,
     init_adam,
     init_params,
-    load_checkpoint,
     model_backward,
     model_forward,
-    save_checkpoint,
     spmm,
 )
-from gclbench.graph import SparseAdjacency, make_graph
+from gclbench.graph import make_graph
 from gclbench.synth import SynthConfig, synth_tag
 
 
@@ -26,8 +24,7 @@ def _csr_from_dense(d):
 
     m = sp.csr_matrix(np.asarray(d, dtype=np.float64))
     m.sort_indices()
-    return SparseAdjacency(m.indptr.astype(np.int64), m.indices.astype(np.int64),
-                           m.data.astype(np.float64))
+    return m
 
 
 def _small_graph(n_nodes=6, seed=3):
@@ -300,22 +297,6 @@ def test_finite_diff_constant_loss():
     report = finite_diff_check(loss_fn, p, tolerance=1e-4)
     assert report.passed
     assert report.max_rel_error < 1e-6
-
-
-# ----------------------------------------------------------------- checkpoint
-
-
-def test_checkpoint_round_trip(tmp_path):
-    p = init_params(ARCH_GCN, 4, 8, 3, seed=5)
-    path = tmp_path / "model.gclm"
-    save_checkpoint(p, path)
-    q = load_checkpoint(path)
-    assert q.arch == p.arch
-    assert q.hidden_dim == p.hidden_dim
-    assert q.dropout_rate == p.dropout_rate
-    assert set(q.weights) == set(p.weights)
-    for k in p.weights:
-        assert np.array_equal(q.weights[k], p.weights[k])
 
 
 def test_grow_output_preserves_old_columns():

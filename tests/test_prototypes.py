@@ -8,11 +8,8 @@ from gclbench.prototypes import (
     PrototypeBank,
     TaskPrototypeSet,
     build_prototypes,
-    classify,
     classify_batch,
-    load_bank,
     predict_task_id,
-    save_bank,
     task_prototype,
     teen_calibrate,
 )
@@ -83,52 +80,40 @@ def test_group_mean_oracle_exact():
             assert np.array_equal(bank.prototypes[c], mean)
 
 
-# ------------------------------------------------------------------- classify
+# ------------------------------------------------------------- classify_batch
+
+
+def _bank(protos, temperature=1.0):
+    return PrototypeBank(temperature, {c: np.array(v, dtype=np.float64) for c, v in protos.items()})
 
 
 def test_classify_aligned_vector():
-    bank = PrototypeBank(temperature=1.0)
-    bank.prototypes = {0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])}
-    scores, pred = classify(bank, np.array([1.0, 0.0]))
-    assert pred == 0
-    assert abs(scores[0] - 1.0) < 1e-12 and abs(scores[1]) < 1e-12
-
-
-def test_classify_temperature_scales_scores_not_argmax():
-    protos = {0: np.array([1.0, 2.0]), 1: np.array([-1.0, 0.5])}
-    h = np.array([0.3, 0.9])
-    s1, p1 = classify(PrototypeBank(1.0, dict(protos)), h)
-    s5, p5 = classify(PrototypeBank(5.0, dict(protos)), h)
-    assert p1 == p5
-    for c in protos:
-        assert abs(s5[c] - 5 * s1[c]) < 1e-12
+    bank = _bank({0: [1.0, 0.0], 1: [0.0, 1.0]})
+    assert list(classify_batch(bank, np.array([[1.0, 0.0], [0.0, 2.0]]))) == [0, 1]
 
 
 def test_classify_tie_breaks_to_lowest_class():
-    bank = PrototypeBank()
-    bank.prototypes = {2: np.array([0.0, 1.0]), 5: np.array([1.0, 0.0])}
-    h = np.array([1.0, 1.0]) / np.sqrt(2)  # equidistant
-    scores, pred = classify(bank, h)
-    assert abs(scores[2] - scores[5]) < 1e-12
-    assert pred == 2
+    bank = _bank({2: [0.0, 1.0], 5: [1.0, 0.0]})
+    h = np.array([[1.0, 1.0]]) / np.sqrt(2)  # equidistant
+    assert list(classify_batch(bank, h)) == [2]
 
 
 def test_classify_zero_norm_scores_zero():
-    bank = PrototypeBank()
-    bank.prototypes = {0: np.array([0.0, 0.0]), 1: np.array([1.0, 0.0])}
-    scores, pred = classify(bank, np.array([1.0, 0.0]))
-    assert scores[0] == 0.0 and abs(scores[1] - 1.0) < 1e-12
-    scores2, _ = classify(bank, np.zeros(2))
-    assert scores2 == {0: 0.0, 1: 0.0}
+    # A zero prototype scores 0, so a negatively aligned query picks it; a
+    # zero query scores 0 everywhere and falls to the lowest id.
+    bank = _bank({0: [0.0, 0.0], 1: [1.0, 0.0], 2: [0.0, 1.0]})
+    H = np.array([[1.0, 0.0], [-1.0, -1.0], [0.0, 0.0]])
+    assert list(classify_batch(bank, H)) == [1, 0, 0]
 
 
 def test_classify_errors():
     with pytest.raises(ValueError, match="empty"):
-        classify(PrototypeBank(), np.array([1.0]))
-    bank = PrototypeBank()
-    bank.prototypes = {0: np.array([1.0, 0.0])}
-    with pytest.raises(ValueError, match="dim"):
-        classify(bank, np.array([1.0, 0.0, 0.0]))
+        classify_batch(PrototypeBank(), np.array([[1.0]]))
+    bank = _bank({0: [1.0, 0.0]})
+    with pytest.raises(ValueError, match="embedding dim mismatch"):
+        classify_batch(bank, np.array([[1.0, 0.0, 0.0]]))
+    with pytest.raises(ValueError, match="embedding dim mismatch"):
+        classify_batch(bank, np.array([1.0, 0.0]))  # one vector, not a 2-D batch
 
 
 def test_classify_matches_oracle_scores():
@@ -137,15 +122,11 @@ def test_classify_matches_oracle_scores():
         d = int(rng.integers(1, 6))
         protos = {int(c): rng.standard_normal(d) for c in rng.choice(20, 4, replace=False)}
         tau = float(rng.uniform(0.1, 8.0))
-        h = rng.standard_normal(d)
-        bank = PrototypeBank(tau, dict(protos))
-        scores, pred = classify(bank, h)
-        oracle = cosine_scores(h, protos, tau)
-        for c in protos:
-            assert abs(scores[c] - oracle[c]) <= 1e-12
-        assert pred == argmax_lowest(oracle)
-        batch_pred = classify_batch(bank, h[None, :])
-        assert batch_pred[0] == pred
+        H = rng.standard_normal((int(rng.integers(1, 8)), d))
+        preds = classify_batch(PrototypeBank(tau, dict(protos)), H)
+        # The bank's temperature must not move the argmax, so the oracle runs
+        # at tau = 1: in one dimension every same-sign prototype ties exactly.
+        assert list(preds) == [argmax_lowest(cosine_scores(h, protos, 1.0)) for h in H]
 
 
 @settings(max_examples=60, deadline=None)
@@ -155,13 +136,15 @@ def test_classify_positive_rescaling_invariance(seed, alpha, tau_scale):
     d = int(rng.integers(2, 6))
     k = int(rng.integers(2, 5))
     protos = {c: rng.standard_normal(d) for c in range(k)}
-    h = rng.standard_normal(d)
+    h = rng.standard_normal((1, d))
     tau = float(rng.uniform(0.5, 4.0))
-    _, base = classify(PrototypeBank(tau, {c: v.copy() for c, v in protos.items()}), h)
-    _, scaled_h = classify(PrototypeBank(tau, {c: v.copy() for c, v in protos.items()}), alpha * h)
+    (base,) = classify_batch(PrototypeBank(tau, {c: v.copy() for c, v in protos.items()}), h)
+    (scaled_h,) = classify_batch(PrototypeBank(tau, {c: v.copy() for c, v in protos.items()}),
+                                 alpha * h)
     scaled_protos = {c: (alpha * v if c == base else v.copy()) for c, v in protos.items()}
-    _, scaled_p = classify(PrototypeBank(tau, scaled_protos), h)
-    _, scaled_t = classify(PrototypeBank(tau * tau_scale, {c: v.copy() for c, v in protos.items()}), h)
+    (scaled_p,) = classify_batch(PrototypeBank(tau, scaled_protos), h)
+    (scaled_t,) = classify_batch(
+        PrototypeBank(tau * tau_scale, {c: v.copy() for c, v in protos.items()}), h)
     assert base == scaled_h == scaled_p == scaled_t
 
 
@@ -324,30 +307,3 @@ def test_predict_task_id_dim_mismatch():
     with pytest.raises(ValueError, match="dim"):
         predict_task_id(np.array([1.0]), protos)
 
-
-# ------------------------------------------------------------------- bank i/o
-
-
-def test_bank_bin_length_guard(tmp_path):
-    bank = PrototypeBank()
-    bank.prototypes = {0: np.ones(3)}
-    bank.source_session = {0: 1}
-    save_bank(bank, tmp_path / "b.json", tmp_path / "b.bin")
-    (tmp_path / "b.bin").write_bytes((tmp_path / "b.bin").read_bytes()[:-8])
-    with pytest.raises(ValueError, match="length"):
-        load_bank(tmp_path / "b.json", tmp_path / "b.bin")
-
-
-def test_bank_round_trip(tmp_path):
-    bank = PrototypeBank(temperature=2.5)
-    rng = np.random.default_rng(0)
-    for c in (0, 3, 7):
-        bank.prototypes[c] = rng.standard_normal(5)
-        bank.source_session[c] = c % 2 + 1
-    save_bank(bank, tmp_path / "bank.json", tmp_path / "bank.bin")
-    loaded = load_bank(tmp_path / "bank.json", tmp_path / "bank.bin")
-    assert loaded.temperature == 2.5
-    assert loaded.class_ids == [0, 3, 7]
-    for c in bank.prototypes:
-        assert np.array_equal(loaded.prototypes[c], bank.prototypes[c])
-        assert loaded.source_session[c] == bank.source_session[c]

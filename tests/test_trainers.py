@@ -8,7 +8,6 @@ from gclbench.nn import (
     finite_diff_check,
     init_params,
     model_forward,
-    save_checkpoint,
 )
 from gclbench.prototypes import TaskPrototypeSet, task_prototype
 from gclbench.sessions import plan_ncil
@@ -21,7 +20,6 @@ from gclbench.trainers import (
     ewc_penalty,
     fisher_diagonal,
     fit_task_heads,
-    lwf_distill,
     predict_routed,
     run_method,
     _mix,
@@ -64,7 +62,7 @@ def test_train_session_zero_epochs_no_change():
         assert np.array_equal(q.weights[k], before[k])
 
 
-def test_train_session_seed_reproducible_checkpoint(tmp_path):
+def test_train_session_seed_reproducible_checkpoint():
     g, S, X = _separable_session()
     rows = np.arange(g.node_count)
 
@@ -72,9 +70,11 @@ def test_train_session_seed_reproducible_checkpoint(tmp_path):
         p = init_params(ARCH_GCN, X.shape[1], 8, 2, seed=2)
         return train_session(p, S, X, g.labels, rows, epochs=30, lr=1e-2, seed=11)
 
-    save_checkpoint(run(), tmp_path / "a.gclm")
-    save_checkpoint(run(), tmp_path / "b.gclm")
-    assert (tmp_path / "a.gclm").read_bytes() == (tmp_path / "b.gclm").read_bytes()
+    a, b = run(), run()
+    assert (a.arch, a.hidden_dim, a.dropout_rate) == (b.arch, b.hidden_dim, b.dropout_rate)
+    assert sorted(a.weights) == sorted(b.weights)
+    for k in a.weights:
+        assert np.array_equal(a.weights[k], b.weights[k])
 
 
 def test_train_session_nonfinite_loss_reports_epoch():
@@ -233,15 +233,35 @@ def test_lwf_gradient_matches_finite_differences():
             assert abs(num - dl[i, j]) < 1e-6
 
 
-def test_lwf_distill_via_frozen_model():
-    g, S, X = _separable_session()
-    frozen = init_params(ARCH_GCN, X.shape[1], 8, 2, seed=1)
-    source = DistillSource(frozen, temperature=2.0, weight=1.0,
-                           old_class_mask=np.array([True, True]))
-    new_logits, _ = model_forward(frozen, S, X)
-    loss, dl = lwf_distill(new_logits, source, (S, X))
-    assert abs(loss) < 1e-12  # same model -> same logits -> zero KL
-    assert np.allclose(dl, 0.0, atol=1e-14)
+def test_lwf_distill_via_frozen_model(testkit_plan, monkeypatch):
+    # The lwf runner distills every epoch against the logits of the model as it
+    # stood before the session, computed once, zero-padded for the new classes.
+    from gclbench import trainers
+
+    calls = []
+
+    def recording(new_logits, old_logits, old_mask, temperature, weight):
+        calls.append((old_logits.copy(), old_mask.copy(), temperature, weight))
+        return distill_loss(new_logits, old_logits, old_mask, temperature, weight)
+
+    monkeypatch.setattr(trainers, "distill_loss", recording)
+    cfg = dict(CFG, epochs=4, lwf_T=3.0, lwf_lambda=0.5)
+    runner = trainers._RUNNERS["lwf"](testkit_plan, cfg, 5, "synth")
+    runner.fit_session(1)
+    assert calls == []  # nothing to distill from in the first session
+    frozen = runner.params.copy()
+    runner.fit_session(2)
+
+    s = testkit_plan.sessions[1]
+    ol, _ = model_forward(frozen, gcn_normalized_adjacency(s.subgraph),
+                          np.asarray(s.subgraph.features, np.float64))
+    rows = s.local_ids(s.train_nodes)
+    expect = np.concatenate([ol, np.zeros((ol.shape[0], 2))], axis=1)[rows]
+    assert len(calls) == 4
+    for old_logits, mask, temperature, weight in calls:
+        assert np.array_equal(old_logits, expect)
+        assert list(mask) == [True, True, False, False]
+        assert (temperature, weight) == (3.0, 0.5)
 
 
 def test_distill_source_validation():
@@ -268,6 +288,22 @@ def test_run_method_unknown_method(testkit_plan):
         run_method("foo", testkit_plan, CFG, mode="global", seed=0)
     for m in METHOD_IDS:
         assert m in str(err.value)
+
+
+def test_every_method_id_builds_a_runner(testkit_plan):
+    from gclbench.trainers import _RUNNERS
+
+    provider = {"provider": {"kind": "http", "endpoint": "http://127.0.0.1:9", "model": "m"}}
+    assert METHOD_IDS == tuple(_RUNNERS)
+    assert METHOD_IDS == ("gcn", "ewc", "lwf", "cosine", "teen", "simplecil",
+                          "simgcl_proto", "tpp_heads", "meanpool_tpp")
+    for m in METHOD_IDS:
+        runner = _RUNNERS[m](testkit_plan, dict(CFG, **provider), 0, "synth")
+        assert callable(runner.fit_session) and callable(runner.predict)
+    with pytest.raises(ValueError, match=r"unknown method 'nope'; valid ids: gcn, ewc, lwf, "
+                                         r"cosine, teen, simplecil, simgcl_proto, tpp_heads, "
+                                         r"meanpool_tpp$"):
+        run_method("nope", testkit_plan, CFG, mode="local", seed=0)
 
 
 def test_run_method_reproducible(testkit_plan):
