@@ -11,7 +11,7 @@ import click
 from . import config as cfgmod
 from .config import ConfigError, expand_grid, load_config, resolve_hypers, validate_config
 from .embeddings import EmbeddingProviderError
-from .evaluation import leakage_diagnostic, write_report
+from .evaluation import leakage_diagnostic, load_results, write_report
 from .graph import TagFormatError, load_tag, save_tag
 from .prompts import default_template, emit_instruction_jsonl
 from .sessions import (
@@ -240,7 +240,7 @@ def report(results_paths, out, fmt):
     try:
         merged = []
         for path in results_paths:
-            merged.extend(json.loads(Path(path).read_text(encoding="utf-8")))
+            merged.extend(load_results(path))
         write_report(merged, out, fmt)
         click.echo(f"wrote {out}")
     except _ERRORS as exc:

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .prototypes import TaskPrototypeSet, predict_task_id, routing_features
 from .sessions import EvalTask, SessionPlan
 
 LOCAL = "local"
@@ -140,7 +141,6 @@ class LeakageReport:
 
 def leakage_diagnostic(
     plan: SessionPlan,
-    X: np.ndarray | None = None,
     k_grid=(1, 2, 4, 8),
     config: dict | None = None,
 ) -> LeakageReport:
@@ -149,37 +149,35 @@ def leakage_diagnostic(
     For each smoothing depth and each weighting, predicts the session of
     every test-node pool from stored train-pool prototypes, then scores
     session-specific MLP heads routed by that prediction (AA / AF over the
-    full local triangle).
+    full local triangle). Cell A[i][j] routes task j's test pool among the
+    prototypes of sessions 1..i; a head's accuracy on a task does not depend
+    on the routing, so each head scores each task once.
     """
-    from .trainers import fit_task_heads, route_eval  # circular at module level
+    from .trainers import fit_task_heads  # circular at module level
 
-    from .prototypes import TaskPrototypeSet, predict_task_id, task_prototype
-
-    config = dict(config or {})
-    heads = fit_task_heads(plan, X=X, config=config)
+    heads = fit_task_heads(plan, config=dict(config or {}))
+    sessions = plan.sessions
+    tests = [s.local_ids(s.test_nodes) for s in sessions]
+    # head_acc[h][j]: lenient accuracy of session h's head on local task j
+    head_acc = [[lenient_accuracy(head.predict(s.subgraph.features[t]), s.subgraph.labels[t])
+                 for s, t in zip(sessions, tests)] for head in heads]
     report = LeakageReport()
     for weighting in ("laplacian", "plain-mean"):
         for k in k_grid:
             protos = TaskPrototypeSet(k=k, weighting=weighting)
             queries = []
-            for s in plan.sessions:
-                feats = s.subgraph.features if X is None else X[s.node_map]
-                protos.add(task_prototype(s.subgraph, s.local_ids(s.train_nodes),
-                                          feats, k, weighting))
-                queries.append(task_prototype(s.subgraph, s.local_ids(s.test_nodes),
-                                              feats, k, weighting))
+            for s, t in zip(sessions, tests):
+                feats = routing_features(s.subgraph, s.subgraph.features, k, weighting)
+                protos.add(feats[s.local_ids(s.train_nodes)].mean(axis=0))
+                queries.append(feats[t].mean(axis=0))
             hits = [predict_task_id(q, protos) == j for j, q in enumerate(queries)]
             task_id_acc = float(np.mean(hits))
 
             matrix = AccuracyMatrix(mode=LOCAL)
             for i in range(1, plan.num_sessions + 1):
-                row = []
-                for j in range(1, i + 1):
-                    stage_protos = TaskPrototypeSet(k=k, weighting=weighting)
-                    stage_protos.vectors = protos.vectors[:i]
-                    acc = route_eval(plan, j, heads, stage_protos, X=X)
-                    row.append(acc)
-                matrix.add_row(row)
+                seen = TaskPrototypeSet(protos.vectors[:i], k=k, weighting=weighting)
+                matrix.add_row([head_acc[predict_task_id(queries[j], seen)][j]
+                                for j in range(i)])
             summ = summarize(matrix)
             report.entries.append(
                 {
@@ -196,6 +194,47 @@ def leakage_diagnostic(
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
+
+
+class ResultsFormatError(ValueError):
+    """Raised when a results file is not a list of run documents."""
+
+
+def load_results(path) -> list[dict]:
+    """Run documents of one results file; raises ResultsFormatError, naming the
+    file and the record, where a field that a report reads is missing or malformed."""
+    path = Path(path)
+    try:
+        docs = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ResultsFormatError(f"{path}: not a JSON file ({exc})") from exc
+    if not isinstance(docs, list):
+        raise ResultsFormatError(f"{path}: expected a JSON list of run documents")
+    for i, doc in enumerate(docs):
+        try:
+            _check_run_doc(doc)
+        except (TypeError, ValueError) as exc:
+            raise ResultsFormatError(f"{path}: record {i}: {exc}") from exc
+    return docs
+
+
+def _check_run_doc(doc) -> None:
+    if not isinstance(doc, dict):
+        raise ValueError("not an object")
+    for key in ("run", "matrix", "summary"):
+        if not isinstance(doc.get(key), dict):
+            raise ValueError(f"missing or non-object {key!r}")
+    run, matrix, summary = doc["run"], doc["matrix"], doc["summary"]
+    if not (isinstance(run.get("method"), str) and isinstance(run.get("dataset"), str)
+            and isinstance(run.get("grid_point", {}), dict)):
+        raise ValueError("'run' needs string method and dataset, and an object grid_point if any")
+    if matrix.get("mode") not in (LOCAL, GLOBAL) or not isinstance(matrix.get("rows"), list):
+        raise ValueError("'matrix' needs mode local or global and a list of rows")
+    AccuracyMatrix.from_dict(matrix).validate()
+    if not (all(isinstance(summary.get(k), (int, float)) for k in ("mean_acc", "final_acc"))
+            and all(isinstance(summary.get(k), (int, float, type(None))) for k in ("aa", "af"))):
+        raise ValueError("'summary' needs numeric mean_acc and final_acc, "
+                         "and numeric or null aa and af")
 
 
 def write_report(results: list[dict], path, format: str = "json") -> None:

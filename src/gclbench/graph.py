@@ -260,19 +260,9 @@ def induced_subgraph(
     return sub, keep
 
 
-def degrees(g: TextAttributedGraph, self_loops: bool = True) -> np.ndarray:
-    """Node degrees of the adjacency, optionally augmented with self-loops."""
-    deg = np.diff(g.neighbor_csr[0]).astype(np.float64)
-    if self_loops:
-        deg += 1.0
-    return deg
-
-
-def _adjacency(g: TextAttributedGraph, self_loops: bool) -> sp.csr_matrix:
-    n = g.node_count
-    indptr, indices = g.neighbor_csr
-    a = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
-    return a + sp.identity(n, format="csr") if self_loops else a
+def degrees(g: TextAttributedGraph) -> np.ndarray:
+    """Node degrees of the self-loop-augmented adjacency A + I."""
+    return np.diff(g.neighbor_csr[0]).astype(np.float64) + 1.0
 
 
 def gcn_normalized_adjacency(g: TextAttributedGraph) -> sp.csr_matrix:
@@ -281,31 +271,29 @@ def gcn_normalized_adjacency(g: TextAttributedGraph) -> sp.csr_matrix:
     Self-loops keep isolated nodes well-defined; the operator is symmetric
     with spectral radius <= 1.
     """
-    return smoothing_operator(g, "laplacian", self_loops=True)
+    return smoothing_operator(g, "laplacian")
 
 
-def smoothing_operator(
-    g: TextAttributedGraph, weighting: str = "laplacian", self_loops: bool = True
-) -> sp.csr_matrix:
+def smoothing_operator(g: TextAttributedGraph, weighting: str = "laplacian") -> sp.csr_matrix:
     """Propagation operator used by laplacian_smooth, as CSR with sorted indices.
 
     laplacian:  S = I - D^{-1/2} L D^{-1/2} = D^{-1/2} A_hat D^{-1/2}
     plain-mean: S = D^{-1} A_hat  (row-normalized adjacency)
 
-    Degrees come from A_hat = A + I when `self_loops` is set; rows of
-    isolated nodes without self-loops are zero.
+    with A_hat = A + I, so every degree is at least 1.
     """
     if weighting not in ("laplacian", "plain-mean"):
         raise ValueError(f"unknown weighting {weighting!r}")
-    ahat = _adjacency(g, self_loops)
+    n = g.node_count
+    indptr, indices = g.neighbor_csr
+    ahat = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+    ahat = ahat + sp.identity(n, format="csr")
     deg = np.asarray(ahat.sum(axis=1)).ravel()
-    with np.errstate(divide="ignore"):
-        dinv = np.where(deg > 0, 1.0 / deg, 0.0)
-        dinv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
     if weighting == "laplacian":
-        s = sp.diags(dinv_sqrt) @ ahat @ sp.diags(dinv_sqrt)
+        dinv_sqrt = sp.diags(1.0 / np.sqrt(deg))
+        s = dinv_sqrt @ ahat @ dinv_sqrt
     else:
-        s = sp.diags(dinv) @ ahat
+        s = sp.diags(1.0 / deg) @ ahat
     s = s.tocsr()
     s.sum_duplicates()
     s.sort_indices()
@@ -317,7 +305,6 @@ def laplacian_smooth(
     g: TextAttributedGraph,
     k: int,
     weighting: str = "laplacian",
-    self_loops: bool = True,
 ) -> np.ndarray:
     """Z = S^k X. k=0 returns X unchanged (as float64) for both weightings."""
     X = np.asarray(X, dtype=np.float64)
@@ -327,7 +314,7 @@ def laplacian_smooth(
         raise ValueError("k must be >= 0")
     if k == 0:
         return X.copy()
-    s = smoothing_operator(g, weighting, self_loops)
+    s = smoothing_operator(g, weighting)
     z = X
     for _ in range(k):
         z = s @ z

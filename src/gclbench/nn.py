@@ -234,16 +234,8 @@ def model_backward(cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
     return grads
 
 
-def cross_entropy(
-    logits: np.ndarray,
-    labels: np.ndarray,
-    class_mask: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy over rows; masked classes get -inf logits.
-
-    Returns (loss, dlogits). `class_mask` is a boolean vector of allowed
-    classes; a label landing on a masked class is an error.
-    """
+def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy over rows. Returns (loss, dlogits)."""
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n, c = logits.shape
@@ -251,15 +243,6 @@ def cross_entropy(
         raise ValueError("labels must hold one class id per row")
     if labels.min() < 0 or labels.max() >= c:
         raise ValueError("label outside logit range")
-    if class_mask is not None:
-        class_mask = np.asarray(class_mask, dtype=bool)
-        if class_mask.shape != (c,):
-            raise ValueError("class_mask must have one entry per class")
-        if not class_mask[labels].all():
-            bad = int(labels[~class_mask[labels]][0])
-            raise ValueError(f"label {bad} is masked out")
-        logits = np.where(class_mask, logits, -np.inf)
-
     shifted = logits - logits.max(axis=1, keepdims=True)
     expz = np.exp(shifted)
     denom = expz.sum(axis=1, keepdims=True)
@@ -270,8 +253,6 @@ def cross_entropy(
     dlogits = probs.copy()
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
-    if class_mask is not None:
-        dlogits[:, ~class_mask] = 0.0
     return loss, dlogits
 
 

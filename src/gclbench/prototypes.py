@@ -166,33 +166,36 @@ class TaskPrototypeSet:
         return len(self.vectors)
 
 
+def routing_features(
+    g: TextAttributedGraph, X: np.ndarray, k: int, weighting: str = "laplacian"
+) -> np.ndarray:
+    """Per-node rows whose mean over a node set is that set's task prototype.
+
+    laplacian:  S^k X with row j scaled by d_j^{-1/2} (degrees from the
+                self-loop-augmented graph).
+    plain-mean: raw features; k is ignored.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if weighting == "plain-mean":
+        return X
+    if weighting != "laplacian":
+        raise ValueError(f"unknown weighting {weighting!r}")
+    z = laplacian_smooth(X, g, k, "laplacian")
+    return z * (1.0 / np.sqrt(degrees(g)))[:, None]
+
+
 def task_prototype(
     g: TextAttributedGraph,
     nodes,
     X: np.ndarray,
     k: int,
     weighting: str = "laplacian",
-    self_loops: bool = True,
 ) -> np.ndarray:
-    """Aggregate vector for a node set.
-
-    laplacian:  smooth X for k steps, then mean of z_j * d_j^{-1/2} over the
-                set (degrees from the self-loop-augmented graph).
-    plain-mean: raw feature mean; k is ignored.
-    """
+    """Aggregate vector for a node set: the mean of its routing_features rows."""
     nodes = np.asarray(list(nodes), dtype=np.int64)
     if nodes.size == 0:
         raise ValueError("empty node set")
-    X = np.asarray(X, dtype=np.float64)
-    if weighting == "plain-mean":
-        return X[nodes].mean(axis=0)
-    if weighting != "laplacian":
-        raise ValueError(f"unknown weighting {weighting!r}")
-    z = laplacian_smooth(X, g, k, "laplacian", self_loops)
-    deg = degrees(g, self_loops)
-    with np.errstate(divide="ignore"):
-        dinv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
-    return (z[nodes] * dinv_sqrt[nodes, None]).mean(axis=0)
+    return routing_features(g, X, k, weighting)[nodes].mean(axis=0)
 
 
 def predict_task_id(query: np.ndarray, prototypes: TaskPrototypeSet) -> int:

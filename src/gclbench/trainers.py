@@ -242,13 +242,15 @@ class TaskHead:
     params: ModelParams
     class_ids: np.ndarray  # head column -> original class id
 
+    def predict(self, feats: np.ndarray) -> np.ndarray:
+        """Original class id of the top-scoring head column, one per row of feats."""
+        logits, _ = model_forward(self.params, None, feats, dropout_seed=None)
+        return self.class_ids[np.argmax(logits, axis=1)]
 
-def _fit_head(
-    plan: SessionPlan, session_idx: int, X: np.ndarray | None, config: dict, seed: int
-) -> TaskHead:
+
+def _fit_head(plan: SessionPlan, session_idx: int, config: dict, seed: int) -> TaskHead:
     s = plan.sessions[session_idx]
-    feats = s.subgraph.features if X is None else X[s.node_map]
-    feats = np.asarray(feats, dtype=np.float64)
+    feats = np.asarray(s.subgraph.features, dtype=np.float64)
     class_ids = np.array(sorted(s.class_ids), dtype=np.int64)
     col_of = {int(c): j for j, c in enumerate(class_ids)}
     rows = s.local_ids(s.train_nodes)
@@ -270,11 +272,11 @@ def _fit_head(
     return TaskHead(params=p, class_ids=class_ids)
 
 
-def fit_task_heads(plan: SessionPlan, X: np.ndarray | None = None,
-                   config: dict | None = None, seed: int = 0) -> list[TaskHead]:
+def fit_task_heads(plan: SessionPlan, config: dict | None = None,
+                   seed: int = 0) -> list[TaskHead]:
     """One two-layer MLP per session, trained on that session's classes only."""
     config = dict(config or {})
-    return [_fit_head(plan, i, X, config, seed) for i in range(plan.num_sessions)]
+    return [_fit_head(plan, i, config, seed) for i in range(plan.num_sessions)]
 
 
 def predict_routed(
@@ -282,7 +284,6 @@ def predict_routed(
     nodes: np.ndarray,
     heads: list[TaskHead],
     protos: TaskPrototypeSet,
-    X: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Route a query node set to one session head and predict with that head.
 
@@ -291,29 +292,12 @@ def predict_routed(
     class-incremental -> task-incremental collapse this measures).
     """
     nodes = np.asarray(nodes, dtype=np.int64)
-    feats = graph.features if X is None else X
-    feats = np.asarray(feats, dtype=np.float64)
+    feats = np.asarray(graph.features, dtype=np.float64)
     query = task_prototype(graph, nodes, feats, protos.k, protos.weighting)
     tid = predict_task_id(query, protos)
     if tid >= len(heads):
         raise ValueError(f"missing head for predicted task {tid}")
-    head = heads[tid]
-    logits, _ = model_forward(head.params, None, feats[nodes], dropout_seed=None)
-    return head.class_ids[np.argmax(logits, axis=1)], tid
-
-
-def route_eval(
-    plan: SessionPlan,
-    j: int,
-    heads: list[TaskHead],
-    protos: TaskPrototypeSet,
-    X: np.ndarray | None = None,
-) -> float:
-    """Lenient accuracy of routed heads on local task j (1-based)."""
-    task = build_eval_task(plan, j, LOCAL)
-    feats = None if X is None else X[task.node_sources]
-    preds, _ = predict_routed(task.graph, task.eval_nodes, heads, protos, X=feats)
-    return lenient_accuracy(preds, task.graph.labels[task.eval_nodes])
+    return heads[tid].predict(feats[nodes]), tid
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +567,7 @@ class _RoutedHeads:
 
     def fit_session(self, i: int) -> None:
         s = self.plan.sessions[i - 1]
-        self.heads.append(_fit_head(self.plan, i - 1, None, self.config, self.seed))
+        self.heads.append(_fit_head(self.plan, i - 1, self.config, self.seed))
         self.protos.add(
             task_prototype(
                 s.subgraph, s.local_ids(s.train_nodes),

@@ -143,6 +143,35 @@ def task_prototype_dense(g, nodes, X, k: int, weighting: str) -> np.ndarray:
     return np.stack(rows).mean(axis=0)
 
 
+def routed_head_triangle(plan, heads, prototype, k: int, weighting: str) -> list[list[float]]:
+    """Local triangle of task-routed MLP heads, routing every cell afresh.
+
+    Cell (i, j) builds each prototype with `prototype(graph, nodes, X, k,
+    weighting)`: the train-pool ones of sessions 1..i and the test-pool query
+    of session j. The query goes to the nearest train prototype, and that
+    session's head (relu(X W1 + b1) W2 + b2, by dense products) labels task
+    j's test nodes; a prediction outside task j's classes counts as wrong.
+    """
+    rows = []
+    for i in range(1, plan.num_sessions + 1):
+        row = []
+        for j in range(1, i + 1):
+            protos = [prototype(s.subgraph, s.local_ids(s.train_nodes), s.subgraph.features,
+                                k, weighting) for s in plan.sessions[:i]]
+            s = plan.sessions[j - 1]
+            test = s.local_ids(s.test_nodes)
+            query = prototype(s.subgraph, test, s.subgraph.features, k, weighting)
+            head = heads[nearest_task(query, protos)]
+            w = head.params.weights
+            X = np.asarray(s.subgraph.features, dtype=np.float64)[test]
+            logits = np.maximum(X @ w["W1"] + w["b1"], 0.0) @ w["W2"] + w["b2"]
+            preds = [int(head.class_ids[argmax_lowest(dict(enumerate(r)))]) for r in logits]
+            truth = [int(y) for y in s.subgraph.labels[test]]
+            row.append(sum(p == y for p, y in zip(preds, truth)) / len(truth))
+        rows.append(row)
+    return rows
+
+
 def teen_shift(p_c, base_protos: list[np.ndarray], softmax_T: float, alpha: float) -> np.ndarray:
     def unit(v):
         v = np.asarray(v, dtype=np.float64)

@@ -209,6 +209,29 @@ def test_report_command(runner, config_file, tmp_path):
     assert csv_out.read_text().startswith("method,dataset,session,metric,value")
 
 
+_GOOD_DOC = {"run": {"method": "gcn", "dataset": "d"},
+             "matrix": {"mode": "global", "rows": [[0.5]]},
+             "summary": {"mean_acc": 0.5, "final_acc": 0.5, "aa": None, "af": None}}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([{}], "record 0: missing or non-object 'run'"),
+    ({"run": {}}, "expected a JSON list of run documents"),
+    ([_GOOD_DOC, {**_GOOD_DOC, "matrix": {"mode": "global", "rows": [[1.5]]}}],
+     "record 1: accuracy entries must lie in [0, 1]"),
+], ids=["empty-record", "json-object", "matrix-entry-out-of-range"])
+@pytest.mark.parametrize("fmt", ["md", "csv"])
+def test_report_malformed_results_fail_in_one_line(runner, tmp_path, doc, message, fmt):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["report", "--results", str(bad),
+                                  "--out", str(tmp_path / "r.out"), "--format", fmt])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines() == [f"error: {bad}: {message}"]
+    assert not (tmp_path / "r.out").exists()
+
+
 def test_unknown_subcommand(runner):
     result = runner.invoke(main, ["frobnicate"])
     assert result.exit_code != 0

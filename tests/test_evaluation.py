@@ -14,10 +14,12 @@ from gclbench.evaluation import (
     summarize,
     write_report,
 )
+from gclbench.prototypes import task_prototype
 from gclbench.sessions import build_eval_task, plan_ncil
 from gclbench.synth import SynthConfig, synth_tag
+from gclbench.trainers import fit_task_heads
 
-from oracles import summarize_direct
+from oracles import routed_head_triangle, summarize_direct
 
 
 # ------------------------------------------------------------------- evaluate
@@ -233,6 +235,25 @@ def test_leakage_identical_distributions_plain_mean_near_chance():
                      if e["weighting"] == "plain-mean")
     mean_rate = float(np.mean(rates))
     assert 1 / 6 <= mean_rate <= 4 / 6  # ~1/3 under the null
+
+
+def test_leakage_aa_af_match_per_cell_routing_oracle():
+    # indistinguishable sessions, so plain-mean routing errs
+    cfg = {"epochs": 20, "lr": 1e-2, "hidden_dim": 8}
+    misrouted = 0
+    for seed in range(4):
+        g = synth_tag(SynthConfig(num_classes=6, nodes_per_class=20 + 5 * seed, feature_dim=8,
+                                  class_sep=0.0, intra_p=0.3, inter_p=0.3, seed=3000 + seed))
+        plan = plan_ncil(g, 2, 3, 7, seed=seed)
+        heads = fit_task_heads(plan, config=cfg)
+        report = leakage_diagnostic(plan, k_grid=(0, 1, 4), config=cfg)
+        for e in report.entries:
+            rows = routed_head_triangle(plan, heads, task_prototype, e["k"], e["weighting"])
+            want = summarize_direct(rows)
+            assert e["aa"] == pytest.approx(want["aa"], abs=1e-12)
+            assert e["af"] == pytest.approx(want["af"], abs=1e-12)
+            misrouted += e["task_id_accuracy"] < 1.0
+    assert misrouted > 0
 
 
 # -------------------------------------------------------------------- reports

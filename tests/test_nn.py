@@ -204,22 +204,10 @@ def test_cross_entropy_uniform_two_classes():
     assert abs(loss - np.log(2)) < 1e-12
 
 
-def test_cross_entropy_uniform_masked_classes():
-    # ln(#unmasked) at uniform logits
-    mask = np.array([True, True, True, False])
-    loss, _ = cross_entropy(np.zeros((2, 4)), np.array([0, 2]), mask)
-    assert abs(loss - np.log(3)) < 1e-12
-
-
 def test_cross_entropy_margin_limit():
     logits = np.array([[50.0, 0.0]])
     loss, _ = cross_entropy(logits, np.array([0]))
     assert loss < 1e-12
-
-
-def test_cross_entropy_masked_true_class_errors():
-    with pytest.raises(ValueError, match="masked"):
-        cross_entropy(np.zeros((1, 3)), np.array([2]), np.array([True, True, False]))
 
 
 def test_cross_entropy_nonnegative_and_gradient_rows():
@@ -230,12 +218,6 @@ def test_cross_entropy_nonnegative_and_gradient_rows():
     assert loss >= 0
     # gradient rows sum to zero (softmax minus one-hot, scaled by 1/n)
     assert np.allclose(dl.sum(axis=1), 0, atol=1e-12)
-
-
-def test_cross_entropy_masked_gradient_zero_cols():
-    mask = np.array([True, False, True])
-    _, dl = cross_entropy(np.ones((3, 3)), np.array([0, 2, 0]), mask)
-    assert np.array_equal(dl[:, 1], np.zeros(3))
 
 
 # ----------------------------------------------------------------------- adam
