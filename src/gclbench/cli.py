@@ -220,7 +220,11 @@ def diagnose_leakage(config_path, dataset, scenario, seed, k_grid, out):
         g, _ = _resolve_graph(doc, dataset)
         p = _resolve_plan(doc, g, scenario, seed, None)
         ks = tuple(int(x) for x in k_grid.split(","))
-        report = leakage_diagnostic(p, k_grid=ks, config=resolve_hypers(doc))
+        points = expand_grid(resolve_hypers(doc))
+        if len(points) > 1:
+            raise ConfigError(f"diagnose-leakage takes one hyperparameter point; "
+                              f"the config's grid has {len(points)}")
+        report = leakage_diagnostic(p, k_grid=ks, config=points[0])
         if out:
             Path(out).parent.mkdir(parents=True, exist_ok=True)
             Path(out).write_text(json.dumps(report.to_dict(), indent=1), encoding="utf-8")

@@ -43,6 +43,12 @@ PROVIDER_SCHEMA = {
         "batch_size": {"type": "integer", "minimum": 1},
         "max_in_flight": {"type": "integer", "minimum": 1},
     },
+    "allOf": [
+        {"if": {"properties": {"kind": {"const": "file"}}},
+         "then": {"required": ["matrix", "index"]}},
+        {"if": {"properties": {"kind": {"const": "http"}}},
+         "then": {"required": ["endpoint"]}},
+    ],
 }
 
 CONFIG_SCHEMA = {

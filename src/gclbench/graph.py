@@ -25,7 +25,8 @@ class TextAttributedGraph:
 
     Edges are canonical (min, max) pairs, deduplicated and lexicographically
     sorted. Instances are immutable after construction and safe to share
-    across workers. The neighbour CSR (`neighbor_csr`) is built lazily on
+    across workers. The neighbour CSR (`neighbor_csr`) and each propagation
+    operator (`smoothing_operator`, one per weighting) are built lazily on
     first read and cached on the instance; if two threads race on that first
     read, each builds the same read-only arrays and one of them is kept, which
     is harmless.
@@ -36,6 +37,7 @@ class TextAttributedGraph:
     labels: np.ndarray  # (n,) int64
     class_names: tuple[str, ...]
     edges: np.ndarray  # (m, 2) int64, canonicalized
+    _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.features.setflags(write=False)
@@ -280,10 +282,14 @@ def smoothing_operator(g: TextAttributedGraph, weighting: str = "laplacian") -> 
     laplacian:  S = I - D^{-1/2} L D^{-1/2} = D^{-1/2} A_hat D^{-1/2}
     plain-mean: S = D^{-1} A_hat  (row-normalized adjacency)
 
-    with A_hat = A + I, so every degree is at least 1.
+    with A_hat = A + I, so every degree is at least 1. Built once per graph
+    and weighting and cached on the graph; its arrays are read-only.
     """
     if weighting not in ("laplacian", "plain-mean"):
         raise ValueError(f"unknown weighting {weighting!r}")
+    cached = g._operators.get(weighting)
+    if cached is not None:
+        return cached
     n = g.node_count
     indptr, indices = g.neighbor_csr
     ahat = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
@@ -297,6 +303,9 @@ def smoothing_operator(g: TextAttributedGraph, weighting: str = "laplacian") -> 
     s = s.tocsr()
     s.sum_duplicates()
     s.sort_indices()
+    for a in (s.data, s.indices, s.indptr):
+        a.setflags(write=False)
+    g._operators[weighting] = s
     return s
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +34,13 @@ class Session:
     subgraph: TextAttributedGraph
     node_map: np.ndarray  # local id -> original id
 
+    @cached_property
+    def _local_of(self) -> dict[int, int]:
+        return {int(o): i for i, o in enumerate(self.node_map)}
+
     def local_ids(self, original_ids) -> np.ndarray:
-        lookup = {int(o): i for i, o in enumerate(self.node_map)}
+        """Subgraph ids of original graph ids; KeyError for a node outside the session."""
+        lookup = self._local_of
         return np.array([lookup[int(o)] for o in original_ids], dtype=np.int64)
 
 

@@ -124,26 +124,53 @@ def fisher_diagonal(
     rows: np.ndarray,
     labels: np.ndarray,
 ) -> dict[str, np.ndarray]:
-    """Mean over samples of the squared per-sample log-likelihood gradient."""
+    """Mean over samples of the squared per-sample log-likelihood gradient.
+
+    One eval-mode forward pass, then each row's gradient in closed form
+    (per-example gradients; Goodfellow, arXiv:1510.01799). For row r with
+    v = p_r - e_y, m1 = (P1 > 0) and S_R = S[rows]:
+
+        b3: v                     W3: D2[r] (x) v
+        b2: dP2 = (v W3^T) * (P2[r] > 0)
+        W2: (S_R D1)[r] (x) dP2   u = dP2 W2^T
+        b1: (S_R m1)[r] * u       W1: G_r * u,  G_r = sum_j S[r, j] (S X)[j] (x) m1[j]
+
+    S need not be symmetric. G_r (d x h) is built one row at a time, so no
+    (rows, d, h) array is held.
+    """
     rows = np.asarray(rows, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     if rows.size == 0:
         raise ValueError("empty session: no rows for Fisher estimation")
+    if p.arch != ARCH_GCN:
+        raise ValueError(f"fisher_diagonal needs a {ARCH_GCN} model, not {p.arch!r}")
     logits, cache = model_forward(p, S, X, dropout_seed=None)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=1, keepdims=True)
-    fisher = {k: np.zeros_like(w) for k, w in p.weights.items()}
-    for r, y in zip(rows, labels):
-        dlogits = np.zeros_like(logits)
-        dlogits[r] = probs[r]
-        dlogits[r, y] -= 1.0  # gradient of -log p(y); sign vanishes when squared
-        g = model_backward(cache, dlogits)
-        for k in fisher:
-            fisher[k] += g[k] * g[k]
-    for k in fisher:
-        fisher[k] /= rows.size
-    return fisher
+    w = p.weights
+    # Gradient of -log p(y) w.r.t. each row's logits; its sign vanishes when squared.
+    v = _softmax(logits[rows])
+    v[np.arange(rows.size), labels] -= 1.0
+    dP2 = (v @ w["W3"].T) * (cache["P2"][rows] > 0)
+    u = dP2 @ w["W2"].T
+    m1 = (cache["P1"] > 0).astype(np.float64)
+    S_R = S[rows].tocsr()
+    sq_v, sq_dP2, sq_u = v * v, dP2 * dP2, u * u
+    fisher = {
+        "b3": sq_v.sum(axis=0),
+        "W3": (cache["D2"][rows] ** 2).T @ sq_v,
+        "W2": (np.asarray(S_R @ cache["D1"]) ** 2).T @ sq_dP2,
+        "W1": np.zeros_like(w["W1"]),
+    }
+    if "b2" in w:
+        fisher["b2"] = sq_dP2.sum(axis=0)
+    if "b1" in w:
+        fisher["b1"] = ((np.asarray(S_R @ m1) * u) ** 2).sum(axis=0)
+    SX = np.asarray(S @ cache["X"])
+    for i in range(rows.size):
+        lo, hi = S_R.indptr[i], S_R.indptr[i + 1]
+        nbrs = S_R.indices[lo:hi]
+        G = (SX[nbrs] * S_R.data[lo:hi, None]).T @ m1[nbrs]
+        fisher["W1"] += G * G * sq_u[i]
+    return {k: fisher[k] / rows.size for k in w}
 
 
 def distill_loss(

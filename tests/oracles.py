@@ -267,3 +267,26 @@ def sbm_edges_dense(rng, labels, intra_p: float, inter_p: float) -> np.ndarray:
     iu, ju = np.triu_indices(n, k=1)
     hit = draw[iu, ju] < p[iu, ju]
     return np.stack([iu[hit], ju[hit]], axis=1).astype(np.int64)
+
+
+def fisher_diagonal_loop(p, S, X, rows, labels) -> dict[str, np.ndarray]:
+    """Fisher diagonal by one full-graph backward pass per row (the reference)."""
+    from gclbench.nn import model_backward, model_forward
+
+    rows = np.asarray(rows, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
+    logits, cache = model_forward(p, S, X, dropout_seed=None)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    probs /= probs.sum(axis=1, keepdims=True)
+    fisher = {k: np.zeros_like(w) for k, w in p.weights.items()}
+    for r, y in zip(rows, labels):
+        dlogits = np.zeros_like(logits)
+        dlogits[r] = probs[r]
+        dlogits[r, y] -= 1.0  # gradient of -log p(y); sign vanishes when squared
+        g = model_backward(cache, dlogits)
+        for k in fisher:
+            fisher[k] += g[k] * g[k]
+    for k in fisher:
+        fisher[k] /= rows.size
+    return fisher

@@ -190,6 +190,37 @@ def test_diagnose_leakage_command(runner, config_file, tmp_path):
     assert len(doc["entries"]) == 4
 
 
+def test_diagnose_leakage_rejects_grid_in_one_line(runner, tmp_path, dataset_dir):
+    doc = {"version": 1, "dataset": str(dataset_dir),
+           "plan": {"classes_per_session": 2, "num_sessions": 2, "shots": 10, "test_cap": 50},
+           "hyperparameters": {"epochs": [5, 10]}}
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["diagnose-leakage", "--config", str(cfg), "--k-grid", "1"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines() == [
+        "error: diagnose-leakage takes one hyperparameter point; the config's grid has 2"]
+
+
+@pytest.mark.parametrize("provider, missing", [
+    ({"kind": "file"}, "'matrix'"),
+    ({"kind": "file", "matrix": "m.bin"}, "'index'"),
+    ({"kind": "http"}, "'endpoint'"),
+], ids=["file-bare", "file-no-index", "http-no-endpoint"])
+def test_provider_missing_fields_fail_in_one_line(runner, tmp_path, dataset_dir, provider,
+                                                  missing):
+    doc = {"version": 1, "dataset": str(dataset_dir), "methods": ["simplecil"],
+           "hyperparameters": {"provider": provider}}
+    cfg = tmp_path / "provider.json"
+    cfg.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines() == [
+        f"error: config invalid at hyperparameters/provider: {missing} is a required property"]
+
+
 def test_report_command(runner, config_file, tmp_path):
     out = tmp_path / "runout"
     runner.invoke(main, ["run", "--config", str(config_file), "--out", str(out)])

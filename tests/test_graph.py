@@ -14,6 +14,7 @@ from gclbench.graph import (
     make_graph,
     sample_ego_graph,
     save_tag,
+    smoothing_operator,
 )
 from gclbench.nn import _spmm_t, spmm
 from gclbench.synth import SynthConfig, synth_tag
@@ -336,3 +337,32 @@ def test_operator_scipy_matrix_built_once(testkit_graph):
     X = np.asarray(testkit_graph.features, dtype=np.float64)
     assert np.array_equal(spmm(s, X), s @ X)
     assert np.array_equal(_spmm_t(s, X), s.T @ X)
+
+
+def test_operator_built_once_per_graph_and_weighting(testkit_graph, monkeypatch):
+    from gclbench import graph
+    from gclbench.sessions import plan_ncil
+    from gclbench.trainers import run_method
+
+    builds = []
+    identity = sp.identity
+    monkeypatch.setattr(graph.sp, "identity", lambda n, **kw: builds.append(n) or identity(n, **kw))
+    # A gcn local run fits and evaluates every session on its own subgraph.
+    plan = plan_ncil(testkit_graph, classes_per_session=2, num_sessions=3, shots=10, seed=3)
+    run_method("gcn", plan, {"epochs": 2, "hidden_dim": 8}, mode="local", seed=0)
+    assert builds == [s.subgraph.node_count for s in plan.sessions]
+    sub = plan.sessions[0].subgraph
+    for weighting in ("laplacian", "plain-mean"):
+        first = smoothing_operator(sub, weighting)
+        laplacian_smooth(np.asarray(sub.features), sub, 2, weighting)
+        assert smoothing_operator(sub, weighting) is first
+    assert gcn_normalized_adjacency(sub) is smoothing_operator(sub, "laplacian")
+    assert len(builds) == 4
+    s = gcn_normalized_adjacency(sub)
+    before = s.toarray()
+    for arr in (s.data, s.indices, s.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        s[0, 0] = 5.0
+    assert np.array_equal(gcn_normalized_adjacency(sub).toarray(), before)

@@ -271,3 +271,15 @@ def test_plan_round_trip(tmp_path, testkit_plan, testkit_graph):
         assert a.train_nodes == b.train_nodes
         assert a.test_nodes == b.test_nodes
         assert np.array_equal(a.subgraph.edges, b.subgraph.edges)
+
+
+def test_local_ids_lookup_built_once_and_unknown_ids_raise(cora_shaped):
+    plan = plan_ncil(cora_shaped, classes_per_session=2, num_sessions=3, shots=10, seed=0)
+    s, other = plan.sessions[0], plan.sessions[1]
+    got = s.local_ids(s.test_nodes)
+    assert np.array_equal(s.node_map[got], s.test_nodes)
+    lookup = s._local_of
+    s.local_ids(s.train_nodes)
+    assert s._local_of is lookup
+    with pytest.raises(KeyError):
+        s.local_ids([s.train_nodes[0], other.train_nodes[0]])

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gclbench.graph import gcn_normalized_adjacency
+from gclbench.graph import gcn_normalized_adjacency, make_graph, smoothing_operator
 from gclbench.nn import (
     ARCH_GCN,
     ARCH_MLP,
@@ -26,7 +28,7 @@ from gclbench.trainers import (
     train_session,
 )
 
-from oracles import nearest_centroid_accuracy
+from oracles import fisher_diagonal_loop, nearest_centroid_accuracy
 
 CFG = {"epochs": 200, "lr": 1e-2, "hidden_dim": 32}
 
@@ -119,6 +121,67 @@ def test_fisher_empty_session_rejected():
     p = init_params(ARCH_GCN, X.shape[1], 8, 2, seed=4)
     with pytest.raises(ValueError, match="empty session"):
         fisher_diagonal(p, S, X, np.array([], np.int64), np.array([], np.int64))
+
+
+@st.composite
+def _fisher_cases(draw):
+    """Small graph (isolated nodes, self-loops), operator, model and rows (repeats allowed)."""
+    n = draw(st.integers(1, 10))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    classes = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
+    labels = draw(st.lists(st.integers(0, classes - 1), min_size=len(rows), max_size=len(rows)))
+    weighting = draw(st.sampled_from(["laplacian", "plain-mean"]))  # plain-mean is not symmetric
+    conv_bias = draw(st.booleans())
+    dims = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    # Continuous random values: a tie that cancels exactly in one summation
+    # order but not another would test float luck, not the formulas.
+    rng = np.random.default_rng(seed)
+    g = make_graph(rng.standard_normal((n, dims[0])), [""] * n, np.zeros(n, np.int64), ["c"],
+                   np.array(edges, np.int64).reshape(-1, 2))
+    p = init_params(ARCH_GCN, dims[0], dims[1], classes, seed=seed, conv_bias=conv_bias)
+    for k in p.weights:  # nonzero biases and a mix of live and dead ReLU units
+        p.weights[k] = rng.standard_normal(p.weights[k].shape)
+    X = np.asarray(g.features, np.float64)
+    return p, smoothing_operator(g, weighting), X, np.array(rows), np.array(labels)
+
+
+# Derandomized: the bound is a float-rounding bound, and on about 1 in 20000
+# random cases a signed sum inside one row's gradient cancels to ~1e-6 of its
+# terms, where the two summation orders differ by more than 1e-12 relative.
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_fisher_cases())
+def test_fisher_matches_loop_oracle(case):
+    p, S, X, rows, labels = case
+    got = fisher_diagonal(p, S, X, rows, labels)
+    want = fisher_diagonal_loop(p, S, X, rows, labels)
+    assert sorted(got) == sorted(want)
+    for k in want:
+        zero = want[k] == 0
+        assert np.array_equal(got[k] == 0, zero), k
+        rel = np.abs(got[k][~zero] - want[k][~zero]) / want[k][~zero]
+        assert rel.max(initial=0.0) <= 1e-12, (k, rel.max())
+
+
+def test_fisher_matches_loop_oracle_on_testkit(testkit_plan):
+    s = testkit_plan.sessions[0]
+    S = gcn_normalized_adjacency(s.subgraph)
+    X = np.asarray(s.subgraph.features, np.float64)
+    rows = s.local_ids(s.train_nodes)
+    labels = (s.subgraph.labels[rows] == s.class_ids[1]).astype(np.int64)
+    for conv_bias in (False, True):
+        p = init_params(ARCH_GCN, X.shape[1], 16, 3, seed=5, conv_bias=conv_bias)
+        got = fisher_diagonal(p, S, X, rows, labels)
+        want = fisher_diagonal_loop(p, S, X, rows, labels)
+        for k in want:
+            assert np.allclose(got[k], want[k], rtol=1e-12, atol=0), k
+
+
+def test_fisher_rejects_mlp():
+    p = init_params(ARCH_MLP, 3, 4, 2, seed=0)
+    with pytest.raises(ValueError, match="gcn2_mlp1"):
+        fisher_diagonal(p, None, np.zeros((2, 3)), np.array([0]), np.array([1]))
 
 
 # ----------------------------------------------------------------- ewc penalty
@@ -311,6 +374,23 @@ def test_run_method_reproducible(testkit_plan):
     b = run_method("gcn", testkit_plan, CFG, mode="global", seed=3)
     assert a.matrix.rows == b.matrix.rows
     assert a.config_hash == b.config_hash
+
+
+def test_ewc_run_reproducible(testkit_plan):
+    # Fisher sums and the EWC trajectory repeat exactly for a fixed seed.
+    from gclbench.trainers import _GcnFamily
+
+    runs = [_GcnFamily(testkit_plan, dict(CFG, epochs=30), 4, use_ewc=True) for _ in range(2)]
+    for run in runs:
+        for i in (1, 2, 3):
+            run.fit_session(i)
+    a, b = (r.anchor for r in runs)
+    for k in a.fisher:
+        assert np.array_equal(a.fisher[k], b.fisher[k])
+        assert np.array_equal(a.params_star[k], b.params_star[k])
+    ma = run_method("ewc", testkit_plan, dict(CFG, epochs=30), mode="local", seed=4)
+    mb = run_method("ewc", testkit_plan, dict(CFG, epochs=30), mode="local", seed=4)
+    assert ma.matrix.rows == mb.matrix.rows
 
 
 def test_ewc_lwf_null_settings_match_plain_gcn(testkit_plan):
