@@ -10,8 +10,6 @@ import itertools
 import json
 from pathlib import Path
 
-import jsonschema
-
 SYNTH_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -27,15 +25,24 @@ SYNTH_SCHEMA = {
     },
 }
 
-_num_or_grid = {"oneOf": [{"type": "number"}, {"type": "array", "items": {"type": "number"}, "minItems": 1}]}
-_int_or_grid = {"oneOf": [{"type": "integer"}, {"type": "array", "items": {"type": "integer"}, "minItems": 1}]}
+
+def _or_grid(item: dict) -> dict:
+    """One value, or a non-empty list of values to sweep; each obeys `item`."""
+    return {"oneOf": [item, {"type": "array", "items": item, "minItems": 1}]}
+
+
+_num_or_grid = _or_grid({"type": "number"})
+_int_or_grid = _or_grid({"type": "integer"})
+
+# provider kind -> the fields it cannot do without
+PROVIDER_FIELDS = {"file": ("matrix", "index"), "http": ("endpoint",)}
 
 PROVIDER_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "required": ["kind"],
     "properties": {
-        "kind": {"enum": ["file", "http"]},
+        "kind": {"enum": list(PROVIDER_FIELDS)},
         "matrix": {"type": "string"},
         "index": {"type": "string"},
         "endpoint": {"type": "string"},
@@ -43,12 +50,8 @@ PROVIDER_SCHEMA = {
         "batch_size": {"type": "integer", "minimum": 1},
         "max_in_flight": {"type": "integer", "minimum": 1},
     },
-    "allOf": [
-        {"if": {"properties": {"kind": {"const": "file"}}},
-         "then": {"required": ["matrix", "index"]}},
-        {"if": {"properties": {"kind": {"const": "http"}}},
-         "then": {"required": ["endpoint"]}},
-    ],
+    "allOf": [{"if": {"properties": {"kind": {"const": kind}}}, "then": {"required": list(fields)}}
+              for kind, fields in PROVIDER_FIELDS.items()],
 }
 
 CONFIG_SCHEMA = {
@@ -96,9 +99,9 @@ CONFIG_SCHEMA = {
                 "hidden_dim": _int_or_grid,
                 "epochs": _int_or_grid,
                 "dropout": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-                "strength": _num_or_grid,
-                "lwf_lambda": _num_or_grid,
-                "lwf_T": _num_or_grid,
+                "strength": _or_grid({"type": "number", "minimum": 0}),
+                "lwf_lambda": _or_grid({"type": "number", "minimum": 0}),
+                "lwf_T": _or_grid({"type": "number", "exclusiveMinimum": 0}),
                 "tau": {"type": "number", "exclusiveMinimum": 0},
                 "sample_num": {"type": "integer", "minimum": 1},
                 "k_smooth": _int_or_grid,
@@ -148,6 +151,10 @@ class ConfigError(ValueError):
 
 
 def validate_config(doc: dict) -> dict:
+    # Imported here: the runners read DEFAULT_HYPERS, and a library import of
+    # gclbench should not load the schema validator.
+    import jsonschema
+
     try:
         jsonschema.validate(doc, CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:
@@ -175,8 +182,6 @@ def expand_grid(hypers: dict) -> list[dict]:
     """Cross-product of all list-valued grid keys; scalars pass through."""
     fixed = {k: v for k, v in hypers.items() if k not in _GRID_KEYS or not isinstance(v, list)}
     grids = {k: v for k, v in hypers.items() if k in _GRID_KEYS and isinstance(v, list)}
-    if not grids:
-        return [dict(hypers)]
     keys = sorted(grids)
     points = []
     for combo in itertools.product(*(grids[k] for k in keys)):

@@ -220,15 +220,15 @@ def get_or_embed(src, node_ids, prompt_renderer, cache_path) -> np.ndarray:
     model = getattr(src, "model", "")
     keys = [cache_key(src.source_id, model, p) for p in prompts]
 
-    missing_keys: list[bytes] = []
+    # Dicts keep insertion order: misses in input order, each key once.
     missing_prompt: dict[bytes, str] = {}
     missing_node: dict[bytes, int] = {}
     for n, p, k in zip(node_ids, prompts, keys):
         if cache.get(k) is None and k not in missing_prompt:
-            missing_keys.append(k)
             missing_prompt[k] = p
             missing_node[k] = n
 
+    missing_keys = list(missing_prompt)
     if missing_keys:
         if src.kind == "http":
             fetched = src.embed([missing_prompt[k] for k in missing_keys])

@@ -46,14 +46,6 @@ class AccuracyMatrix:
             return [float(np.mean(r)) for r in self.rows]
         return [r[0] for r in self.rows]
 
-    def validate(self) -> None:
-        if self.n < 1:
-            raise ValueError("matrix needs at least one row")
-        for i, row in enumerate(self.rows):
-            expected = i + 1 if self.mode == LOCAL else 1
-            if len(row) != expected:
-                raise ValueError(f"malformed triangle at row {i}")
-
     def to_dict(self) -> dict:
         return {"mode": self.mode, "rows": [list(r) for r in self.rows]}
 
@@ -100,7 +92,8 @@ def summarize(m: AccuracyMatrix) -> dict:
 
     AA and AF need the full triangle, so they are None for global matrices.
     """
-    m.validate()
+    if m.n < 1:
+        raise ValueError("matrix needs at least one row")
     stages = m.stage_accuracies()
     out = {
         "mean_acc": float(np.mean(stages)),
@@ -230,7 +223,7 @@ def _check_run_doc(doc) -> None:
         raise ValueError("'run' needs string method and dataset, and an object grid_point if any")
     if matrix.get("mode") not in (LOCAL, GLOBAL) or not isinstance(matrix.get("rows"), list):
         raise ValueError("'matrix' needs mode local or global and a list of rows")
-    AccuracyMatrix.from_dict(matrix).validate()
+    summarize(AccuracyMatrix.from_dict(matrix))  # raises on a malformed or empty matrix
     if not (all(isinstance(summary.get(k), (int, float)) for k in ("mean_acc", "final_acc"))
             and all(isinstance(summary.get(k), (int, float, type(None))) for k in ("aa", "af"))):
         raise ValueError("'summary' needs numeric mean_acc and final_acc, "

@@ -83,7 +83,6 @@ class EgoGraph:
     hop_nodes: tuple[tuple[int, ...], ...]
     hop_texts: tuple[tuple[str, ...], ...] = field(default=())
     center_text: str = ""
-    hop_label_names: tuple[tuple[str, ...], ...] = field(default=())
 
 
 def canonicalize_edges(edges: np.ndarray, node_count: int) -> np.ndarray:
@@ -364,7 +363,4 @@ def sample_ego_graph(
         hop_nodes=tuple(hops),
         hop_texts=tuple(tuple(g.texts[u] for u in hop) for hop in hops),
         center_text=g.texts[v],
-        hop_label_names=tuple(
-            tuple(g.class_names[g.labels[u]] for u in hop) for hop in hops
-        ),
     )

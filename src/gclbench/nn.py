@@ -6,7 +6,7 @@ hand and cross-checked against central finite differences. No autodiff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,21 +27,14 @@ class ModelParams:
 
     arch: str
     weights: dict[str, np.ndarray]
-    hidden_dim: int
     dropout_rate: float = 0.5
 
     def copy(self) -> "ModelParams":
         return ModelParams(
             arch=self.arch,
             weights={k: v.copy() for k, v in self.weights.items()},
-            hidden_dim=self.hidden_dim,
             dropout_rate=self.dropout_rate,
         )
-
-    @property
-    def output_dim(self) -> int:
-        last = "W3" if self.arch == ARCH_GCN else "W2"
-        return self.weights[last].shape[1]
 
 
 @dataclass
@@ -89,7 +82,7 @@ def init_params(
         }
     else:
         raise ValueError(f"unknown arch {arch!r}")
-    return ModelParams(arch=arch, weights=w, hidden_dim=hidden_dim, dropout_rate=dropout_rate)
+    return ModelParams(arch=arch, weights=w, dropout_rate=dropout_rate)
 
 
 def grow_output(p: ModelParams, extra_classes: int, seed: int) -> ModelParams:
@@ -283,60 +276,3 @@ def init_adam(p: ModelParams, lr: float) -> AdamState:
         v={k: np.zeros_like(v) for k, v in p.weights.items()},
         lr=lr,
     )
-
-
-@dataclass
-class GradCheckReport:
-    max_rel_error: float
-    tolerance: float
-    passed: bool
-    coords_checked: int
-    per_param: dict[str, float] = field(default_factory=dict)
-
-
-def finite_diff_check(
-    loss_fn,
-    p: ModelParams,
-    tolerance: float = 1e-4,
-    h: float = 1e-5,
-    coords_per_param: int = 24,
-    seed: int = 0,
-) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences.
-
-    `loss_fn(params) -> (loss, grads)` must be deterministic (no dropout).
-    A seeded coordinate sample per parameter keeps the check cheap.
-    """
-    rng = np.random.default_rng(seed)
-    _, grads = loss_fn(p)
-    max_rel = 0.0
-    checked = 0
-    per_param: dict[str, float] = {}
-    for name, w in p.weights.items():
-        flat_n = w.size
-        take = min(coords_per_param, flat_n)
-        coords = rng.choice(flat_n, size=take, replace=False)
-        worst = 0.0
-        for c in coords:
-            idx = np.unravel_index(c, w.shape)
-            orig = w[idx]
-            w[idx] = orig + h
-            lp, _ = loss_fn(p)
-            w[idx] = orig - h
-            lm, _ = loss_fn(p)
-            w[idx] = orig
-            numeric = (lp - lm) / (2 * h)
-            analytic = grads[name][idx]
-            rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
-            worst = max(worst, rel)
-            checked += 1
-        per_param[name] = worst
-        max_rel = max(max_rel, worst)
-    return GradCheckReport(
-        max_rel_error=max_rel,
-        tolerance=tolerance,
-        passed=max_rel < tolerance,
-        coords_checked=checked,
-        per_param=per_param,
-    )
-

@@ -9,7 +9,7 @@ no language model runs here.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from .graph import EgoGraph, sample_ego_graph
@@ -37,20 +37,12 @@ class PromptTemplate:
     question_text: str  # must contain exactly one {labels} slot
     hop_framings: tuple[str, ...]
     max_node_text_len: int = 128
-    include_label: bool = False
 
     def __post_init__(self):
         if self.question_text.count("{labels}") != 1:
             raise ValueError("question_text needs exactly one {labels} slot")
         if self.max_node_text_len < 1:
             raise ValueError("max_node_text_len must be >= 1")
-
-
-@dataclass(frozen=True)
-class PromptRecord:
-    node: int
-    prompt: str
-    answer: str
 
 
 def default_template(dataset_name: str = "Cora", hops: int = 2) -> PromptTemplate:
@@ -94,10 +86,7 @@ def render_prompt(ego: EgoGraph, template: PromptTemplate, class_names) -> str:
             entries = []
             for j in range(len(hop)):
                 text = truncate_tokens(ego.hop_texts[h][j], cap)
-                entry = f"[{next_id}][{text}]"
-                if template.include_label and h < len(ego.hop_label_names):
-                    entry += f" (label: {ego.hop_label_names[h][j]})"
-                entries.append(entry)
+                entries.append(f"[{next_id}][{text}]")
                 next_id += 1
             body = " ".join(entries) if entries else NO_NEIGHBOR_SENTINEL
             lines.append(f"{template.hop_framings[h]} {body}")
@@ -132,12 +121,12 @@ def emit_instruction_jsonl(
     with open(out, "w", encoding="utf-8") as fh:
         for node in session.train_nodes:
             ego = sample_ego_graph(g, node, fanouts, seed)
-            rec = PromptRecord(
-                node=int(node),
-                prompt=render_prompt(ego, template, names),
-                answer=g.class_names[int(g.labels[node])],
-            )
-            fh.write(json.dumps(asdict(rec), ensure_ascii=False) + "\n")
+            rec = {
+                "node": int(node),
+                "prompt": render_prompt(ego, template, names),
+                "answer": g.class_names[int(g.labels[node])],
+            }
+            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
             count += 1
     sidecar = {
         "records": count,
@@ -146,7 +135,6 @@ def emit_instruction_jsonl(
         "seed": seed,
         "fanouts": list(fanouts),
         "max_node_text_len": template.max_node_text_len,
-        "include_label": template.include_label,
         # Consumed by the external tuner, not by this package.
         "lora": {"r": 5, "alpha": 16, "dropout": 0.05},
     }

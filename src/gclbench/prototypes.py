@@ -17,7 +17,7 @@ from .graph import TextAttributedGraph, degrees, laplacian_smooth
 
 @dataclass
 class PrototypeBank:
-    """class id -> prototype vector, with session provenance and temperature.
+    """class id -> prototype vector, with a temperature.
 
     A positive temperature only rescales cosine scores, so it never changes a
     prediction; it is kept because run configs carry it as `tau`.
@@ -25,7 +25,6 @@ class PrototypeBank:
 
     temperature: float = 1.0
     prototypes: dict[int, np.ndarray] = field(default_factory=dict)
-    source_session: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.temperature <= 0:
@@ -47,7 +46,6 @@ class PrototypeBank:
         return PrototypeBank(
             temperature=self.temperature,
             prototypes={c: v for c, v in self.prototypes.items() if c in keep},
-            source_session={c: s for c, s in self.source_session.items() if c in keep},
         )
 
 
@@ -57,7 +55,6 @@ def build_prototypes(
     labels: np.ndarray,
     sample_num: int,
     seed: int,
-    session: int = 0,
 ) -> PrototypeBank:
     """Add one mean prototype per class present in `labels`.
 
@@ -83,7 +80,6 @@ def build_prototypes(
         if members.size > sample_num:
             members = np.sort(rng.choice(members, size=sample_num, replace=False))
         bank.prototypes[c] = embeddings[members].mean(axis=0)
-        bank.source_session[c] = session
     return bank
 
 

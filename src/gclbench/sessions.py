@@ -7,10 +7,8 @@ only, which removes every edge between nodes of different sessions.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -136,19 +134,14 @@ def plan_ncil(
     seed: int = 0,
     eval_edges: str = EVAL_EDGES_INTRA,
 ) -> SessionPlan:
-    """Uniform class-incremental plan: equal class blocks, exact shot counts."""
-    retained = filter_classes(g, shots + 1)
-    needed = classes_per_session * num_sessions
-    if len(retained) < needed:
-        raise PlanError(
-            f"insufficient classes: need {needed}, only {len(retained)} have >= {shots + 1} samples"
-        )
-    rng = np.random.default_rng(seed)
-    order = [retained[i] for i in rng.permutation(len(retained))][:needed]
-    blocks = [order[i * classes_per_session:(i + 1) * classes_per_session]
-              for i in range(num_sessions)]
-    sessions = _build_sessions(g, blocks, [shots] * num_sessions, test_cap, rng)
-    return SessionPlan(NCIL, seed, tuple(order), sessions, g, eval_edges)
+    """Uniform class-incremental plan: equal class blocks, exact shot counts.
+
+    The few-shot plan whose base session is one more block of the same size
+    and shots.
+    """
+    plan = plan_fsncil(g, classes_per_session, classes_per_session, num_sessions,
+                       shots, shots, test_cap, seed, eval_edges)
+    return replace(plan, scenario=NCIL)
 
 
 def plan_fsncil(
@@ -163,6 +156,8 @@ def plan_fsncil(
     eval_edges: str = EVAL_EDGES_INTRA,
 ) -> SessionPlan:
     """Few-shot plan: a large base session, then m-way k-shot increments."""
+    if num_sessions < 1:
+        raise PlanError("num_sessions must be >= 1")
     min_samples = max(shots_base, shots_novel) + 1
     retained = filter_classes(g, min_samples)
     needed = base_classes + ways * (num_sessions - 1)
@@ -248,47 +243,3 @@ def plan_digest(plan: SessionPlan) -> str:
             f"session {idx}: classes=[{names}] train={len(s.train_nodes)} test={len(s.test_nodes)}"
         )
     return "\n".join(lines) + "\n"
-
-
-def save_plan(plan: SessionPlan, path) -> None:
-    """plan.json: config + node assignments; subgraphs are rebuilt on load."""
-    doc = {
-        "scenario": plan.scenario,
-        "seed": plan.seed,
-        "eval_edges": plan.eval_edges,
-        "class_order": list(plan.class_order),
-        "sessions": [
-            {
-                "class_ids": list(s.class_ids),
-                "train_nodes": list(s.train_nodes),
-                "test_nodes": list(s.test_nodes),
-            }
-            for s in plan.sessions
-        ],
-    }
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True), encoding="utf-8")
-
-
-def load_plan(path, g: TextAttributedGraph) -> SessionPlan:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    sessions = []
-    for rec in doc["sessions"]:
-        nodes = sorted(set(rec["train_nodes"]) | set(rec["test_nodes"]))
-        sub, node_map = induced_subgraph(g, nodes)
-        sessions.append(
-            Session(
-                class_ids=tuple(rec["class_ids"]),
-                train_nodes=tuple(sorted(rec["train_nodes"])),
-                test_nodes=tuple(sorted(rec["test_nodes"])),
-                subgraph=sub,
-                node_map=node_map,
-            )
-        )
-    return SessionPlan(
-        scenario=doc["scenario"],
-        seed=doc["seed"],
-        class_order=tuple(doc["class_order"]),
-        sessions=tuple(sessions),
-        graph=g,
-        eval_edges=doc.get("eval_edges", EVAL_EDGES_INTRA),
-    )

@@ -7,7 +7,7 @@ block model. Stands in for real citation/e-commerce graphs at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ class SynthConfig:
     noise_sigma: float = 0.5
     intra_p: float = 0.2
     inter_p: float = 0.02
-    text_vocab: tuple[tuple[str, ...], ...] = field(default=())
     seed: int = 0
 
     def __post_init__(self):
@@ -82,9 +81,7 @@ def synth_tag(cfg: SynthConfig) -> TextAttributedGraph:
 
     edges = _sbm_edges(rng, labels, cfg.intra_p, cfg.inter_p)
 
-    vocab = cfg.text_vocab if cfg.text_vocab else _default_vocab(cfg.num_classes)
-    if len(vocab) != cfg.num_classes:
-        raise ValueError("text_vocab must hold one keyword list per class")
+    vocab = _default_vocab(cfg.num_classes)
     texts = []
     for i in range(n):
         words = vocab[labels[i]]

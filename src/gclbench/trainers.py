@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import DEFAULT_HYPERS, PROVIDER_FIELDS
 from .embeddings import FileSource, HttpSource, get_or_embed
 from .evaluation import (
     GLOBAL,
@@ -48,7 +49,7 @@ from .prototypes import (
     task_prototype,
     teen_calibrate,
 )
-from .sessions import EvalTask, SessionPlan, build_eval_task
+from .sessions import EvalTask, Session, SessionPlan, build_eval_task
 
 
 class TrainingError(RuntimeError):
@@ -279,30 +280,40 @@ def _fit_head(plan: SessionPlan, session_idx: int, config: dict, seed: int) -> T
     s = plan.sessions[session_idx]
     feats = np.asarray(s.subgraph.features, dtype=np.float64)
     class_ids = np.array(sorted(s.class_ids), dtype=np.int64)
-    col_of = {int(c): j for j, c in enumerate(class_ids)}
-    rows = s.local_ids(s.train_nodes)
-    labels = np.array([col_of[int(s.subgraph.labels[r])] for r in rows], dtype=np.int64)
+    rows, labels = _train_columns(s, class_ids)
     p = init_params(
         ARCH_MLP,
         in_dim=feats.shape[1],
-        hidden_dim=int(config.get("hidden_dim", 64)),
+        hidden_dim=int(config["hidden_dim"]),
         num_classes=len(class_ids),
         seed=_mix(seed, 7, session_idx),
-        dropout_rate=float(config.get("dropout", 0.5)),
+        dropout_rate=float(config["dropout"]),
     )
     p = train_session(
         p, None, feats, labels, rows,
-        epochs=int(config.get("epochs", 200)),
-        lr=float(config.get("lr", 1e-2)),
+        epochs=int(config["epochs"]),
+        lr=float(config["lr"]),
         seed=_mix(seed, 11, session_idx),
     )
     return TaskHead(params=p, class_ids=class_ids)
 
 
+def _train_columns(s: Session, head_classes) -> tuple[np.ndarray, np.ndarray]:
+    """Subgraph ids of a session's train nodes and the head column of each one's class."""
+    col_of = {int(c): j for j, c in enumerate(head_classes)}
+    rows = s.local_ids(s.train_nodes)
+    return rows, np.array([col_of[int(s.subgraph.labels[r])] for r in rows], dtype=np.int64)
+
+
+def _with_defaults(config: dict | None) -> dict:
+    """config.DEFAULT_HYPERS overlaid with the caller's values."""
+    return {**DEFAULT_HYPERS, **(config or {})}
+
+
 def fit_task_heads(plan: SessionPlan, config: dict | None = None,
                    seed: int = 0) -> list[TaskHead]:
     """One two-layer MLP per session, trained on that session's classes only."""
-    config = dict(config or {})
+    config = _with_defaults(config)
     return [_fit_head(plan, i, config, seed) for i in range(plan.num_sessions)]
 
 
@@ -332,24 +343,36 @@ def predict_routed(
 # ---------------------------------------------------------------------------
 
 
-class _GcnFamily:
-    """Sequential GCN fine-tuning, optionally with EWC and/or LwF terms."""
+class _Runner:
+    """A method over one plan: fit_session(i) trains on session i (1-based),
+    predict(task) labels the task's eval nodes. Hyperparameters the caller
+    leaves out come from config.DEFAULT_HYPERS."""
 
     lenient = False
 
+    def __init__(self, plan: SessionPlan, config: dict, seed: int):
+        self.plan = plan
+        self.config = _with_defaults(config)
+        self.seed = seed
+
+
+class _GcnFamily(_Runner):
+    """Sequential GCN fine-tuning, optionally with EWC and/or LwF terms."""
+
     def __init__(self, plan: SessionPlan, config: dict, seed: int,
                  use_ewc: bool = False, use_lwf: bool = False):
-        self.plan = plan
-        self.config = config
-        self.seed = seed
+        super().__init__(plan, config, seed)
         self.use_ewc = use_ewc
         self.use_lwf = use_lwf
         self.params: ModelParams | None = None
         self.head_classes: list[int] = []
         self.anchor: EwcAnchor | None = None
-        self.strength = float(config.get("strength", 100.0))
-        self.lwf_weight = float(config.get("lwf_lambda", 1.0))
-        self.lwf_T = float(config.get("lwf_T", 2.0))
+        self.strength = float(self.config["strength"])
+        self.lwf_weight = float(self.config["lwf_lambda"])
+        self.lwf_T = float(self.config["lwf_T"])
+        # A negative weight would otherwise switch its term off without a word.
+        if self.strength < 0 or self.lwf_weight < 0 or self.lwf_T <= 0:
+            raise TrainingError("strength and lwf_lambda must be >= 0, lwf_T > 0")
 
     def fit_session(self, i: int) -> None:
         s = self.plan.sessions[i - 1]
@@ -365,11 +388,11 @@ class _GcnFamily:
             self.params = init_params(
                 ARCH_GCN,
                 in_dim=X.shape[1],
-                hidden_dim=int(self.config.get("hidden_dim", 64)),
+                hidden_dim=int(self.config["hidden_dim"]),
                 num_classes=len(self.head_classes),
                 seed=_mix(self.seed, 1),
-                dropout_rate=float(self.config.get("dropout", 0.5)),
-                conv_bias=bool(self.config.get("conv_bias", False)),
+                dropout_rate=float(self.config["dropout"]),
+                conv_bias=bool(self.config["conv_bias"]),
             )
         else:
             self.params = grow_output(self.params, len(new_classes), seed=_mix(self.seed, 2, i))
@@ -380,9 +403,7 @@ class _GcnFamily:
                     strength=self.anchor.strength,
                 )
 
-        col_of = {c: j for j, c in enumerate(self.head_classes)}
-        rows = s.local_ids(s.train_nodes)
-        labels = np.array([col_of[int(sub.labels[r])] for r in rows], dtype=np.int64)
+        rows, labels = _train_columns(s, self.head_classes)
 
         source = None
         if self.use_lwf and frozen_before is not None and self.lwf_weight > 0:
@@ -419,27 +440,22 @@ class _GcnFamily:
 
         self.params = train_session(
             self.params, S, X, labels, rows,
-            epochs=int(self.config.get("epochs", 200)),
-            lr=float(self.config.get("lr", 1e-2)),
+            epochs=int(self.config["epochs"]),
+            lr=float(self.config["lr"]),
             extra_loss=extra,
             seed=_mix(self.seed, 3, i),
         )
 
         if self.use_ewc and self.strength > 0:
             fisher = fisher_diagonal(self.params, S, X, rows, labels)
-            if self.anchor is None:
-                self.anchor = EwcAnchor(
-                    params_star={k: v.copy() for k, v in self.params.weights.items()},
-                    fisher=fisher,
-                    strength=self.strength,
-                )
-            else:
+            if self.anchor is not None:
                 # Online EWC: one running Fisher sum, latest anchor.
-                self.anchor = EwcAnchor(
-                    params_star={k: v.copy() for k, v in self.params.weights.items()},
-                    fisher={k: self.anchor.fisher[k] + fisher[k] for k in fisher},
-                    strength=self.strength,
-                )
+                fisher = {k: self.anchor.fisher[k] + fisher[k] for k in fisher}
+            self.anchor = EwcAnchor(
+                params_star={k: v.copy() for k, v in self.params.weights.items()},
+                fisher=fisher,
+                strength=self.strength,
+            )
 
     def predict(self, task: EvalTask) -> np.ndarray:
         S = gcn_normalized_adjacency(task.graph)
@@ -462,60 +478,40 @@ def _pad_all(old: dict[str, np.ndarray], p: ModelParams) -> dict[str, np.ndarray
     return out
 
 
-class _FrozenGnnPrototypes:
+class _FrozenGnnPrototypes(_Runner):
     """Train once on session 1, then training-free cosine prototypes."""
 
-    lenient = False
-
     def __init__(self, plan: SessionPlan, config: dict, seed: int, use_teen: bool = False):
-        self.plan = plan
-        self.config = config
-        self.seed = seed
+        super().__init__(plan, config, seed)
         self.use_teen = use_teen
         self.params: ModelParams | None = None
-        self.head_classes: list[int] = []
-        self.bank = PrototypeBank(temperature=float(config.get("tau", 1.0)))
-        self.sample_num = int(config.get("sample_num", 100))
+        self.bank = PrototypeBank(temperature=float(self.config["tau"]))
+        self.sample_num = int(self.config.get("sample_num", 100))
         self.base_classes: list[int] = []
 
     def fit_session(self, i: int) -> None:
         s = self.plan.sessions[i - 1]
         sub = s.subgraph
-        S = gcn_normalized_adjacency(sub)
-        X = np.asarray(sub.features, dtype=np.float64)
         if i == 1:
-            self.head_classes = list(s.class_ids)
+            # The session-1 GCN is the one plain fine-tuning trains first.
+            gcn = _GcnFamily(self.plan, self.config, self.seed)
+            gcn.fit_session(1)
+            self.params = gcn.params
             self.base_classes = sorted(s.class_ids)
-            col_of = {c: j for j, c in enumerate(self.head_classes)}
-            rows = s.local_ids(s.train_nodes)
-            labels = np.array([col_of[int(sub.labels[r])] for r in rows], dtype=np.int64)
-            p = init_params(
-                ARCH_GCN,
-                in_dim=X.shape[1],
-                hidden_dim=int(self.config.get("hidden_dim", 64)),
-                num_classes=len(self.head_classes),
-                seed=_mix(self.seed, 1),
-                dropout_rate=float(self.config.get("dropout", 0.5)),
-            )
-            self.params = train_session(
-                p, S, X, labels, rows,
-                epochs=int(self.config.get("epochs", 200)),
-                lr=float(self.config.get("lr", 1e-2)),
-                seed=_mix(self.seed, 3, 1),
-            )
-        emb = model_embed(self.params, S, X)
+        emb = model_embed(self.params, gcn_normalized_adjacency(sub),
+                          np.asarray(sub.features, dtype=np.float64))
         rows = s.local_ids(s.train_nodes)
         build_prototypes(
             self.bank, emb[rows], sub.labels[rows],
-            sample_num=self.sample_num, seed=_mix(self.seed, 5, i), session=i,
+            sample_num=self.sample_num, seed=_mix(self.seed, 5, i),
         )
         if self.use_teen and i > 1:
             teen_calibrate(
                 self.bank,
                 base_classes=self.base_classes,
                 novel_classes=sorted(s.class_ids),
-                softmax_T=float(self.config.get("softmax_T", 16.0)),
-                shift_weight=float(self.config.get("shift_weight", 0.5)),
+                softmax_T=float(self.config["softmax_T"]),
+                shift_weight=float(self.config["shift_weight"]),
             )
 
     def predict(self, task: EvalTask) -> np.ndarray:
@@ -525,27 +521,20 @@ class _FrozenGnnPrototypes:
         return classify_batch(self.bank.subset(task.class_ids), emb[task.eval_nodes])
 
 
-class _ProviderPrototypes:
+class _ProviderPrototypes(_Runner):
     """Training-free prototypes over provider embeddings (text or ego prompt)."""
-
-    lenient = False
 
     def __init__(self, plan: SessionPlan, config: dict, seed: int,
                  prompt_mode: str, dataset_name: str):
-        self.plan = plan
-        self.config = config
-        self.seed = seed
+        super().__init__(plan, config, seed)
         self.prompt_mode = prompt_mode  # "text" | "ego"
-        self.bank = PrototypeBank(temperature=float(config.get("tau", 1.0)))
-        self.sample_num = int(config.get("sample_num", 50 if prompt_mode == "ego" else 20))
-        self.fanouts = tuple(config.get("fanouts", (20, 20)))
-        self.cache_path = config.get("cache_path", "embeddings.cache.bin")
-        self.source = make_embedding_source(config.get("provider"))
-        self.template = default_template(dataset_name, hops=len(self.fanouts))
-        if "max_node_text_len" in config:
-            self.template = replace(
-                self.template, max_node_text_len=int(config["max_node_text_len"])
-            )
+        self.bank = PrototypeBank(temperature=float(self.config["tau"]))
+        self.sample_num = int(self.config.get("sample_num", 50 if prompt_mode == "ego" else 20))
+        self.fanouts = tuple(self.config["fanouts"])
+        self.cache_path = self.config.get("cache_path", "embeddings.cache.bin")
+        self.source = make_embedding_source(self.config.get("provider"))
+        self.template = replace(default_template(dataset_name, hops=len(self.fanouts)),
+                                max_node_text_len=int(self.config["max_node_text_len"]))
 
     def _embed(self, graph, local_ids: np.ndarray, node_sources: np.ndarray,
                class_ids, stage_seed: int) -> np.ndarray:
@@ -569,7 +558,7 @@ class _ProviderPrototypes:
                           self.plan.cumulative_classes(i), _mix(self.seed, 21, i))
         build_prototypes(
             self.bank, emb, s.subgraph.labels[rows],
-            sample_num=self.sample_num, seed=_mix(self.seed, 5, i), session=i,
+            sample_num=self.sample_num, seed=_mix(self.seed, 5, i),
         )
 
     def predict(self, task: EvalTask) -> np.ndarray:
@@ -578,16 +567,14 @@ class _ProviderPrototypes:
         return classify_batch(self.bank.subset(task.class_ids), emb)
 
 
-class _RoutedHeads:
+class _RoutedHeads(_Runner):
     """Per-session MLP heads behind task-prototype routing."""
 
     lenient = True  # misrouted predictions fall outside local class sets
 
     def __init__(self, plan: SessionPlan, config: dict, seed: int, weighting: str):
-        self.plan = plan
-        self.config = config
-        self.seed = seed
-        self.k = int(config.get("k_smooth", 8))
+        super().__init__(plan, config, seed)
+        self.k = int(self.config["k_smooth"])
         self.weighting = weighting
         self.heads: list[TaskHead] = []
         self.protos = TaskPrototypeSet(k=self.k, weighting=weighting)
@@ -617,16 +604,19 @@ def make_embedding_source(cfg: dict | None):
     if not cfg:
         raise TrainingError("embedding-based method needs a provider config")
     kind = cfg.get("kind")
+    if kind not in PROVIDER_FIELDS:
+        raise TrainingError(f"unknown provider kind {kind!r}")
+    missing = [k for k in PROVIDER_FIELDS[kind] if k not in cfg]
+    if missing:
+        raise TrainingError(f"provider kind {kind!r} needs {', '.join(missing)}")
     if kind == "file":
         return FileSource(matrix_path=cfg["matrix"], index_path=cfg["index"])
-    if kind == "http":
-        return HttpSource(
-            endpoint=cfg["endpoint"],
-            model=cfg.get("model", "stub"),
-            batch_size=int(cfg.get("batch_size", 16)),
-            max_in_flight=int(cfg.get("max_in_flight", 2)),
-        )
-    raise TrainingError(f"unknown provider kind {kind!r}")
+    return HttpSource(
+        endpoint=cfg["endpoint"],
+        model=cfg.get("model", "stub"),
+        batch_size=int(cfg.get("batch_size", 16)),
+        max_in_flight=int(cfg.get("max_in_flight", 2)),
+    )
 
 
 # method id -> runner constructor (plan, config, seed, dataset); METHOD_IDS

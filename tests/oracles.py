@@ -8,6 +8,7 @@ checks.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -290,3 +291,59 @@ def fisher_diagonal_loop(p, S, X, rows, labels) -> dict[str, np.ndarray]:
     for k in fisher:
         fisher[k] /= rows.size
     return fisher
+
+
+@dataclass
+class GradCheckReport:
+    max_rel_error: float
+    tolerance: float
+    passed: bool
+    coords_checked: int
+    per_param: dict[str, float] = field(default_factory=dict)
+
+
+def finite_diff_check(
+    loss_fn,
+    p,
+    tolerance: float = 1e-4,
+    h: float = 1e-5,
+    coords_per_param: int = 24,
+    seed: int = 0,
+) -> GradCheckReport:
+    """Compare analytic gradients against central finite differences.
+
+    `loss_fn(params) -> (loss, grads)` must be deterministic (no dropout).
+    A seeded coordinate sample per parameter keeps the check cheap.
+    """
+    rng = np.random.default_rng(seed)
+    _, grads = loss_fn(p)
+    max_rel = 0.0
+    checked = 0
+    per_param: dict[str, float] = {}
+    for name, w in p.weights.items():
+        flat_n = w.size
+        take = min(coords_per_param, flat_n)
+        coords = rng.choice(flat_n, size=take, replace=False)
+        worst = 0.0
+        for c in coords:
+            idx = np.unravel_index(c, w.shape)
+            orig = w[idx]
+            w[idx] = orig + h
+            lp, _ = loss_fn(p)
+            w[idx] = orig - h
+            lm, _ = loss_fn(p)
+            w[idx] = orig
+            numeric = (lp - lm) / (2 * h)
+            analytic = grads[name][idx]
+            rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
+            worst = max(worst, rel)
+            checked += 1
+        per_param[name] = worst
+        max_rel = max(max_rel, worst)
+    return GradCheckReport(
+        max_rel_error=max_rel,
+        tolerance=tolerance,
+        passed=max_rel < tolerance,
+        coords_checked=checked,
+        per_param=per_param,
+    )

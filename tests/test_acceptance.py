@@ -18,7 +18,6 @@ from gclbench.nn import (
     ARCH_GCN,
     ARCH_MLP,
     cross_entropy,
-    finite_diff_check,
     init_params,
     model_backward,
     model_forward,
@@ -41,6 +40,7 @@ from gclbench.trainers import EwcAnchor
 from oracles import (
     argmax_lowest,
     cosine_scores,
+    finite_diff_check,
     group_means,
     nearest_task,
     summarize_direct,

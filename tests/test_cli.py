@@ -79,7 +79,7 @@ def test_plan_writes_files(runner, dataset_dir, tmp_path):
         "--seed", "3", "--out", str(out),
     ])
     assert result.exit_code == 0, result.output
-    assert (out / "plan.json").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["plan.digest"]
     assert (out / "plan.digest").read_text() == result.output
 
 
@@ -219,6 +219,29 @@ def test_provider_missing_fields_fail_in_one_line(runner, tmp_path, dataset_dir,
     assert isinstance(result.exception, SystemExit)
     assert result.output.splitlines() == [
         f"error: config invalid at hyperparameters/provider: {missing} is a required property"]
+
+
+@pytest.mark.parametrize("method, hypers, where, message", [
+    ("ewc", {"strength": -5}, "strength", "-5 is less than the minimum of 0"),
+    ("ewc", {"strength": [100, -1]}, "strength/1", "-1 is less than the minimum of 0"),
+    ("lwf", {"lwf_lambda": -1}, "lwf_lambda", "-1 is less than the minimum of 0"),
+    ("lwf", {"lwf_lambda": [1, -0.5]}, "lwf_lambda/1", "-0.5 is less than the minimum of 0"),
+    ("lwf", {"lwf_T": 0}, "lwf_T", "0 is less than or equal to the minimum of 0"),
+    ("lwf", {"lwf_T": [2, -1]}, "lwf_T/1", "-1 is less than or equal to the minimum of 0"),
+], ids=["strength", "strength-grid", "lwf_lambda", "lwf_lambda-grid", "lwf_T", "lwf_T-grid"])
+def test_regularizer_bounds_fail_in_one_line(runner, tmp_path, dataset_dir, method, hypers,
+                                             where, message):
+    # Before these bounds, negative weights silently turned ewc/lwf into plain gcn.
+    doc = {"version": 1, "dataset": str(dataset_dir), "methods": [method],
+           "hyperparameters": dict(hypers, epochs=2)}
+    cfg = tmp_path / "bounds.json"
+    cfg.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines() == [
+        f"error: config invalid at hyperparameters/{where}: {message}"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_report_command(runner, config_file, tmp_path):

@@ -18,7 +18,6 @@ from gclbench.graph import (
 from gclbench.nn import ARCH_GCN, init_params, model_forward
 from gclbench.prototypes import PrototypeBank, build_prototypes, classify_batch, task_prototype
 from gclbench.sessions import build_eval_task, filter_classes
-from gclbench.synth import SynthConfig, synth_tag
 
 
 @pytest.fixture()
@@ -181,9 +180,3 @@ def test_http_non_object_payload():
 def test_http_empty_text_list():
     src = HttpSource("http://localhost:1", "m")
     assert src.embed([]).shape == (0, 0)
-
-
-def test_synth_vocab_length_guard():
-    with pytest.raises(ValueError, match="one keyword list per class"):
-        synth_tag(SynthConfig(num_classes=3, nodes_per_class=2, feature_dim=4,
-                              text_vocab=(("a",),), seed=0))

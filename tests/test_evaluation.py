@@ -359,3 +359,58 @@ def test_report_md_grid_points_get_own_rows(tmp_path):
         "| gcn (lr=0.01) | 30.0 ± 10.0 (n=2) | 30.0 ± 10.0 (n=2) | 3.0 |",
         "| gcn (lr=0.1) | 90.0 | 90.0 | 1.0 |",
     ]
+
+
+_REPORT_RUNS = st.lists(
+    st.tuples(st.sampled_from(["gcn", "ewc", "cosine"]), st.sampled_from(["ds1", "ds2"]),
+              st.floats(0, 1), st.floats(0, 1)),
+    min_size=1, max_size=12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(runs=_REPORT_RUNS, data=st.data())
+def test_report_md_cells_and_ranks_match_numpy_in_any_order(tmp_path_factory, runs, data):
+    from gclbench.evaluation import _fractional_ranks
+
+    docs = []
+    for seed, (method, dataset, first, last) in enumerate(runs):
+        doc = _final_only(method, first, dataset, seed)
+        m = AccuracyMatrix(mode="global")
+        m.add_row([first])
+        m.add_row([last])
+        doc["matrix"], doc["summary"] = m.to_dict(), summarize(m)
+        docs.append(doc)
+    out = tmp_path_factory.mktemp("md")
+    write_report(docs, out / "a.md", "md")
+    write_report(data.draw(st.permutations(docs)), out / "b.md", "md")
+    text = (out / "a.md").read_bytes()
+    assert (out / "b.md").read_bytes() == text
+
+    cells = {}
+    for doc in docs:
+        key = (doc["run"]["method"], doc["run"]["dataset"])
+        cells.setdefault(key, []).append((doc["summary"]["mean_acc"], doc["summary"]["final_acc"]))
+    datasets = sorted({d for _, d in cells})
+    methods = sorted({m for m, _ in cells})
+    ranks = {m: [] for m in methods}
+    for d in datasets:
+        present = [m for m in methods if (m, d) in cells]
+        for metric in (0, 1):
+            means = [float(np.mean(cells[(m, d)], axis=0)[metric]) for m in present]
+            for m, r in zip(present, _fractional_ranks(means)):
+                ranks[m].append(r)
+    lines = text.decode("utf-8").splitlines()
+    assert len(lines) >= 2 + len(methods)
+    for m, line in zip(methods, lines[2:]):
+        expect = [m]
+        for d in datasets:
+            v = cells.get((m, d))
+            if v is None:
+                expect += ["-", "-"]
+            elif len(v) == 1:
+                expect += [f"{100 * x:.1f}" for x in v[0]]
+            else:
+                mu, sd = np.mean(v, axis=0), np.std(v, axis=0)
+                expect += [f"{100 * a:.1f} ± {100 * b:.1f} (n={len(v)})" for a, b in zip(mu, sd)]
+        expect.append(f"{np.mean(ranks[m]):.1f}")
+        assert line == "| " + " | ".join(expect) + " |"

@@ -7,7 +7,6 @@ from gclbench.nn import (
     ARCH_MLP,
     adam_step,
     cross_entropy,
-    finite_diff_check,
     grow_output,
     init_adam,
     init_params,
@@ -17,6 +16,8 @@ from gclbench.nn import (
 )
 from gclbench.graph import make_graph
 from gclbench.synth import SynthConfig, synth_tag
+
+from oracles import finite_diff_check
 
 
 def _csr_from_dense(d):

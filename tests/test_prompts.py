@@ -75,21 +75,6 @@ def test_template_requires_single_label_slot():
         PromptTemplate("s", "t", "{labels} and {labels}", ("hop 1",))
 
 
-def test_neighbor_labels_only_when_enabled(testkit_graph):
-    from dataclasses import replace
-
-    ego = sample_ego_graph(testkit_graph, 5, [3], seed=2)
-    assert len(ego.hop_nodes[0]) > 0
-    names = list(testkit_graph.class_names)
-    plain = render_prompt(ego, default_template("Synth", hops=1), names)
-    assert "(label:" not in plain  # include_label defaults to False
-    labeled_template = replace(default_template("Synth", hops=1), include_label=True)
-    labeled = render_prompt(ego, labeled_template, names)
-    first_neighbor = ego.hop_nodes[0][0]
-    expect = testkit_graph.class_names[testkit_graph.labels[first_neighbor]]
-    assert f"(label: {expect})" in labeled
-
-
 def test_render_pure_function(testkit_graph):
     ego = sample_ego_graph(testkit_graph, 11, [4, 4], seed=3)
     t = default_template("Synth")

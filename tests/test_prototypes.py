@@ -58,13 +58,11 @@ def test_seeded_subset_mean_matches_replayed_selection():
 
 def test_existing_classes_never_overwritten():
     bank = PrototypeBank()
-    build_prototypes(bank, np.array([[1.0, 1.0]]), np.array([0]), 10, 0, session=1)
+    build_prototypes(bank, np.array([[1.0, 1.0]]), np.array([0]), 10, 0)
     first = bank.prototypes[0].copy()
-    build_prototypes(bank, np.array([[9.0, 9.0], [3.0, 4.0]]), np.array([0, 1]),
-                     10, 1, session=2)
+    build_prototypes(bank, np.array([[9.0, 9.0], [3.0, 4.0]]), np.array([0, 1]), 10, 1)
     assert np.array_equal(bank.prototypes[0], first)
-    assert bank.source_session[0] == 1
-    assert bank.source_session[1] == 2
+    assert np.array_equal(bank.prototypes[1], [3.0, 4.0])
 
 
 def test_group_mean_oracle_exact():

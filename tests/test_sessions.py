@@ -6,11 +6,9 @@ from gclbench.sessions import (
     PlanError,
     build_eval_task,
     filter_classes,
-    load_plan,
     plan_digest,
     plan_fsncil,
     plan_ncil,
-    save_plan,
 )
 from gclbench.synth import SynthConfig, synth_tag
 
@@ -257,20 +255,6 @@ def test_digest_line_count(testkit_plan):
     for s in testkit_plan.sessions:
         for c in s.class_ids:
             assert testkit_plan.graph.class_names[c] in digest
-
-
-# -------------------------------------------------------------- serialization
-
-
-def test_plan_round_trip(tmp_path, testkit_plan, testkit_graph):
-    save_plan(testkit_plan, tmp_path / "plan.json")
-    loaded = load_plan(tmp_path / "plan.json", testkit_graph)
-    assert plan_digest(loaded) == plan_digest(testkit_plan)
-    for a, b in zip(loaded.sessions, testkit_plan.sessions):
-        assert a.class_ids == b.class_ids
-        assert a.train_nodes == b.train_nodes
-        assert a.test_nodes == b.test_nodes
-        assert np.array_equal(a.subgraph.edges, b.subgraph.edges)
 
 
 def test_local_ids_lookup_built_once_and_unknown_ids_raise(cora_shaped):

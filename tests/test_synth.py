@@ -74,11 +74,10 @@ def test_bad_probability_rejected():
 
 
 def test_texts_embed_class_keyword():
-    vocab = (("alpha",), ("beta",))
-    g = synth_tag(SynthConfig(num_classes=2, nodes_per_class=5, feature_dim=4,
-                              text_vocab=vocab, seed=3))
+    g = synth_tag(SynthConfig(num_classes=2, nodes_per_class=5, feature_dim=4, seed=3))
     for i, text in enumerate(g.texts):
-        assert vocab[g.labels[i]][0] in text
+        c = g.labels[i]
+        assert g.class_names[c].removeprefix("class-") in text or f"domain{c}" in text
 
 
 @pytest.mark.parametrize("num_classes,per_class,intra_p,inter_p,seed", [

@@ -7,7 +7,6 @@ from gclbench.graph import gcn_normalized_adjacency, make_graph, smoothing_opera
 from gclbench.nn import (
     ARCH_GCN,
     ARCH_MLP,
-    finite_diff_check,
     init_params,
     model_forward,
 )
@@ -28,7 +27,7 @@ from gclbench.trainers import (
     train_session,
 )
 
-from oracles import fisher_diagonal_loop, nearest_centroid_accuracy
+from oracles import finite_diff_check, fisher_diagonal_loop, nearest_centroid_accuracy
 
 CFG = {"epochs": 200, "lr": 1e-2, "hidden_dim": 32}
 
@@ -73,7 +72,7 @@ def test_train_session_seed_reproducible_checkpoint():
         return train_session(p, S, X, g.labels, rows, epochs=30, lr=1e-2, seed=11)
 
     a, b = run(), run()
-    assert (a.arch, a.hidden_dim, a.dropout_rate) == (b.arch, b.hidden_dim, b.dropout_rate)
+    assert (a.arch, a.dropout_rate) == (b.arch, b.dropout_rate)
     assert sorted(a.weights) == sorted(b.weights)
     for k in a.weights:
         assert np.array_equal(a.weights[k], b.weights[k])
@@ -449,6 +448,44 @@ def test_embedding_method_requires_provider(testkit_plan):
     with pytest.raises(TrainingError, match="unknown provider kind"):
         run_method("simgcl_proto", testkit_plan,
                    dict(CFG, provider={"kind": "carrier-pigeon"}), mode="global", seed=0)
+
+
+@pytest.mark.parametrize("method, bad", [
+    ("ewc", {"strength": -5}), ("lwf", {"lwf_lambda": -1}), ("lwf", {"lwf_T": 0.0}),
+])
+def test_run_method_rejects_out_of_range_regularizers(testkit_plan, method, bad):
+    from gclbench.trainers import TrainingError
+
+    with pytest.raises(TrainingError, match="strength and lwf_lambda must be >= 0, lwf_T > 0"):
+        run_method(method, testkit_plan, dict(CFG, **bad), seed=0)
+
+
+@pytest.mark.parametrize("provider, missing", [
+    ({"kind": "file"}, "matrix, index"),
+    ({"kind": "file", "matrix": "m.bin"}, "index"),
+    ({"kind": "http"}, "endpoint"),
+], ids=["file-bare", "file-no-index", "http-no-endpoint"])
+def test_provider_missing_field_raises_training_error(testkit_plan, provider, missing):
+    from gclbench.trainers import TrainingError
+
+    with pytest.raises(TrainingError) as err:
+        run_method("simplecil", testkit_plan, dict(CFG, provider=provider), seed=0)
+    assert str(err.value) == f"provider kind {provider['kind']!r} needs {missing}"
+
+
+@pytest.mark.parametrize("method", ["cosine", "teen"])
+def test_frozen_gnn_session_1_model_is_the_gcn_one_with_conv_bias(testkit_plan, method):
+    from gclbench.trainers import _RUNNERS
+
+    cfg = dict(CFG, epochs=20, conv_bias=True)
+    frozen = _RUNNERS[method](testkit_plan, cfg, 6, "synth")
+    gcn = _RUNNERS["gcn"](testkit_plan, cfg, 6, "synth")
+    frozen.fit_session(1)
+    gcn.fit_session(1)
+    assert {"b1", "b2"} <= set(frozen.params.weights)
+    assert sorted(frozen.params.weights) == sorted(gcn.params.weights)
+    for k, w in gcn.params.weights.items():
+        assert np.array_equal(frozen.params.weights[k], w)
 
 
 def test_run_method_manifest_fields(testkit_plan):
