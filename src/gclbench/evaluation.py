@@ -301,9 +301,9 @@ def _markdown_table(results: list[dict]) -> str:
     runs: dict[tuple[str, str], list[tuple[float, float]]] = {}
     labels: list[str] = []
     for m in sorted(by_method):
-        for doc, label in zip(by_method[m], _row_labels(by_method[m])):
-            if label not in labels:
-                labels.append(label)
+        method_labels = _row_labels(by_method[m])
+        labels += sorted(set(method_labels))  # by label, whatever the input order
+        for doc, label in zip(by_method[m], method_labels):
             runs.setdefault((label, doc["run"]["dataset"]), []).append(
                 (doc["summary"]["mean_acc"], doc["summary"]["final_acc"]))
     cell = {key: np.mean(v, axis=0) for key, v in runs.items()}

@@ -1,5 +1,12 @@
 """From-scratch training core: GCN/MLP forward-backward, cross-entropy, Adam.
 
+Both architectures are one stack of hidden layers, described by _LAYERS: a
+number of hidden layers and whether each propagates over the operator S.
+Hidden layer i computes P_i = [S @] D_{i-1} @ W_i [+ b_i], then
+D_i = dropout(ReLU(P_i)), with D_0 = X; the output layer is W_{L+1}/b_{L+1}.
+One loop over that stack serves init, head growth, forward, backward and
+embedding.
+
 Dense matrices are float64 numpy arrays throughout; gradients are derived by
 hand and cross-checked against central finite differences. No autodiff.
 """
@@ -14,15 +21,25 @@ import scipy.sparse as sp
 ARCH_GCN = "gcn2_mlp1"
 ARCH_MLP = "mlp2"
 
+# arch -> (hidden layers, whether each hidden layer propagates over S)
+_LAYERS = {ARCH_GCN: (2, True), ARCH_MLP: (1, False)}
+
+
+def _layers(arch: str) -> tuple[int, bool]:
+    if arch not in _LAYERS:
+        raise ValueError(f"unknown arch {arch!r}")
+    return _LAYERS[arch]
+
 
 @dataclass
 class ModelParams:
-    """Weights for either architecture.
+    """Weights for either architecture (one row of _LAYERS each).
 
     gcn2_mlp1: logits = ReLU(S @ ReLU(S @ X @ W1 [+ b1]) @ W2 [+ b2]) @ W3 + b3
     mlp2:      logits = ReLU(X @ W1 + b1) @ W2 + b2
 
-    Graph-conv layers carry biases only when built with conv_bias=True.
+    Graph-conv layers carry biases only when built with conv_bias=True; dense
+    hidden layers always carry one.
     """
 
     arch: str
@@ -62,26 +79,18 @@ def init_params(
     dropout_rate: float = 0.5,
     conv_bias: bool = False,
 ) -> ModelParams:
+    hidden, propagate = _layers(arch)
+    # rate 1 would divide by zero in the dropout mask; a negative one rescales silently.
+    if not 0.0 <= dropout_rate < 1.0:
+        raise ValueError(f"dropout_rate must be in [0, 1), got {dropout_rate!r}")
     rng = np.random.default_rng(seed)
-    if arch == ARCH_GCN:
-        w = {
-            "W1": glorot(rng, in_dim, hidden_dim),
-            "W2": glorot(rng, hidden_dim, hidden_dim),
-            "W3": glorot(rng, hidden_dim, num_classes),
-            "b3": np.zeros(num_classes),
-        }
-        if conv_bias:
-            w["b1"] = np.zeros(hidden_dim)
-            w["b2"] = np.zeros(hidden_dim)
-    elif arch == ARCH_MLP:
-        w = {
-            "W1": glorot(rng, in_dim, hidden_dim),
-            "b1": np.zeros(hidden_dim),
-            "W2": glorot(rng, hidden_dim, num_classes),
-            "b2": np.zeros(num_classes),
-        }
-    else:
-        raise ValueError(f"unknown arch {arch!r}")
+    w = {}
+    for i in range(1, hidden + 1):
+        w[f"W{i}"] = glorot(rng, in_dim if i == 1 else hidden_dim, hidden_dim)
+        if conv_bias or not propagate:
+            w[f"b{i}"] = np.zeros(hidden_dim)
+    w[f"W{hidden + 1}"] = glorot(rng, hidden_dim, num_classes)
+    w[f"b{hidden + 1}"] = np.zeros(num_classes)
     return ModelParams(arch=arch, weights=w, dropout_rate=dropout_rate)
 
 
@@ -91,7 +100,8 @@ def grow_output(p: ModelParams, extra_classes: int, seed: int) -> ModelParams:
         return p
     rng = np.random.default_rng(seed)
     q = p.copy()
-    wk, bk = ("W3", "b3") if p.arch == ARCH_GCN else ("W2", "b2")
+    out = _layers(p.arch)[0] + 1
+    wk, bk = f"W{out}", f"b{out}"
     old = q.weights[wk]
     new_cols = glorot(rng, old.shape[0], extra_classes)
     q.weights[wk] = np.concatenate([old, new_cols], axis=1)
@@ -132,44 +142,29 @@ def model_forward(
     """
     X = np.asarray(X, dtype=np.float64)
     w = p.weights
+    hidden, propagate = _layers(p.arch)
+    if propagate and S is None:
+        raise ValueError(f"{p.arch} requires a propagation operator")
+    if not propagate and S is not None:
+        raise ValueError(f"{p.arch} takes no propagation operator")
+    if X.shape[1] != w["W1"].shape[0]:
+        raise ValueError("input feature dim mismatch")
     training = dropout_seed is not None
     rng = np.random.default_rng(dropout_seed) if training else None
-    cache: dict = {"arch": p.arch, "X": X, "S": S, "training": training}
+    cache: dict = {"X": X, "S": S, "training": training}
 
-    if p.arch == ARCH_GCN:
-        if S is None:
-            raise ValueError("gcn2_mlp1 requires a propagation operator")
-        if X.shape[1] != w["W1"].shape[0]:
-            raise ValueError("input feature dim mismatch")
-        T1 = X @ w["W1"]
-        P1 = spmm(S, T1)
-        if "b1" in w:
-            P1 = P1 + w["b1"]
-        H1 = np.maximum(P1, 0.0)
-        M1 = _dropout_mask(rng, H1.shape, p.dropout_rate) if training else None
-        D1 = H1 * M1 if training else H1
-        T2 = D1 @ w["W2"]
-        P2 = spmm(S, T2)
-        if "b2" in w:
-            P2 = P2 + w["b2"]
-        H2 = np.maximum(P2, 0.0)
-        M2 = _dropout_mask(rng, H2.shape, p.dropout_rate) if training else None
-        D2 = H2 * M2 if training else H2
-        logits = D2 @ w["W3"] + w["b3"]
-        cache.update(P1=P1, D1=D1, M1=M1, P2=P2, D2=D2, M2=M2)
-    elif p.arch == ARCH_MLP:
-        if S is not None:
-            raise ValueError("mlp2 takes no propagation operator")
-        if X.shape[1] != w["W1"].shape[0]:
-            raise ValueError("input feature dim mismatch")
-        P1 = X @ w["W1"] + w["b1"]
-        H1 = np.maximum(P1, 0.0)
-        M1 = _dropout_mask(rng, H1.shape, p.dropout_rate) if training else None
-        D1 = H1 * M1 if training else H1
-        logits = D1 @ w["W2"] + w["b2"]
-        cache.update(P1=P1, D1=D1, M1=M1)
-    else:
-        raise ValueError(f"unknown arch {p.arch!r}")
+    D = X
+    for i in range(1, hidden + 1):
+        P = D @ w[f"W{i}"]
+        if propagate:
+            P = spmm(S, P)
+        if f"b{i}" in w:
+            P = P + w[f"b{i}"]
+        H = np.maximum(P, 0.0)
+        M = _dropout_mask(rng, H.shape, p.dropout_rate) if training else None
+        D = H * M if training else H
+        cache.update({f"P{i}": P, f"D{i}": D, f"M{i}": M})
+    logits = D @ w[f"W{hidden + 1}"] + w[f"b{hidden + 1}"]
 
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite logits in forward pass")
@@ -178,49 +173,33 @@ def model_forward(
 
 
 def model_embed(p: ModelParams, S: sp.csr_matrix | None, X: np.ndarray) -> np.ndarray:
-    """Pre-classifier hidden representation in evaluation mode.
-
-    gcn2_mlp1: output of the second graph-conv layer (post-ReLU); mlp2: the
-    hidden ReLU layer.
-    """
+    """Pre-classifier hidden representation in evaluation mode: the output of
+    the last hidden layer (post-ReLU)."""
     _, cache = model_forward(p, S, X, dropout_seed=None)
-    return cache["D2"] if p.arch == ARCH_GCN else cache["D1"]
+    return cache[f"D{_layers(p.arch)[0]}"]
 
 
 def model_backward(cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
     """Exact gradients of the scalar loss whose logit gradient is dlogits."""
     p: ModelParams = cache["params"]
     w = p.weights
-    X = cache["X"]
+    hidden, propagate = _layers(p.arch)
     dlogits = np.asarray(dlogits, dtype=np.float64)
     grads: dict[str, np.ndarray] = {}
 
-    if p.arch == ARCH_GCN:
-        S = cache["S"]
-        grads["b3"] = dlogits.sum(axis=0)
-        grads["W3"] = cache["D2"].T @ dlogits
-        dD2 = dlogits @ w["W3"].T
-        dH2 = dD2 * cache["M2"] if cache["training"] else dD2
-        dP2 = dH2 * (cache["P2"] > 0)
-        if "b2" in w:
-            grads["b2"] = dP2.sum(axis=0)
-        dT2 = _spmm_t(S, dP2)
-        grads["W2"] = cache["D1"].T @ dT2
-        dD1 = dT2 @ w["W2"].T
-        dH1 = dD1 * cache["M1"] if cache["training"] else dD1
-        dP1 = dH1 * (cache["P1"] > 0)
-        if "b1" in w:
-            grads["b1"] = dP1.sum(axis=0)
-        dT1 = _spmm_t(S, dP1)
-        grads["W1"] = X.T @ dT1
-    else:
-        grads["b2"] = dlogits.sum(axis=0)
-        grads["W2"] = cache["D1"].T @ dlogits
-        dD1 = dlogits @ w["W2"].T
-        dH1 = dD1 * cache["M1"] if cache["training"] else dD1
-        dP1 = dH1 * (cache["P1"] > 0)
-        grads["b1"] = dP1.sum(axis=0)
-        grads["W1"] = X.T @ dP1
+    out = hidden + 1
+    grads[f"b{out}"] = dlogits.sum(axis=0)
+    grads[f"W{out}"] = cache[f"D{hidden}"].T @ dlogits
+    dD = dlogits @ w[f"W{out}"].T
+    for i in range(hidden, 0, -1):
+        dH = dD * cache[f"M{i}"] if cache["training"] else dD
+        dP = dH * (cache[f"P{i}"] > 0)
+        if f"b{i}" in w:
+            grads[f"b{i}"] = dP.sum(axis=0)
+        dT = _spmm_t(cache["S"], dP) if propagate else dP
+        grads[f"W{i}"] = (cache[f"D{i - 1}"] if i > 1 else cache["X"]).T @ dT
+        if i > 1:
+            dD = dT @ w[f"W{i}"].T
 
     if set(grads) != set(w):
         raise ValueError("stale cache: gradient keys do not match parameters")

@@ -219,15 +219,17 @@ def train_session(
     train_rows: np.ndarray,
     epochs: int,
     lr: float,
-    extra_loss=None,
+    anchor: EwcAnchor | None = None,
+    distill: DistillSource | None = None,
     seed: int = 0,
 ) -> ModelParams:
     """Full-batch Adam over one session's labeled nodes.
 
-    `labels` are head-column indices aligned with `train_rows`. The optional
-    extra_loss(p, logits, train_rows) returns (loss, dlogits_extra or None,
-    param_grads or None) and is added to the cross-entropy objective.
-    Deterministic under a fixed seed.
+    `labels` are head-column indices aligned with `train_rows`. The objective
+    is the cross-entropy, plus ewc_penalty(p, anchor) when an EWC anchor is
+    given, plus distill_loss against distill.frozen's logits on the train rows
+    when a distillation source is given. The frozen logits are computed once,
+    zero-padded to the head's width. Deterministic under a fixed seed.
     """
     p = p.copy()
     if epochs == 0:
@@ -235,27 +237,31 @@ def train_session(
     train_rows = np.asarray(train_rows, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     X = np.asarray(X, dtype=np.float64)
+    if distill is not None:
+        ol, _ = model_forward(distill.frozen, S, X, dropout_seed=None)
+        pad = np.zeros((ol.shape[0], distill.old_class_mask.size - ol.shape[1]))
+        old_logits = np.concatenate([ol, pad], axis=1)[train_rows]
     st = init_adam(p, lr)
     for epoch in range(epochs):
         dropout_seed = _mix(seed, epoch)
         logits, cache = model_forward(p, S, X, dropout_seed=dropout_seed)
         loss, dl_rows = cross_entropy(logits[train_rows], labels)
-        dlogits = np.zeros_like(logits)
-        dlogits[train_rows] = dl_rows
-        if extra_loss is not None:
-            extra, dl_extra, g_extra = extra_loss(p, logits, train_rows)
-            loss += extra
-            if dl_extra is not None:
-                dlogits += dl_extra
-        else:
-            g_extra = None
+        if anchor is not None:
+            penalty, g_ewc = ewc_penalty(p, anchor)
+            loss += penalty
+        if distill is not None:
+            dloss, dl_distill = distill_loss(logits[train_rows], old_logits,
+                                             distill.old_class_mask, distill.temperature,
+                                             distill.weight)
+            loss += dloss
+            dl_rows = dl_rows + dl_distill
         if not np.isfinite(loss):
             raise TrainingError(f"non-finite loss at epoch {epoch}")
+        dlogits = np.zeros_like(logits)
+        dlogits[train_rows] = dl_rows
         grads = model_backward(cache, dlogits)
-        if g_extra is not None:
-            for k in grads:
-                if k in g_extra:
-                    grads[k] = grads[k] + g_extra[k]
+        if anchor is not None:
+            grads = {k: g + g_ewc[k] for k, g in grads.items()}
         p, st = adam_step(p, grads, st)
     return p
 
@@ -397,52 +403,23 @@ class _GcnFamily(_Runner):
         else:
             self.params = grow_output(self.params, len(new_classes), seed=_mix(self.seed, 2, i))
             if self.anchor is not None:
-                self.anchor = EwcAnchor(
-                    params_star=_pad_all(self.anchor.params_star, self.params),
-                    fisher=_pad_all(self.anchor.fisher, self.params),
-                    strength=self.anchor.strength,
-                )
+                self.anchor = replace(self.anchor,
+                                      params_star=_pad_all(self.anchor.params_star, self.params),
+                                      fisher=_pad_all(self.anchor.fisher, self.params))
 
         rows, labels = _train_columns(s, self.head_classes)
 
         source = None
         if self.use_lwf and frozen_before is not None and self.lwf_weight > 0:
-            mask = np.zeros(len(self.head_classes), dtype=bool)
-            mask[:n_old] = True
-            source = DistillSource(frozen_before, self.lwf_T, self.lwf_weight, mask)
-
-        anchor = self.anchor if (self.use_ewc and self.strength > 0) else None
-        extra = None
-        if anchor is not None or source is not None:
-            # Old logits are fixed within the session; compute them once.
-            old_logits = None
-            if source is not None:
-                ol, _ = model_forward(source.frozen, S, X, dropout_seed=None)
-                pad = len(self.head_classes) - ol.shape[1]
-                old_logits = np.concatenate([ol, np.zeros((ol.shape[0], pad))], axis=1)
-
-            def extra(p, logits, train_rows, _anchor=anchor, _src=source, _old=old_logits):
-                loss = 0.0
-                dl = None
-                g = None
-                if _anchor is not None:
-                    pl, g = ewc_penalty(p, _anchor)
-                    loss += pl
-                if _src is not None:
-                    dloss, dl_rows = distill_loss(
-                        logits[train_rows], _old[train_rows],
-                        _src.old_class_mask, _src.temperature, _src.weight,
-                    )
-                    loss += dloss
-                    dl = np.zeros_like(logits)
-                    dl[train_rows] = dl_rows
-                return loss, dl, g
+            old_cols = np.arange(len(self.head_classes)) < n_old
+            source = DistillSource(frozen_before, self.lwf_T, self.lwf_weight, old_cols)
 
         self.params = train_session(
             self.params, S, X, labels, rows,
             epochs=int(self.config["epochs"]),
             lr=float(self.config["lr"]),
-            extra_loss=extra,
+            anchor=self.anchor,  # set only when use_ewc and strength > 0
+            distill=source,
             seed=_mix(self.seed, 3, i),
         )
 

@@ -293,6 +293,25 @@ def fisher_diagonal_loop(p, S, X, rows, labels) -> dict[str, np.ndarray]:
     return fisher
 
 
+def model_forward_dense(p, S_dense, X) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluation-mode (logits, last hidden layer) straight from the formulas
+    in the ModelParams docstring, with a dense operator:
+
+        gcn2_mlp1: logits = ReLU(S @ ReLU(S @ X @ W1 [+ b1]) @ W2 [+ b2]) @ W3 + b3
+        mlp2:      logits = ReLU(X @ W1 + b1) @ W2 + b2
+    """
+    w = p.weights
+    X = np.asarray(X, dtype=np.float64)
+    if p.arch == "gcn2_mlp1":
+        h1 = np.maximum(S_dense @ X @ w["W1"] + w.get("b1", 0.0), 0.0)
+        h2 = np.maximum(S_dense @ h1 @ w["W2"] + w.get("b2", 0.0), 0.0)
+        return h2 @ w["W3"] + w["b3"], h2
+    if p.arch == "mlp2":
+        h1 = np.maximum(X @ w["W1"] + w["b1"], 0.0)
+        return h1 @ w["W2"] + w["b2"], h1
+    raise ValueError(f"unknown arch {p.arch!r}")
+
+
 @dataclass
 class GradCheckReport:
     max_rel_error: float

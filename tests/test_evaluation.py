@@ -363,7 +363,7 @@ def test_report_md_grid_points_get_own_rows(tmp_path):
 
 _REPORT_RUNS = st.lists(
     st.tuples(st.sampled_from(["gcn", "ewc", "cosine"]), st.sampled_from(["ds1", "ds2"]),
-              st.floats(0, 1), st.floats(0, 1)),
+              st.floats(0, 1), st.floats(0, 1), st.sampled_from([0.1, 0.01])),
     min_size=1, max_size=12)
 
 
@@ -373,8 +373,8 @@ def test_report_md_cells_and_ranks_match_numpy_in_any_order(tmp_path_factory, ru
     from gclbench.evaluation import _fractional_ranks
 
     docs = []
-    for seed, (method, dataset, first, last) in enumerate(runs):
-        doc = _final_only(method, first, dataset, seed)
+    for seed, (method, dataset, first, last, lr) in enumerate(runs):
+        doc = _final_only(method, first, dataset, seed, grid_point={"epochs": 5, "lr": lr})
         m = AccuracyMatrix(mode="global")
         m.add_row([first])
         m.add_row([last])
@@ -386,25 +386,31 @@ def test_report_md_cells_and_ranks_match_numpy_in_any_order(tmp_path_factory, ru
     text = (out / "a.md").read_bytes()
     assert (out / "b.md").read_bytes() == text
 
+    # A method's runs split into one row per lr only where its lr values differ.
+    lrs = {}
+    for method, _, _, _, lr in runs:
+        lrs.setdefault(method, set()).add(lr)
     cells = {}
     for doc in docs:
-        key = (doc["run"]["method"], doc["run"]["dataset"])
-        cells.setdefault(key, []).append((doc["summary"]["mean_acc"], doc["summary"]["final_acc"]))
+        method, lr = doc["run"]["method"], doc["run"]["grid_point"]["lr"]
+        row = (method, f"{method} (lr={lr})" if len(lrs[method]) > 1 else method)
+        cells.setdefault((row, doc["run"]["dataset"]), []).append(
+            (doc["summary"]["mean_acc"], doc["summary"]["final_acc"]))
     datasets = sorted({d for _, d in cells})
-    methods = sorted({m for m, _ in cells})
-    ranks = {m: [] for m in methods}
+    rows = sorted({r for r, _ in cells})  # methods in order, then each method's labels
+    ranks = {r: [] for r in rows}
     for d in datasets:
-        present = [m for m in methods if (m, d) in cells]
+        present = [r for r in rows if (r, d) in cells]
         for metric in (0, 1):
-            means = [float(np.mean(cells[(m, d)], axis=0)[metric]) for m in present]
-            for m, r in zip(present, _fractional_ranks(means)):
-                ranks[m].append(r)
+            means = [float(np.mean(cells[(r, d)], axis=0)[metric]) for r in present]
+            for r, rank in zip(present, _fractional_ranks(means)):
+                ranks[r].append(rank)
     lines = text.decode("utf-8").splitlines()
-    assert len(lines) >= 2 + len(methods)
-    for m, line in zip(methods, lines[2:]):
-        expect = [m]
+    assert len(lines) >= 2 + len(rows)
+    for r, line in zip(rows, lines[2:]):
+        expect = [r[1]]
         for d in datasets:
-            v = cells.get((m, d))
+            v = cells.get((r, d))
             if v is None:
                 expect += ["-", "-"]
             elif len(v) == 1:
@@ -412,5 +418,5 @@ def test_report_md_cells_and_ranks_match_numpy_in_any_order(tmp_path_factory, ru
             else:
                 mu, sd = np.mean(v, axis=0), np.std(v, axis=0)
                 expect += [f"{100 * a:.1f} ± {100 * b:.1f} (n={len(v)})" for a, b in zip(mu, sd)]
-        expect.append(f"{np.mean(ranks[m]):.1f}")
+        expect.append(f"{np.mean(ranks[r]):.1f}")
         assert line == "| " + " | ".join(expect) + " |"

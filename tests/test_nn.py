@@ -11,13 +11,14 @@ from gclbench.nn import (
     init_adam,
     init_params,
     model_backward,
+    model_embed,
     model_forward,
     spmm,
 )
 from gclbench.graph import make_graph
 from gclbench.synth import SynthConfig, synth_tag
 
-from oracles import finite_diff_check
+from oracles import finite_diff_check, model_forward_dense
 
 
 def _csr_from_dense(d):
@@ -124,6 +125,24 @@ def test_forward_arch_operator_contract():
         model_forward(gcn, None, g.features)
     with pytest.raises(ValueError, match="no propagation"):
         model_forward(mlp, s, g.features)
+
+
+@pytest.mark.parametrize("arch, conv_bias", [(ARCH_GCN, False), (ARCH_GCN, True),
+                                             (ARCH_MLP, False)])
+def test_dense_forward_oracle_matches_model_forward_and_embed(arch, conv_bias):
+    # Forward is the documented network, not just consistent with backward.
+    g = _small_graph(n_nodes=10, seed=4)
+    X = np.asarray(g.features, np.float64)
+    s = gcn_normalized_adjacency(g) if arch == ARCH_GCN else None
+    p = init_params(arch, g.feature_dim, 6, 3, seed=8, conv_bias=conv_bias)
+    rng = np.random.default_rng(9)
+    for k in p.weights:  # nonzero biases, and live and dead ReLU units
+        p.weights[k] = rng.standard_normal(p.weights[k].shape)
+    want_logits, want_embed = model_forward_dense(p, None if s is None else s.toarray(), X)
+    logits, _ = model_forward(p, s, X)
+    assert np.abs(logits - want_logits).max() <= 1e-12
+    assert np.abs(model_embed(p, s, X) - want_embed).max() <= 1e-12
+    assert (want_embed > 0).any() and (want_embed == 0).any()
 
 
 # ------------------------------------------------------------------- backward

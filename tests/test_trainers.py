@@ -17,6 +17,7 @@ from gclbench.trainers import (
     METHOD_IDS,
     DistillSource,
     EwcAnchor,
+    TrainingError,
     distill_loss,
     ewc_penalty,
     fisher_diagonal,
@@ -81,13 +82,14 @@ def test_train_session_seed_reproducible_checkpoint():
 def test_train_session_nonfinite_loss_reports_epoch():
     g, S, X = _separable_session()
     p = init_params(ARCH_GCN, X.shape[1], 8, 2, seed=1)
-
-    def bad_extra(params, logits, rows):
-        return float("inf"), None, None
-
-    with pytest.raises(Exception, match="epoch 0"):
+    # Anchored 1e200 away, the squared distance overflows to inf while the
+    # penalty gradient stays finite, so only the loss check can stop it.
+    far = EwcAnchor(params_star={k: w - 1e200 for k, w in p.weights.items()},
+                    fisher={k: np.ones_like(w) for k, w in p.weights.items()},
+                    strength=1.0)
+    with np.errstate(over="ignore"), pytest.raises(TrainingError, match="epoch 0"):
         train_session(p, S, X, g.labels, np.arange(g.node_count),
-                      epochs=3, lr=1e-2, extra_loss=bad_extra)
+                      epochs=3, lr=1e-2, anchor=far)
 
 
 # ------------------------------------------------------------ fisher diagonal
@@ -458,6 +460,31 @@ def test_run_method_rejects_out_of_range_regularizers(testkit_plan, method, bad)
 
     with pytest.raises(TrainingError, match="strength and lwf_lambda must be >= 0, lwf_T > 0"):
         run_method(method, testkit_plan, dict(CFG, **bad), seed=0)
+
+
+@pytest.mark.parametrize("method", ["gcn", "tpp_heads"])
+@pytest.mark.parametrize("dropout", [-0.5, 1.0])
+def test_run_method_rejects_out_of_range_dropout(testkit_plan, method, dropout):
+    # Both architectures: -0.5 would scale every training activation by 1/1.5,
+    # 1.0 would end in non-finite logits.
+    with pytest.raises(ValueError, match=r"dropout_rate must be in \[0, 1\)"):
+        run_method(method, testkit_plan, dict(CFG, epochs=2, dropout=dropout), seed=0)
+
+
+def test_ewc_lwf_terms_reach_the_weights(testkit_plan):
+    # The null settings match plain gcn (above); at the defaults each term must
+    # move session-2 weights, so a train_session that drops one fails here.
+    from gclbench.trainers import _GcnFamily
+
+    runners = [_GcnFamily(testkit_plan, {}, 6, **kw)
+               for kw in ({}, {"use_ewc": True}, {"use_lwf": True})]
+    for r in runners:
+        r.fit_session(1)
+        r.fit_session(2)
+    plain, ewc, lwf = (r.params.weights for r in runners)
+    for other in (ewc, lwf):
+        assert sorted(other) == sorted(plain)
+        assert not all(np.array_equal(other[k], plain[k]) for k in plain)
 
 
 @pytest.mark.parametrize("provider, missing", [
