@@ -196,13 +196,18 @@ class EmbeddingCache:
         return self._entries.get(key)
 
     def put(self, key: bytes, vec: np.ndarray) -> None:
-        vec = np.ascontiguousarray(vec, dtype="<f4")
-        self._entries[key] = vec
+        self.put_many([key], [vec])
+
+    def put_many(self, keys, vecs) -> None:
+        """Append one record per (key, vector) pair, in order, with one open."""
+        records = []
+        for key, vec in zip(keys, vecs):
+            vec = np.ascontiguousarray(vec, dtype="<f4")
+            self._entries[key] = vec
+            records += [key, struct.pack("<I", vec.size), vec.tobytes()]
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "ab") as fh:
-            fh.write(key)
-            fh.write(struct.pack("<I", vec.size))
-            fh.write(vec.tobytes())
+            fh.write(b"".join(records))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -234,8 +239,7 @@ def get_or_embed(src, node_ids, prompt_renderer, cache_path) -> np.ndarray:
             fetched = src.embed([missing_prompt[k] for k in missing_keys])
         else:
             fetched = src.embed_nodes([missing_node[k] for k in missing_keys])
-        for k, row in zip(missing_keys, fetched):
-            cache.put(k, row)
+        cache.put_many(missing_keys, fetched)
 
     rows = [cache.get(k) for k in keys]
     dims = {r.shape[0] for r in rows}

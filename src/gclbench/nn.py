@@ -7,6 +7,13 @@ D_i = dropout(ReLU(P_i)), with D_0 = X; the output layer is W_{L+1}/b_{L+1}.
 One loop over that stack serves init, head growth, forward, backward and
 embedding.
 
+model_forward takes an optional `rows`: the logits come back for those rows
+only, and model_backward then takes their gradient alone. Layers that
+propagate still run over every node; the layers after the last one that
+propagates run on `rows` only (for mlp2, every layer). Dropout masks are drawn
+for every node and then sliced, so the random stream does not depend on
+`rows`.
+
 Dense matrices are float64 numpy arrays throughout; gradients are derived by
 hand and cross-checked against central finite differences. No autodiff.
 """
@@ -123,9 +130,11 @@ def _spmm_t(S: sp.csr_matrix, X: np.ndarray) -> np.ndarray:
     return np.asarray(S.T @ X)
 
 
-def _dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
+def _dropout_mask(rng: np.random.Generator, shape, rate: float, rows=None) -> np.ndarray:
     # Inverted dropout: kept units scaled by 1/(1-rate) so eval needs no rescale.
-    keep = rng.random(shape) >= rate
+    # The uniforms are drawn for the full shape, then cut to `rows`.
+    u = rng.random(shape)
+    keep = (u if rows is None else u[rows]) >= rate
     return keep.astype(np.float64) / (1.0 - rate)
 
 
@@ -134,11 +143,15 @@ def model_forward(
     S: sp.csr_matrix | None,
     X: np.ndarray,
     dropout_seed: int | None = None,
+    rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Forward pass. Returns (logits, cache) where the cache feeds model_backward.
 
     Training mode (dropout after each hidden ReLU) is enabled only when
-    dropout_seed is given; evaluation is fully deterministic.
+    dropout_seed is given; evaluation is fully deterministic. With `rows`
+    (distinct row ids of X, in any order), the logits are the full pass's
+    logits at `rows`, in that order; the hidden layers that do not feed a
+    propagation run on those rows alone.
     """
     X = np.asarray(X, dtype=np.float64)
     w = p.weights
@@ -151,9 +164,13 @@ def model_forward(
         raise ValueError("input feature dim mismatch")
     training = dropout_seed is not None
     rng = np.random.default_rng(dropout_seed) if training else None
-    cache: dict = {"X": X, "S": S, "training": training}
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64)
+    # Rows the hidden layers run on: all nodes when they propagate.
+    hidden_rows = None if propagate else rows
+    D = X if hidden_rows is None else X[hidden_rows]
+    cache: dict = {"X": D, "S": S, "training": training, "rows": rows}
 
-    D = X
     for i in range(1, hidden + 1):
         P = D @ w[f"W{i}"]
         if propagate:
@@ -161,9 +178,13 @@ def model_forward(
         if f"b{i}" in w:
             P = P + w[f"b{i}"]
         H = np.maximum(P, 0.0)
-        M = _dropout_mask(rng, H.shape, p.dropout_rate) if training else None
+        M = (_dropout_mask(rng, (X.shape[0], H.shape[1]), p.dropout_rate, hidden_rows)
+             if training else None)
         D = H * M if training else H
         cache.update({f"P{i}": P, f"D{i}": D, f"M{i}": M})
+    if rows is not None and hidden_rows is None:
+        D = D[rows]
+    cache["D_out"] = D  # the output layer's input
     logits = D @ w[f"W{hidden + 1}"] + w[f"b{hidden + 1}"]
 
     if not np.isfinite(logits).all():
@@ -180,7 +201,12 @@ def model_embed(p: ModelParams, S: sp.csr_matrix | None, X: np.ndarray) -> np.nd
 
 
 def model_backward(cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-    """Exact gradients of the scalar loss whose logit gradient is dlogits."""
+    """Exact gradients of the scalar loss whose logit gradient is dlogits.
+
+    dlogits has one row per logit row of the forward pass: per row of `rows`
+    when it was given. The gradient equals the full-batch one with dlogits
+    zero outside `rows`.
+    """
     p: ModelParams = cache["params"]
     w = p.weights
     hidden, propagate = _layers(p.arch)
@@ -189,8 +215,12 @@ def model_backward(cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
 
     out = hidden + 1
     grads[f"b{out}"] = dlogits.sum(axis=0)
-    grads[f"W{out}"] = cache[f"D{hidden}"].T @ dlogits
+    grads[f"W{out}"] = cache["D_out"].T @ dlogits
     dD = dlogits @ w[f"W{out}"].T
+    if propagate and cache["rows"] is not None:
+        # Hidden layers ran on every node but the output layer on `rows` only.
+        dD_rows, dD = dD, np.zeros_like(cache[f"D{hidden}"])
+        dD[cache["rows"]] = dD_rows
     for i in range(hidden, 0, -1):
         dH = dD * cache[f"M{i}"] if cache["training"] else dD
         dP = dH * (cache[f"P{i}"] > 0)

@@ -230,35 +230,37 @@ def train_session(
     given, plus distill_loss against distill.frozen's logits on the train rows
     when a distillation source is given. The frozen logits are computed once,
     zero-padded to the head's width. Deterministic under a fixed seed.
+
+    Each forward pass computes the train rows' logits only (model_forward's
+    `rows`); an mlp2 model thus never reads another row of X.
     """
     p = p.copy()
     if epochs == 0:
         return p
     train_rows = np.asarray(train_rows, dtype=np.int64)
+    if np.unique(train_rows).size != train_rows.size:
+        raise ValueError("train rows must be distinct")
     labels = np.asarray(labels, dtype=np.int64)
     X = np.asarray(X, dtype=np.float64)
     if distill is not None:
-        ol, _ = model_forward(distill.frozen, S, X, dropout_seed=None)
+        ol, _ = model_forward(distill.frozen, S, X, dropout_seed=None, rows=train_rows)
         pad = np.zeros((ol.shape[0], distill.old_class_mask.size - ol.shape[1]))
-        old_logits = np.concatenate([ol, pad], axis=1)[train_rows]
+        old_logits = np.concatenate([ol, pad], axis=1)
     st = init_adam(p, lr)
     for epoch in range(epochs):
         dropout_seed = _mix(seed, epoch)
-        logits, cache = model_forward(p, S, X, dropout_seed=dropout_seed)
-        loss, dl_rows = cross_entropy(logits[train_rows], labels)
+        logits, cache = model_forward(p, S, X, dropout_seed=dropout_seed, rows=train_rows)
+        loss, dlogits = cross_entropy(logits, labels)
         if anchor is not None:
             penalty, g_ewc = ewc_penalty(p, anchor)
             loss += penalty
         if distill is not None:
-            dloss, dl_distill = distill_loss(logits[train_rows], old_logits,
-                                             distill.old_class_mask, distill.temperature,
-                                             distill.weight)
+            dloss, dl_distill = distill_loss(logits, old_logits, distill.old_class_mask,
+                                             distill.temperature, distill.weight)
             loss += dloss
-            dl_rows = dl_rows + dl_distill
+            dlogits = dlogits + dl_distill
         if not np.isfinite(loss):
             raise TrainingError(f"non-finite loss at epoch {epoch}")
-        dlogits = np.zeros_like(logits)
-        dlogits[train_rows] = dl_rows
         grads = model_backward(cache, dlogits)
         if anchor is not None:
             grads = {k: g + g_ewc[k] for k, g in grads.items()}
@@ -641,6 +643,14 @@ class RunResult:
 
 
 def config_hash(config: dict) -> str:
+    """Hash of the settings that can change a run's numbers.
+
+    Where the embedding cache lives and at which address the provider answers
+    do not, so `cache_path` and the provider's `endpoint` are left out.
+    """
+    config = {k: v for k, v in config.items() if k != "cache_path"}
+    if isinstance(config.get("provider"), dict):
+        config["provider"] = {k: v for k, v in config["provider"].items() if k != "endpoint"}
     return hashlib.sha256(
         json.dumps(config, sort_keys=True, default=str).encode()
     ).hexdigest()[:16]

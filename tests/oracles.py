@@ -293,6 +293,31 @@ def fisher_diagonal_loop(p, S, X, rows, labels) -> dict[str, np.ndarray]:
     return fisher
 
 
+def cache_append_loop(path, keys, vecs) -> None:
+    """Embedding-cache records appended one open per vector, each written as
+    [32-byte key][u32 dim][dim * f32 LE]: the reference for batched appends."""
+    import struct
+
+    for key, vec in zip(keys, vecs):
+        vec = np.ascontiguousarray(vec, dtype="<f4")
+        with open(path, "ab") as fh:
+            fh.write(key)
+            fh.write(struct.pack("<I", vec.size))
+            fh.write(vec.tobytes())
+
+
+def full_batch_epoch(p, S, X, rows, dl_rows, dropout_seed=None):
+    """Gradients of the training epoch before `rows` existed: a forward pass
+    over every node, then backward with dlogits zero outside `rows`. The
+    reference for model_forward and model_backward called with rows."""
+    from gclbench.nn import model_backward, model_forward
+
+    logits, cache = model_forward(p, S, X, dropout_seed=dropout_seed)
+    dlogits = np.zeros_like(logits)
+    dlogits[rows] = dl_rows
+    return model_backward(cache, dlogits)
+
+
 def model_forward_dense(p, S_dense, X) -> tuple[np.ndarray, np.ndarray]:
     """Evaluation-mode (logits, last hidden layer) straight from the formulas
     in the ModelParams docstring, with a dense operator:

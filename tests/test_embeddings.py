@@ -17,6 +17,8 @@ from gclbench.embeddings import (
 from gclbench.graph import FEATURES_MAGIC, FEATURES_VERSION
 from gclbench.stub_server import StubEmbeddingServer, deterministic_embedding
 
+from oracles import cache_append_loop
+
 
 def _write_matrix(path, rows):
     rows = np.asarray(rows, dtype="<f4")
@@ -216,6 +218,47 @@ def test_get_or_embed_file_source(tmp_path, file_source):
     # second call hits the cache (file reads are cheap, but the contract holds)
     out2 = get_or_embed(src, [11, 13], lambda n: f"node {n}", tmp_path / "c.bin")
     assert np.array_equal(out, out2)
+
+
+def test_get_or_embed_appends_each_miss_set_with_one_open(tmp_path, file_source, monkeypatch):
+    # One open per miss set, and the bytes of one open per vector, in the
+    # same order: a cold call, a call with new and cached nodes, a warm call.
+    import builtins
+
+    from gclbench import embeddings
+
+    opens = []
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        opens.append(mode)
+        return builtins.open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(embeddings, "open", counting_open, raising=False)
+    src, mat = file_source
+    path, ref = tmp_path / "c.bin", tmp_path / "ref.bin"
+    render = lambda n: f"node {n}"  # noqa: E731
+    for nodes, new in (([13, 10, 12], [13, 10, 12]), ([12, 11, 10, 11], [11]), ([10, 11], [])):
+        before = len(opens)
+        out = get_or_embed(src, nodes, render, path)
+        assert np.array_equal(out, mat[[n - 10 for n in nodes]])
+        assert opens[before:] == (["ab"] if new else [])
+        cache_append_loop(ref, [cache_key(src.source_id, "", render(n)) for n in new],
+                          mat[[n - 10 for n in new]])
+        assert path.read_bytes() == ref.read_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=st.lists(st.integers(0, 5), min_size=1, max_size=6))
+def test_cache_put_many_bytes_equal_per_vector_appends(tmp_path_factory, dims):
+    d = tmp_path_factory.mktemp("cache")
+    keys = [cache_key("s", "m", f"p{i}") for i in range(len(dims))]
+    vecs = [np.arange(n, dtype=np.float32) - i for i, n in enumerate(dims)]
+    cache = EmbeddingCache(d / "c.bin")
+    cache.put_many(keys, vecs)
+    cache_append_loop(d / "ref.bin", keys, vecs)
+    assert (d / "c.bin").read_bytes() == (d / "ref.bin").read_bytes()
+    reloaded = EmbeddingCache(d / "c.bin")
+    assert all(np.array_equal(reloaded.get(k), v) for k, v in zip(keys, vecs))
 
 
 def test_cache_key_sensitivity():

@@ -18,7 +18,7 @@ from gclbench.nn import (
 from gclbench.graph import make_graph
 from gclbench.synth import SynthConfig, synth_tag
 
-from oracles import finite_diff_check, model_forward_dense
+from oracles import finite_diff_check, full_batch_epoch, model_forward_dense
 
 
 def _csr_from_dense(d):
@@ -143,6 +143,73 @@ def test_dense_forward_oracle_matches_model_forward_and_embed(arch, conv_bias):
     assert np.abs(logits - want_logits).max() <= 1e-12
     assert np.abs(model_embed(p, s, X) - want_embed).max() <= 1e-12
     assert (want_embed > 0).any() and (want_embed == 0).any()
+
+
+# ----------------------------------------------------------------------- rows
+
+_ROW_SETS = {
+    "unsorted": [7, 2, 11, 0, 5],
+    "single": [4],
+    "all": list(range(11, -1, -1)),  # every row, reversed
+}
+
+
+def _rows_case(arch, conv_bias):
+    g = _small_graph(n_nodes=12, seed=5)
+    X = np.asarray(g.features, np.float64)
+    s = gcn_normalized_adjacency(g) if arch == ARCH_GCN else None
+    p = init_params(arch, g.feature_dim, 6, 3, seed=3, conv_bias=conv_bias)
+    rng = np.random.default_rng(11)
+    for k in p.weights:  # nonzero biases, and live and dead ReLU units
+        p.weights[k] = rng.standard_normal(p.weights[k].shape)
+    return p, s, X
+
+
+_ROW_ARCHS = [(ARCH_GCN, False), (ARCH_GCN, True), (ARCH_MLP, False)]
+
+
+@pytest.mark.parametrize("arch, conv_bias", _ROW_ARCHS)
+@pytest.mark.parametrize("rows", list(_ROW_SETS), ids=list(_ROW_SETS))
+def test_rows_forward_equals_full_logits_at_rows(arch, conv_bias, rows):
+    p, s, X = _rows_case(arch, conv_bias)
+    r = np.array(_ROW_SETS[rows])
+    full, _ = model_forward(p, s, X)
+    got, _ = model_forward(p, s, X, rows=r)
+    assert got.shape == (r.size, 3)
+    assert np.abs(got - full[r]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("arch, conv_bias", _ROW_ARCHS)
+@pytest.mark.parametrize("rows", list(_ROW_SETS), ids=list(_ROW_SETS))
+def test_rows_dropout_masks_are_the_full_masks_rows(arch, conv_bias, rows):
+    # Same dropout_seed, same random stream: every mask the row-restricted
+    # pass uses is the full pass's mask at the rows that layer ran on.
+    p, s, X = _rows_case(arch, conv_bias)
+    r = np.array(_ROW_SETS[rows])
+    full_logits, full = model_forward(p, s, X, dropout_seed=21)
+    got_logits, cut = model_forward(p, s, X, dropout_seed=21, rows=r)
+    hidden = 2 if arch == ARCH_GCN else 1
+    for i in range(1, hidden + 1):
+        want = full[f"M{i}"] if arch == ARCH_GCN else full[f"M{i}"][r]
+        assert np.array_equal(cut[f"M{i}"], want)
+    assert (full["M1"] == 0).any() and (full["M1"] > 0).any()
+    assert np.abs(got_logits - full_logits[r]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("arch, conv_bias", _ROW_ARCHS)
+@pytest.mark.parametrize("rows", list(_ROW_SETS), ids=list(_ROW_SETS))
+@pytest.mark.parametrize("dropout_seed", [None, 21], ids=["eval", "train"])
+def test_rows_backward_matches_full_batch_epoch(arch, conv_bias, rows, dropout_seed):
+    p, s, X = _rows_case(arch, conv_bias)
+    r = np.array(_ROW_SETS[rows])
+    dl = np.random.default_rng(13).standard_normal((r.size, 3))
+    want = full_batch_epoch(p, s, X, r, dl, dropout_seed)
+    _, cache = model_forward(p, s, X, dropout_seed=dropout_seed, rows=r)
+    got = model_backward(cache, dl)
+    assert set(got) == set(want)
+    for k in want:
+        assert np.abs(got[k] - want[k]).max() <= 1e-12 * max(1.0, np.abs(want[k]).max()), k
+    assert any(np.abs(v).max() > 0 for v in want.values())
 
 
 # ------------------------------------------------------------------- backward

@@ -55,6 +55,15 @@ def test_train_session_reaches_full_accuracy_on_separable_data():
     assert float(np.mean(np.argmax(logits, axis=1) == g.labels)) == 1.0
 
 
+def test_train_session_rejects_repeated_train_rows():
+    # model_backward scatters each row's gradient back once, so a repeated
+    # row would silently drop gradient.
+    g, S, X = _separable_session()
+    p = init_params(ARCH_GCN, X.shape[1], 8, 2, seed=1)
+    with pytest.raises(ValueError, match="train rows must be distinct"):
+        train_session(p, S, X, np.array([0, 1, 0]), np.array([3, 9, 3]), epochs=2, lr=1e-2)
+
+
 def test_train_session_zero_epochs_no_change():
     g, S, X = _separable_session()
     p = init_params(ARCH_GCN, X.shape[1], 8, 2, seed=1)
@@ -370,6 +379,20 @@ def test_every_method_id_builds_a_runner(testkit_plan):
         run_method("nope", testkit_plan, CFG, mode="local", seed=0)
 
 
+def test_config_hash_ignores_cache_path_and_endpoint():
+    from gclbench.trainers import config_hash
+
+    base = {"epochs": 50, "lr": 1e-2, "cache_path": "a.bin",
+            "provider": {"kind": "http", "endpoint": "http://127.0.0.1:1", "model": "m"}}
+    moved = dict(base, cache_path="elsewhere/b.bin",
+                 provider=dict(base["provider"], endpoint="http://127.0.0.1:2"))
+    assert config_hash(moved) == config_hash(base)
+    assert config_hash({k: v for k, v in base.items() if k != "cache_path"}) == config_hash(base)
+    assert config_hash(dict(base, lr=2e-2)) != config_hash(base)
+    assert config_hash(dict(base, provider=dict(base["provider"], model="n"))) != config_hash(base)
+    assert base["cache_path"] == "a.bin" and "endpoint" in base["provider"]  # not mutated
+
+
 def test_run_method_reproducible(testkit_plan):
     a = run_method("gcn", testkit_plan, CFG, mode="global", seed=3)
     b = run_method("gcn", testkit_plan, CFG, mode="global", seed=3)
@@ -526,6 +549,43 @@ def test_run_method_manifest_fields(testkit_plan):
 
 
 # ----------------------------------------------------------------- task heads
+
+
+def _poison_non_train(plan, seed, finite=True):
+    """The plan with every non-train node of every session subgraph given
+    other features: finite ones, some near the float32 limit, or NaN."""
+    from dataclasses import replace
+
+    rng = np.random.default_rng(seed)
+    sessions = []
+    for s in plan.sessions:
+        feats = np.array(s.subgraph.features)
+        other = np.ones(s.subgraph.node_count, dtype=bool)
+        other[s.local_ids(s.train_nodes)] = False
+        shape = (other.sum(), feats.shape[1])
+        feats[other] = (rng.standard_normal(shape) * rng.choice([1.0, 1e3, 1e37], size=(shape[0], 1))
+                        if finite else np.nan)
+        assert np.isfinite(feats).all() == finite
+        sessions.append(replace(s, subgraph=replace(s.subgraph, features=feats)))
+    return replace(plan, sessions=tuple(sessions))
+
+
+@pytest.mark.parametrize("finite", [True, False], ids=["finite", "nan"])
+def test_head_weights_never_read_non_train_features(testkit_plan, finite):
+    # A head trains on its session's train rows alone: test nodes and any
+    # other node of the subgraph cannot move its weights. NaN features show
+    # the rows are never read at all (a full-batch pass would raise on them).
+    from gclbench.trainers import _fit_head, _with_defaults
+
+    config = _with_defaults(dict(CFG, epochs=30))
+    poisoned = _poison_non_train(testkit_plan, seed=17, finite=finite)
+    for i, s in enumerate(testkit_plan.sessions):
+        assert s.subgraph.node_count > len(s.train_nodes)
+        clean = _fit_head(testkit_plan, i, config, seed=5)
+        dirty = _fit_head(poisoned, i, config, seed=5)
+        assert np.array_equal(clean.class_ids, dirty.class_ids)
+        for k, w in clean.params.weights.items():
+            assert np.array_equal(w, dirty.params.weights[k]), (i, k)
 
 
 def test_fit_task_heads_and_perfect_routing(testkit_plan):
