@@ -136,12 +136,15 @@ def run(config_path, dataset, scenario, mode, methods, seeds, eval_edges, out):
         if m not in METHOD_IDS:
             raise ConfigError(f"unknown method {m!r}; valid ids: {', '.join(METHOD_IDS)}")
     grid = expand_grid(resolve_hypers(doc))
+    outdir = Path(out)
+    cache_path = str(outdir / "embeddings.cache.bin")
     results = []
     for seed in seed_list:
         p = _resolve_plan(doc, g, scenario, seed, eval_edges)
         for hypers in grid:
             for m in method_list:
-                res = run_method(m, p, hypers, mode=mode, seed=seed, dataset=name)
+                res = run_method(m, p, {"cache_path": cache_path, **hypers},
+                                 mode=mode, seed=seed, dataset=name)
                 doc_out = res.to_doc()
                 if len(grid) > 1:
                     doc_out["run"]["grid_point"] = {
@@ -153,7 +156,6 @@ def run(config_path, dataset, scenario, mode, methods, seeds, eval_edges, out):
                 click.echo(
                     f"{m} seed={seed} mean_acc={s['mean_acc']:.4f} final_acc={s['final_acc']:.4f}"
                 )
-    outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
     write_report(results, outdir / "results.json", "json")
     click.echo(f"wrote {outdir / 'results.json'}")
@@ -172,7 +174,7 @@ def prompts(config_path, dataset, scenario, session, seed, out):
     g, name = _resolve_graph(doc, dataset)
     p = _resolve_plan(doc, g, scenario, seed, None)
     hypers = resolve_hypers(doc)
-    template = default_template(name, hops=len(hypers["fanouts"]))
+    template = default_template(name, len(hypers["fanouts"]), hypers["max_node_text_len"])
     count = emit_instruction_jsonl(
         p, session, template, out, seed, fanouts=tuple(hypers["fanouts"])
     )

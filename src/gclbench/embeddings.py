@@ -1,4 +1,4 @@
-"""Node-embedding providers (precomputed file or HTTP service) with a cache.
+"""Node-embedding providers: a precomputed matrix, or an HTTP service behind a cache.
 
 The HTTP source speaks the common embeddings wire format: POST
 {endpoint}/embeddings with {"model": str, "input": [str, ...]} and a bearer
@@ -34,25 +34,25 @@ class EmbeddingProviderError(RuntimeError):
 
 @dataclass
 class FileSource:
-    """Precomputed embeddings: a features.bin matrix plus a node-id index."""
+    """Precomputed embeddings: a features.bin matrix plus a node-id index.
+
+    The index is a JSON list of distinct integer node ids, one per matrix row.
+    """
 
     matrix_path: str
     index_path: str
 
-    kind = "file"
-
     def __post_init__(self):
-        index = json.loads(Path(self.index_path).read_text(encoding="utf-8"))
-        self._row_of = {int(node): row for row, node in enumerate(index)}
+        try:
+            index = json.loads(Path(self.index_path).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise EmbeddingProviderError(f"embedding index {self.index_path}: {exc}") from exc
+        if (not isinstance(index, list)
+                or not all(type(n) is int for n in index) or len(set(index)) != len(index)):
+            raise EmbeddingProviderError(
+                f"embedding index {self.index_path} must be a JSON list of distinct integers")
+        self._row_of = {node: row for row, node in enumerate(index)}
         self._matrix = read_features_bin(Path(self.matrix_path), expected_rows=len(index))
-
-    @property
-    def source_id(self) -> str:
-        return f"file:{self.matrix_path}"
-
-    @property
-    def model(self) -> str:
-        return ""
 
     def embed_nodes(self, node_ids) -> np.ndarray:
         rows = []
@@ -60,7 +60,7 @@ class FileSource:
             if int(n) not in self._row_of:
                 raise EmbeddingProviderError(f"node {n} missing from embedding index")
             rows.append(self._row_of[int(n)])
-        return self._matrix[rows].astype(np.float32)
+        return self._matrix[rows]
 
 
 @dataclass
@@ -74,8 +74,6 @@ class HttpSource:
     retries: int = 3
     backoff: float = 0.5
     timeout: float = 30.0
-
-    kind = "http"
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -195,9 +193,6 @@ class EmbeddingCache:
     def get(self, key: bytes) -> np.ndarray | None:
         return self._entries.get(key)
 
-    def put(self, key: bytes, vec: np.ndarray) -> None:
-        self.put_many([key], [vec])
-
     def put_many(self, keys, vecs) -> None:
         """Append one record per (key, vector) pair, in order, with one open."""
         records = []
@@ -213,33 +208,25 @@ class EmbeddingCache:
         return len(self._entries)
 
 
-def get_or_embed(src, node_ids, prompt_renderer, cache_path) -> np.ndarray:
+def get_or_embed(src: HttpSource, node_ids, prompt_renderer, cache) -> np.ndarray:
     """Embedding rows for node ids, served from cache where possible.
 
-    Keys hash (source id, model name, exact prompt bytes); identical prompts
-    share one provider slot. Misses are fetched in input order and appended.
+    `cache` is an open `EmbeddingCache` or the path of one. Keys hash (source
+    id, model name, exact prompt bytes); identical prompts share one provider
+    slot. Misses are fetched in input order and appended with one write.
     """
-    node_ids = [int(n) for n in node_ids]
-    cache = EmbeddingCache(cache_path)
-    prompts = [prompt_renderer(n) for n in node_ids]
-    model = getattr(src, "model", "")
-    keys = [cache_key(src.source_id, model, p) for p in prompts]
-
-    # Dicts keep insertion order: misses in input order, each key once.
-    missing_prompt: dict[bytes, str] = {}
-    missing_node: dict[bytes, int] = {}
-    for n, p, k in zip(node_ids, prompts, keys):
-        if cache.get(k) is None and k not in missing_prompt:
-            missing_prompt[k] = p
-            missing_node[k] = n
-
-    missing_keys = list(missing_prompt)
-    if missing_keys:
-        if src.kind == "http":
-            fetched = src.embed([missing_prompt[k] for k in missing_keys])
-        else:
-            fetched = src.embed_nodes([missing_node[k] for k in missing_keys])
-        cache.put_many(missing_keys, fetched)
+    if not isinstance(cache, EmbeddingCache):
+        cache = EmbeddingCache(cache)
+    keys = []
+    missing: dict[bytes, str] = {}  # insertion order: misses in input order, each key once
+    for n in node_ids:
+        prompt = prompt_renderer(int(n))
+        key = cache_key(src.source_id, src.model, prompt)
+        keys.append(key)
+        if cache.get(key) is None:
+            missing.setdefault(key, prompt)
+    if missing:
+        cache.put_many(list(missing), src.embed(list(missing.values())))
 
     rows = [cache.get(k) for k in keys]
     dims = {r.shape[0] for r in rows}

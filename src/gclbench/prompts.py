@@ -45,13 +45,15 @@ class PromptTemplate:
             raise ValueError("max_node_text_len must be >= 1")
 
 
-def default_template(dataset_name: str = "Cora", hops: int = 2) -> PromptTemplate:
+def default_template(dataset_name: str = "Cora", hops: int = 2,
+                     max_node_text_len: int = 128) -> PromptTemplate:
     framings = tuple(f"known neighbors at hop {h}:" for h in range(1, hops + 1))
     return PromptTemplate(
         system_text=DEFAULT_SYSTEM.format(dataset=dataset_name),
         task_description=DEFAULT_TASK,
         question_text=DEFAULT_QUESTION,
         hop_framings=framings,
+        max_node_text_len=max_node_text_len,
     )
 
 

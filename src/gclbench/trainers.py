@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import DEFAULT_HYPERS, PROVIDER_FIELDS
-from .embeddings import FileSource, HttpSource, get_or_embed
+from .embeddings import EmbeddingCache, FileSource, HttpSource, get_or_embed
 from .evaluation import (
     GLOBAL,
     LOCAL,
@@ -510,25 +510,25 @@ class _ProviderPrototypes(_Runner):
         self.bank = PrototypeBank(temperature=float(self.config["tau"]))
         self.sample_num = int(self.config.get("sample_num", 50 if prompt_mode == "ego" else 20))
         self.fanouts = tuple(self.config["fanouts"])
-        self.cache_path = self.config.get("cache_path", "embeddings.cache.bin")
         self.source = make_embedding_source(self.config.get("provider"))
-        self.template = replace(default_template(dataset_name, hops=len(self.fanouts)),
-                                max_node_text_len=int(self.config["max_node_text_len"]))
+        self.cache = (None if isinstance(self.source, FileSource)
+                      else EmbeddingCache(self.config.get("cache_path", "embeddings.cache.bin")))
+        self.template = default_template(dataset_name, len(self.fanouts),
+                                         int(self.config["max_node_text_len"]))
 
     def _embed(self, graph, local_ids: np.ndarray, node_sources: np.ndarray,
                class_ids, stage_seed: int) -> np.ndarray:
+        if isinstance(self.source, FileSource):
+            return self.source.embed_nodes(node_sources[local_ids])
         names = [self.plan.graph.class_names[c] for c in class_ids]
-        local_of = {int(node_sources[l]): int(l) for l in local_ids}
 
-        def renderer(parent_id: int) -> str:
-            local = local_of[parent_id]
+        def renderer(local: int) -> str:
             if self.prompt_mode == "text":
                 return graph.texts[local]
             ego = sample_ego_graph(graph, local, self.fanouts, stage_seed)
             return render_prompt(ego, self.template, names)
 
-        parents = [int(node_sources[l]) for l in local_ids]
-        return get_or_embed(self.source, parents, renderer, self.cache_path)
+        return get_or_embed(self.source, local_ids, renderer, self.cache)
 
     def fit_session(self, i: int) -> None:
         s = self.plan.sessions[i - 1]

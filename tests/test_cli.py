@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import pytest
@@ -6,6 +7,7 @@ from click.testing import CliRunner
 
 from gclbench.cli import main
 from gclbench.graph import FEATURES_MAGIC, load_tag, save_tag
+from gclbench.stub_server import StubEmbeddingServer
 from gclbench.synth import SynthConfig, synth_tag
 
 
@@ -135,6 +137,22 @@ def test_run_provider_error_fails_cleanly(runner, tmp_path, dataset_dir):
     assert "missing from embedding index" in result.output
 
 
+def test_run_writes_http_cache_under_out(runner, tmp_path, dataset_dir, monkeypatch):
+    doc = {"version": 1, "dataset": str(dataset_dir), "methods": ["simplecil"], "seeds": [0],
+           "plan": {"classes_per_session": 2, "num_sessions": 3, "shots": 20, "test_cap": 100}}
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    with StubEmbeddingServer(dim=8) as srv:
+        doc["hyperparameters"] = {"provider": {"kind": "http", "endpoint": srv.endpoint}}
+        cfg = tmp_path / "http.json"
+        cfg.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "o" / "embeddings.cache.bin").stat().st_size > 0
+    assert not (cwd / "embeddings.cache.bin").exists()
+
+
 def test_run_rejects_unknown_config_key(runner, tmp_path, dataset_dir):
     doc = {"version": 1, "dataset": str(dataset_dir), "surprise": True}
     bad = tmp_path / "bad.json"
@@ -176,6 +194,20 @@ def test_prompts_command(runner, config_file, tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 40  # 2 classes x 20 shots
     assert "wrote 40 records" in result.output
+
+
+def test_prompts_command_honours_max_node_text_len(runner, config_file, tmp_path):
+    doc = json.loads(config_file.read_text())
+    doc["hyperparameters"]["max_node_text_len"] = 2
+    cfg = tmp_path / "short.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "p.jsonl"
+    result = runner.invoke(main, ["prompts", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    texts = [t for line in out.read_text().splitlines()
+             for t in re.findall(r"\[\d+\]\[([^\]]*)\]", json.loads(line)["prompt"])]
+    assert texts and all(len(t.split()) == 2 for t in texts)
+    assert json.loads(out.with_suffix(".meta.json").read_text())["max_node_text_len"] == 2
 
 
 def test_diagnose_leakage_command(runner, config_file, tmp_path):

@@ -50,6 +50,22 @@ def test_file_source_missing_id(file_source):
         src.embed_nodes([99])
 
 
+@pytest.mark.parametrize("index", [
+    [10, 10, 12, 13],  # a repeated id used to map to its last row, losing row 0
+    {"10": 0, "11": 1, "12": 2, "13": 3},
+    [10, 11, "12", 13],
+    [10, 11, 12.0, 13],
+    [10, 11, True, 13],
+    "not json",
+], ids=["repeated", "dict", "string-id", "float-id", "bool-id", "not-json"])
+def test_file_source_index_must_be_distinct_integers(tmp_path, index):
+    _write_matrix(tmp_path / "emb.bin", np.zeros((4, 3)))
+    path = tmp_path / "emb.index.json"
+    path.write_text(index if isinstance(index, str) else json.dumps(index))
+    with pytest.raises(EmbeddingProviderError, match="emb.index.json"):
+        FileSource(str(tmp_path / "emb.bin"), str(path))
+
+
 # ----------------------------------------------------------------- http source
 
 
@@ -118,7 +134,7 @@ def test_cache_round_trip(tmp_path):
     cache = EmbeddingCache(tmp_path / "c.bin")
     key = cache_key("src", "model", "prompt")
     vec = np.array([1.5, -2.25, 3.0], np.float32)
-    cache.put(key, vec)
+    cache.put_many([key], [vec])
     fresh = EmbeddingCache(tmp_path / "c.bin")
     assert np.array_equal(fresh.get(key), vec)
     assert fresh.get(cache_key("src", "model", "other")) is None
@@ -127,9 +143,9 @@ def test_cache_round_trip(tmp_path):
 def test_cache_corruption_rebuilt(tmp_path, caplog):
     path = tmp_path / "c.bin"
     cache = EmbeddingCache(path)
-    cache.put(cache_key("s", "m", "p"), np.ones(4, np.float32))
+    cache.put_many([cache_key("s", "m", "p")], [np.ones(4, np.float32)])
     whole = path.read_bytes()
-    cache.put(cache_key("s", "m", "q"), np.full(4, 2.0, np.float32))
+    cache.put_many([cache_key("s", "m", "q")], [np.full(4, 2.0, np.float32)])
     data = path.read_bytes()
     path.write_bytes(data[:-3])  # truncate the second record's payload
     with caplog.at_level("WARNING"):
@@ -156,7 +172,7 @@ def test_cache_truncated_tail_keeps_complete_records(tmp_path_factory, dims, dat
     keys = [cache_key("s", "m", f"p{i}") for i in range(len(dims))]
     vecs = [np.arange(d, dtype=np.float32) + i for i, d in enumerate(dims)]
     for k, v in zip(keys, vecs):
-        cache.put(k, v)
+        cache.put_many([k], [v])
     raw = path.read_bytes()
     cut = data.draw(st.integers(0, len(raw)), label="cut")
     path.write_bytes(raw[:cut])
@@ -172,7 +188,7 @@ def test_cache_truncated_tail_keeps_complete_records(tmp_path_factory, dims, dat
     assert path.stat().st_size == (_record_ends(vecs)[kept[-1]] if kept else 0)
 
     extra = cache_key("s", "m", "after")
-    reloaded.put(extra, np.array([7.0, -1.5], np.float32))
+    reloaded.put_many([extra], [np.array([7.0, -1.5], np.float32)])
     again = EmbeddingCache(path)
     assert np.array_equal(again.get(extra), np.array([7.0, -1.5], np.float32))
     assert len(again) == len(kept) + 1
@@ -211,16 +227,7 @@ def test_get_or_embed_identical_prompts_share_one_call(tmp_path):
         assert len(EmbeddingCache(tmp_path / "c.bin")) == 1
 
 
-def test_get_or_embed_file_source(tmp_path, file_source):
-    src, mat = file_source
-    out = get_or_embed(src, [11, 13], lambda n: f"node {n}", tmp_path / "c.bin")
-    assert np.array_equal(out, mat[[1, 3]])
-    # second call hits the cache (file reads are cheap, but the contract holds)
-    out2 = get_or_embed(src, [11, 13], lambda n: f"node {n}", tmp_path / "c.bin")
-    assert np.array_equal(out, out2)
-
-
-def test_get_or_embed_appends_each_miss_set_with_one_open(tmp_path, file_source, monkeypatch):
+def test_get_or_embed_appends_each_miss_set_with_one_open(tmp_path, monkeypatch):
     # One open per miss set, and the bytes of one open per vector, in the
     # same order: a cold call, a call with new and cached nodes, a warm call.
     import builtins
@@ -234,17 +241,22 @@ def test_get_or_embed_appends_each_miss_set_with_one_open(tmp_path, file_source,
         return builtins.open(file, mode, *args, **kwargs)
 
     monkeypatch.setattr(embeddings, "open", counting_open, raising=False)
-    src, mat = file_source
     path, ref = tmp_path / "c.bin", tmp_path / "ref.bin"
     render = lambda n: f"node {n}"  # noqa: E731
-    for nodes, new in (([13, 10, 12], [13, 10, 12]), ([12, 11, 10, 11], [11]), ([10, 11], [])):
-        before = len(opens)
-        out = get_or_embed(src, nodes, render, path)
-        assert np.array_equal(out, mat[[n - 10 for n in nodes]])
-        assert opens[before:] == (["ab"] if new else [])
-        cache_append_loop(ref, [cache_key(src.source_id, "", render(n)) for n in new],
-                          mat[[n - 10 for n in new]])
-        assert path.read_bytes() == ref.read_bytes()
+    vec = lambda n: np.array(deterministic_embedding(render(n), 3), np.float32)  # noqa: E731
+    with StubEmbeddingServer(dim=3) as srv:
+        src = HttpSource(srv.endpoint, "stub", batch_size=8)
+        cache = EmbeddingCache(path)
+        for nodes, new in (([13, 10, 12], [13, 10, 12]), ([12, 11, 10, 11], [11]),
+                           ([10, 11], [])):
+            before = len(opens)
+            out = get_or_embed(src, nodes, render, cache)
+            assert np.array_equal(out, np.stack([vec(n) for n in nodes]))
+            assert opens[before:] == (["ab"] if new else [])
+            cache_append_loop(ref, [cache_key(src.source_id, "stub", render(n)) for n in new],
+                              [vec(n) for n in new])
+            assert path.read_bytes() == ref.read_bytes()
+        assert srv.request_count == 2
 
 
 @settings(max_examples=40, deadline=None)

@@ -662,3 +662,59 @@ def test_mix_separates_signs_and_keeps_non_negative_seeds():
         assert _mix(s, 3) != _mix(-s, 3)
     for parts in ((0,), (5,), (5, 7, 0), (2**63, 11), (2**64 - 1, 2)):
         assert _mix(*parts) == mix_abs(*parts)
+
+
+# ------------------------------------------------- provider-embedding runners
+
+
+@pytest.mark.parametrize("method", ["simplecil", "simgcl_proto"])
+def test_provider_run_loads_cache_once_and_warm_run_sends_nothing(testkit_plan, tmp_path,
+                                                                  monkeypatch, method):
+    from gclbench.embeddings import EmbeddingCache
+    from gclbench.stub_server import StubEmbeddingServer
+
+    loads = []
+    load = EmbeddingCache._load
+
+    def counting_load(self):
+        loads.append(self.path.exists())
+        load(self)
+
+    monkeypatch.setattr(EmbeddingCache, "_load", counting_load)
+    with StubEmbeddingServer(dim=8) as srv:
+        cfg = dict(CFG, cache_path=str(tmp_path / "c.bin"), fanouts=[3, 3],
+                   provider={"kind": "http", "endpoint": srv.endpoint, "model": "stub"})
+        cold = run_method(method, testkit_plan, cfg, mode="local", seed=0)
+        assert loads == [False]
+        sent = srv.request_count
+        assert sent > 0
+        warm = run_method(method, testkit_plan, cfg, mode="local", seed=0)
+        assert loads == [False, True]
+        assert srv.request_count == sent
+    assert warm.matrix.rows == cold.matrix.rows
+
+
+def test_file_provider_reads_rows_by_node_id_and_writes_no_cache(testkit_graph, tmp_path,
+                                                                  monkeypatch):
+    # Two nodes of different classes share one text. Each must get its own
+    # matrix row: one-hot label rows classify every node right.
+    from gclbench.graph import save_tag
+
+    plan = plan_ncil(testkit_graph, 2, 3, 30, test_cap=500, seed=7)
+    s = plan.sessions[0]
+    a = int(s.train_nodes[0])
+    b = next(int(n) for n in s.test_nodes if testkit_graph.labels[n] != testkit_graph.labels[a])
+    texts = list(testkit_graph.texts)
+    texts[b] = texts[a]
+    onehot = np.eye(6, dtype=np.float32)[testkit_graph.labels]
+    g = make_graph(onehot, texts, testkit_graph.labels, testkit_graph.class_names,
+                   testkit_graph.edges)
+    save_tag(g, tmp_path / "emb")
+    (tmp_path / "emb" / "index.json").write_text(str(list(range(g.node_count))))
+    plan = plan_ncil(g, 2, 3, 30, test_cap=500, seed=7)
+    monkeypatch.chdir(tmp_path)
+    provider = {"kind": "file", "matrix": str(tmp_path / "emb" / "features.bin"),
+                "index": str(tmp_path / "emb" / "index.json")}
+    res = run_method("simplecil", plan, dict(CFG, provider=provider), mode="local", seed=0)
+    assert res.matrix.rows == [[1.0], [1.0, 1.0], [1.0, 1.0, 1.0]]
+    assert not list(tmp_path.rglob("*.cache.bin"))
