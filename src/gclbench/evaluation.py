@@ -157,7 +157,7 @@ def leakage_diagnostic(
     report = LeakageReport()
     for weighting in ("laplacian", "plain-mean"):
         for k in k_grid:
-            protos = TaskPrototypeSet(k=k, weighting=weighting)
+            protos = TaskPrototypeSet()
             queries = []
             for s, t in zip(sessions, tests):
                 feats = routing_features(s.subgraph, s.subgraph.features, k, weighting)
@@ -168,7 +168,7 @@ def leakage_diagnostic(
 
             matrix = AccuracyMatrix(mode=LOCAL)
             for i in range(1, plan.num_sessions + 1):
-                seen = TaskPrototypeSet(protos.vectors[:i], k=k, weighting=weighting)
+                seen = TaskPrototypeSet(protos.vectors[:i])
                 matrix.add_row([head_acc[predict_task_id(queries[j], seen)][j]
                                 for j in range(i)])
             summ = summarize(matrix)

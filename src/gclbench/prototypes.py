@@ -149,8 +149,6 @@ class TaskPrototypeSet:
     """Ordered per-task aggregate vectors used for session-ID prediction."""
 
     vectors: list[np.ndarray] = field(default_factory=list)
-    k: int = 8
-    weighting: str = "laplacian"
 
     def add(self, v: np.ndarray) -> None:
         v = np.asarray(v, dtype=np.float64)

@@ -66,7 +66,6 @@ class SessionPlan:
 @dataclass(frozen=True)
 class EvalTask:
     session_index: int  # 1-based
-    mode: str  # "local" | "global"
     graph: TextAttributedGraph
     eval_nodes: np.ndarray  # ids local to `graph`
     node_sources: np.ndarray  # local id -> original graph id
@@ -211,7 +210,7 @@ def build_eval_task(plan: SessionPlan, i: int, mode: str) -> EvalTask:
     if mode == "local":
         s = plan.sessions[i - 1]
         eval_local = s.local_ids(s.test_nodes)
-        return EvalTask(i, mode, s.subgraph, eval_local, s.node_map, class_ids)
+        return EvalTask(i, s.subgraph, eval_local, s.node_map, class_ids)
 
     active = plan.sessions[:i]
     if plan.eval_edges == EVAL_EDGES_FULL:
@@ -221,14 +220,14 @@ def build_eval_task(plan: SessionPlan, i: int, mode: str) -> EvalTask:
         eval_local = np.array(
             sorted(lookup[n] for s in active for n in s.test_nodes), dtype=np.int64
         )
-        return EvalTask(i, mode, g, eval_local, node_map, class_ids)
+        return EvalTask(i, g, eval_local, node_map, class_ids)
 
     g, offsets = _disjoint_union([s.subgraph for s in active], plan.graph.class_names)
     node_sources = np.concatenate([s.node_map for s in active])
     eval_local = np.concatenate(
         [s.local_ids(s.test_nodes) + offsets[j] for j, s in enumerate(active)]
     )
-    return EvalTask(i, mode, g, np.sort(eval_local), node_sources, class_ids)
+    return EvalTask(i, g, np.sort(eval_local), node_sources, class_ids)
 
 
 def plan_digest(plan: SessionPlan) -> str:

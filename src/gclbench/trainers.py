@@ -25,7 +25,7 @@ from .evaluation import (
     lenient_accuracy,
     summarize,
 )
-from .graph import TextAttributedGraph, gcn_normalized_adjacency, sample_ego_graph
+from .graph import gcn_normalized_adjacency, sample_ego_graph
 from .nn import (
     ARCH_GCN,
     ARCH_MLP,
@@ -325,27 +325,6 @@ def fit_task_heads(plan: SessionPlan, config: dict | None = None,
     return [_fit_head(plan, i, config, seed) for i in range(plan.num_sessions)]
 
 
-def predict_routed(
-    graph: TextAttributedGraph,
-    nodes: np.ndarray,
-    heads: list[TaskHead],
-    protos: TaskPrototypeSet,
-) -> tuple[np.ndarray, int]:
-    """Route a query node set to one session head and predict with that head.
-
-    The query prototype is matched against stored train prototypes; the
-    winning session's head then predicts among its own classes only (the
-    class-incremental -> task-incremental collapse this measures).
-    """
-    nodes = np.asarray(nodes, dtype=np.int64)
-    feats = np.asarray(graph.features, dtype=np.float64)
-    query = task_prototype(graph, nodes, feats, protos.k, protos.weighting)
-    tid = predict_task_id(query, protos)
-    if tid >= len(heads):
-        raise ValueError(f"missing head for predicted task {tid}")
-    return heads[tid].predict(feats[nodes]), tid
-
-
 # ---------------------------------------------------------------------------
 # Method runners
 # ---------------------------------------------------------------------------
@@ -457,78 +436,21 @@ def _pad_all(old: dict[str, np.ndarray], p: ModelParams) -> dict[str, np.ndarray
     return out
 
 
-class _FrozenGnnPrototypes(_Runner):
-    """Train once on session 1, then training-free cosine prototypes."""
+class _Prototypes(_Runner):
+    """Training-free class prototypes over an embedding of the nodes.
 
-    def __init__(self, plan: SessionPlan, config: dict, seed: int, use_teen: bool = False):
+    fit_session(i) adds one prototype per class of session i, from its train
+    rows; predict(task) labels each eval node with the most cosine-similar
+    prototype among the task's classes. A subclass supplies
+    `_embed(graph, rows, node_sources, class_ids, stage_seed)`: the embedding
+    rows of `rows` (ids local to `graph`), given each local id's original id,
+    the class ids a prompt may name and a seed for this stage.
+    """
+
+    def __init__(self, plan: SessionPlan, config: dict, seed: int, sample_num: int):
         super().__init__(plan, config, seed)
-        self.use_teen = use_teen
-        self.params: ModelParams | None = None
         self.bank = PrototypeBank(temperature=float(self.config["tau"]))
-        self.sample_num = int(self.config.get("sample_num", 100))
-        self.base_classes: list[int] = []
-
-    def fit_session(self, i: int) -> None:
-        s = self.plan.sessions[i - 1]
-        sub = s.subgraph
-        if i == 1:
-            # The session-1 GCN is the one plain fine-tuning trains first.
-            gcn = _GcnFamily(self.plan, self.config, self.seed)
-            gcn.fit_session(1)
-            self.params = gcn.params
-            self.base_classes = sorted(s.class_ids)
-        emb = model_embed(self.params, gcn_normalized_adjacency(sub),
-                          np.asarray(sub.features, dtype=np.float64))
-        rows = s.local_ids(s.train_nodes)
-        build_prototypes(
-            self.bank, emb[rows], sub.labels[rows],
-            sample_num=self.sample_num, seed=_mix(self.seed, 5, i),
-        )
-        if self.use_teen and i > 1:
-            teen_calibrate(
-                self.bank,
-                base_classes=self.base_classes,
-                novel_classes=sorted(s.class_ids),
-                softmax_T=float(self.config["softmax_T"]),
-                shift_weight=float(self.config["shift_weight"]),
-            )
-
-    def predict(self, task: EvalTask) -> np.ndarray:
-        S = gcn_normalized_adjacency(task.graph)
-        X = np.asarray(task.graph.features, dtype=np.float64)
-        emb = model_embed(self.params, S, X)
-        return classify_batch(self.bank.subset(task.class_ids), emb[task.eval_nodes])
-
-
-class _ProviderPrototypes(_Runner):
-    """Training-free prototypes over provider embeddings (text or ego prompt)."""
-
-    def __init__(self, plan: SessionPlan, config: dict, seed: int,
-                 prompt_mode: str, dataset_name: str):
-        super().__init__(plan, config, seed)
-        self.prompt_mode = prompt_mode  # "text" | "ego"
-        self.bank = PrototypeBank(temperature=float(self.config["tau"]))
-        self.sample_num = int(self.config.get("sample_num", 50 if prompt_mode == "ego" else 20))
-        self.fanouts = tuple(self.config["fanouts"])
-        self.source = make_embedding_source(self.config.get("provider"))
-        self.cache = (None if isinstance(self.source, FileSource)
-                      else EmbeddingCache(self.config.get("cache_path", "embeddings.cache.bin")))
-        self.template = default_template(dataset_name, len(self.fanouts),
-                                         int(self.config["max_node_text_len"]))
-
-    def _embed(self, graph, local_ids: np.ndarray, node_sources: np.ndarray,
-               class_ids, stage_seed: int) -> np.ndarray:
-        if isinstance(self.source, FileSource):
-            return self.source.embed_nodes(node_sources[local_ids])
-        names = [self.plan.graph.class_names[c] for c in class_ids]
-
-        def renderer(local: int) -> str:
-            if self.prompt_mode == "text":
-                return graph.texts[local]
-            ego = sample_ego_graph(graph, local, self.fanouts, stage_seed)
-            return render_prompt(ego, self.template, names)
-
-        return get_or_embed(self.source, local_ids, renderer, self.cache)
+        self.sample_num = int(self.config.get("sample_num", sample_num))
 
     def fit_session(self, i: int) -> None:
         s = self.plan.sessions[i - 1]
@@ -546,8 +468,71 @@ class _ProviderPrototypes(_Runner):
         return classify_batch(self.bank.subset(task.class_ids), emb)
 
 
+class _FrozenGnnPrototypes(_Prototypes):
+    """Train once on session 1, then prototypes of the frozen GCN's embeddings."""
+
+    def __init__(self, plan: SessionPlan, config: dict, seed: int, use_teen: bool = False):
+        super().__init__(plan, config, seed, sample_num=100)
+        self.use_teen = use_teen
+        self.params: ModelParams | None = None
+
+    def _embed(self, graph, rows, node_sources, class_ids, stage_seed):
+        emb = model_embed(self.params, gcn_normalized_adjacency(graph),
+                          np.asarray(graph.features, dtype=np.float64))
+        return emb[rows]
+
+    def fit_session(self, i: int) -> None:
+        if i == 1:
+            # The session-1 GCN is the one plain fine-tuning trains first.
+            gcn = _GcnFamily(self.plan, self.config, self.seed)
+            gcn.fit_session(1)
+            self.params = gcn.params
+        super().fit_session(i)
+        if self.use_teen and i > 1:
+            teen_calibrate(
+                self.bank,
+                base_classes=self.plan.sessions[0].class_ids,
+                novel_classes=self.plan.sessions[i - 1].class_ids,
+                softmax_T=float(self.config["softmax_T"]),
+                shift_weight=float(self.config["shift_weight"]),
+            )
+
+
+class _ProviderPrototypes(_Prototypes):
+    """Prototypes over provider embeddings (text or ego prompt)."""
+
+    def __init__(self, plan: SessionPlan, config: dict, seed: int,
+                 prompt_mode: str, dataset_name: str):
+        super().__init__(plan, config, seed, sample_num=50 if prompt_mode == "ego" else 20)
+        self.prompt_mode = prompt_mode  # "text" | "ego"
+        self.fanouts = tuple(self.config["fanouts"])
+        self.source = make_embedding_source(self.config.get("provider"))
+        self.cache = (None if isinstance(self.source, FileSource)
+                      else EmbeddingCache(self.config.get("cache_path", "embeddings.cache.bin")))
+        self.template = default_template(dataset_name, len(self.fanouts),
+                                         int(self.config["max_node_text_len"]))
+
+    def _embed(self, graph, rows, node_sources, class_ids, stage_seed):
+        if isinstance(self.source, FileSource):
+            return self.source.embed_nodes(node_sources[rows])
+        names = [self.plan.graph.class_names[c] for c in class_ids]
+
+        def renderer(local: int) -> str:
+            if self.prompt_mode == "text":
+                return graph.texts[local]
+            ego = sample_ego_graph(graph, local, self.fanouts, stage_seed)
+            return render_prompt(ego, self.template, names)
+
+        return get_or_embed(self.source, rows, renderer, self.cache)
+
+
 class _RoutedHeads(_Runner):
-    """Per-session MLP heads behind task-prototype routing."""
+    """Per-session MLP heads behind task-prototype routing.
+
+    A query node set goes to the session whose stored train prototype is
+    nearest its own; that session's head then predicts among its own classes
+    only (the class-incremental -> task-incremental collapse this measures).
+    """
 
     lenient = True  # misrouted predictions fall outside local class sets
 
@@ -556,7 +541,7 @@ class _RoutedHeads(_Runner):
         self.k = int(self.config["k_smooth"])
         self.weighting = weighting
         self.heads: list[TaskHead] = []
-        self.protos = TaskPrototypeSet(k=self.k, weighting=weighting)
+        self.protos = TaskPrototypeSet()
 
     def fit_session(self, i: int) -> None:
         s = self.plan.sessions[i - 1]
@@ -570,8 +555,10 @@ class _RoutedHeads(_Runner):
         )
 
     def predict(self, task: EvalTask) -> np.ndarray:
-        preds, _ = predict_routed(task.graph, task.eval_nodes, self.heads, self.protos)
-        return preds
+        feats = np.asarray(task.graph.features, dtype=np.float64)
+        query = task_prototype(task.graph, task.eval_nodes, feats, self.k, self.weighting)
+        tid = predict_task_id(query, self.protos)
+        return self.heads[tid].predict(feats[task.eval_nodes])
 
 
 # ---------------------------------------------------------------------------

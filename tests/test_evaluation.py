@@ -52,7 +52,7 @@ def test_evaluate_majority_class_proportions():
     labels = np.array([0] * 5 + [1] * 3 + [2] * 2)
     g = make_graph(np.zeros((10, 2), np.float32), [f"t{i}" for i in range(10)],
                    labels, ["a", "b", "c"], np.zeros((0, 2), np.int64))
-    task = EvalTask(1, "local", g, np.arange(10), np.arange(10), (0, 1, 2))
+    task = EvalTask(1, g, np.arange(10), np.arange(10), (0, 1, 2))
     counts = np.bincount(labels)
     majority = int(np.argmax(counts))
 

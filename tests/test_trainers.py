@@ -11,7 +11,7 @@ from gclbench.nn import (
     model_forward,
 )
 from gclbench.prototypes import TaskPrototypeSet, task_prototype
-from gclbench.sessions import plan_ncil
+from gclbench.sessions import build_eval_task, plan_ncil
 from gclbench.synth import SynthConfig, synth_tag
 from gclbench.trainers import (
     METHOD_IDS,
@@ -22,8 +22,8 @@ from gclbench.trainers import (
     ewc_penalty,
     fisher_diagonal,
     fit_task_heads,
-    predict_routed,
     run_method,
+    _RoutedHeads,
     _mix,
     train_session,
 )
@@ -591,29 +591,31 @@ def test_head_weights_never_read_non_train_features(testkit_plan, finite):
 def test_fit_task_heads_and_perfect_routing(testkit_plan):
     heads = fit_task_heads(testkit_plan, config=CFG)
     assert len(heads) == 3
-    protos = TaskPrototypeSet(k=8, weighting="laplacian")
-    for s in testkit_plan.sessions:
-        protos.add(task_prototype(s.subgraph, s.local_ids(s.train_nodes),
-                                  np.asarray(s.subgraph.features, np.float64), 8))
-    for j, s in enumerate(testkit_plan.sessions):
-        preds, tid = predict_routed(s.subgraph, s.local_ids(s.test_nodes), heads, protos)
-        assert tid == j
+    runner = _RoutedHeads(testkit_plan, CFG, seed=0, weighting="laplacian")
+    for i in range(1, 4):
+        runner.fit_session(i)
+    for head, fitted in zip(heads, runner.heads):
+        for k, w in head.params.weights.items():
+            assert np.array_equal(w, fitted.params.weights[k])
+    for j, s in enumerate(testkit_plan.sessions, start=1):
+        task = build_eval_task(testkit_plan, j, "local")
+        preds = runner.predict(task)
+        # Session class sets are disjoint: in-set predictions mean task j went to head j.
         assert set(int(p) for p in preds) <= set(s.class_ids)
+        X = np.asarray(task.graph.features, np.float64)[task.eval_nodes]
+        assert np.array_equal(preds, heads[j - 1].predict(X))
 
 
 def test_single_session_routing_equals_plain_head(testkit_graph):
     plan1 = plan_ncil(testkit_graph, 2, 1, 30, seed=9)
-    heads = fit_task_heads(plan1, config=CFG)
-    protos = TaskPrototypeSet(k=8, weighting="laplacian")
+    res = run_method("tpp_heads", plan1, CFG, mode="local", seed=0)
+    head = fit_task_heads(plan1, config=CFG)[0]
     s = plan1.sessions[0]
-    X = np.asarray(s.subgraph.features, np.float64)
-    protos.add(task_prototype(s.subgraph, s.local_ids(s.train_nodes), X, 8))
     rows = s.local_ids(s.test_nodes)
-    routed, tid = predict_routed(s.subgraph, rows, heads, protos)
-    assert tid == 0
-    logits, _ = model_forward(heads[0].params, None, X[rows])
-    direct = heads[0].class_ids[np.argmax(logits, axis=1)]
-    assert np.array_equal(routed, direct)
+    X = np.asarray(s.subgraph.features, np.float64)
+    logits, _ = model_forward(head.params, None, X[rows])
+    direct = head.class_ids[np.argmax(logits, axis=1)]
+    assert res.matrix.rows == [[float(np.mean(direct == s.subgraph.labels[rows]))]]
 
 
 def test_adversarial_identical_distributions_task_id_half():
@@ -629,7 +631,7 @@ def test_adversarial_identical_distributions_task_id_half():
                                   class_sep=0.0, intra_p=0.3, inter_p=0.3,
                                   seed=1000 + seed))
         plan = plan_ncil(g, 2, 2, 8, seed=seed)
-        protos = TaskPrototypeSet(k=2, weighting="plain-mean")
+        protos = TaskPrototypeSet()
         queries = []
         for s in plan.sessions:
             X = np.asarray(s.subgraph.features, np.float64)
@@ -640,17 +642,6 @@ def test_adversarial_identical_distributions_task_id_half():
         hits.extend(predict_task_id(q, protos) == j for j, q in enumerate(queries))
     rate = float(np.mean(hits))
     assert 0.25 <= rate <= 0.75
-
-
-def test_missing_head_for_predicted_task(testkit_plan):
-    heads = fit_task_heads(testkit_plan, config=CFG)[:1]
-    protos = TaskPrototypeSet(k=8, weighting="laplacian")
-    for s in testkit_plan.sessions:
-        protos.add(task_prototype(s.subgraph, s.local_ids(s.train_nodes),
-                                  np.asarray(s.subgraph.features, np.float64), 8))
-    s3 = testkit_plan.sessions[2]
-    with pytest.raises(ValueError, match="missing head"):
-        predict_routed(s3.subgraph, s3.local_ids(s3.test_nodes), heads, protos)
 
 
 def test_mix_separates_signs_and_keeps_non_negative_seeds():
