@@ -25,7 +25,7 @@ from .synth import SynthConfig, synth_tag
 from .trainers import METHOD_IDS, TrainingError, run_method
 
 _ERRORS = (ConfigError, TagFormatError, PlanError, TrainingError, EmbeddingProviderError,
-           ValueError, OSError, IndexError)
+           ValueError, OSError, IndexError, FloatingPointError)
 
 
 def _load_doc(config_path: str | None) -> dict:

@@ -33,6 +33,7 @@ def _or_grid(item: dict) -> dict:
 
 _num_or_grid = _or_grid({"type": "number"})
 _int_or_grid = _or_grid({"type": "integer"})
+_count_or_grid = _or_grid({"type": "integer", "minimum": 1})
 
 # provider kind -> the fields it cannot do without
 PROVIDER_FIELDS = {"file": ("matrix", "index"), "http": ("endpoint",)}
@@ -96,8 +97,8 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "lr": _num_or_grid,
-                "hidden_dim": _int_or_grid,
-                "epochs": _int_or_grid,
+                "hidden_dim": _count_or_grid,
+                "epochs": _count_or_grid,
                 "dropout": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
                 "strength": _or_grid({"type": "number", "minimum": 0}),
                 "lwf_lambda": _or_grid({"type": "number", "minimum": 0}),

@@ -79,10 +79,6 @@ class HttpSource:
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
 
-    @property
-    def source_id(self) -> str:
-        return f"http:{self.endpoint}"
-
     def _post_batch(self, batch: list[str]) -> np.ndarray:
         url = self.endpoint.rstrip("/") + "/embeddings"
         headers = {"Content-Type": "application/json"}
@@ -150,9 +146,9 @@ class HttpSource:
 # ---------------------------------------------------------------------------
 
 
-def cache_key(source_id: str, model: str, prompt: str) -> bytes:
+def cache_key(kind: str, model: str, prompt: str) -> bytes:
     h = hashlib.sha256()
-    for part in (source_id.encode(), model.encode(), prompt.encode()):
+    for part in (kind.encode(), model.encode(), prompt.encode()):
         h.update(struct.pack("<Q", len(part)))
         h.update(part)
     return h.digest()
@@ -211,9 +207,10 @@ class EmbeddingCache:
 def get_or_embed(src: HttpSource, node_ids, prompt_renderer, cache) -> np.ndarray:
     """Embedding rows for node ids, served from cache where possible.
 
-    `cache` is an open `EmbeddingCache` or the path of one. Keys hash (source
-    id, model name, exact prompt bytes); identical prompts share one provider
-    slot. Misses are fetched in input order and appended with one write.
+    `cache` is an open `EmbeddingCache` or the path of one. Keys hash (provider
+    kind, model name, exact prompt bytes), not the endpoint, so a cache filled
+    at one address serves another; identical prompts share one provider slot.
+    Misses are fetched in input order and appended with one write.
     """
     if not isinstance(cache, EmbeddingCache):
         cache = EmbeddingCache(cache)
@@ -221,7 +218,7 @@ def get_or_embed(src: HttpSource, node_ids, prompt_renderer, cache) -> np.ndarra
     missing: dict[bytes, str] = {}  # insertion order: misses in input order, each key once
     for n in node_ids:
         prompt = prompt_renderer(int(n))
-        key = cache_key(src.source_id, src.model, prompt)
+        key = cache_key("http", src.model, prompt)
         keys.append(key)
         if cache.get(key) is None:
             missing.setdefault(key, prompt)

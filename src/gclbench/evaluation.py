@@ -264,20 +264,15 @@ def write_report(results: list[dict], path, format: str = "json") -> None:
         raise ValueError(f"unknown report format {format!r}")
 
 
-def _fractional_ranks(values: list[float]) -> list[float]:
-    """Descending ranks; tied values share the mean of their positions."""
-    order = np.argsort([-v for v in values], kind="stable")
-    ranks = [0.0] * len(values)
-    pos = 0
-    while pos < len(order):
-        end = pos
-        while end + 1 < len(order) and values[order[end + 1]] == values[order[pos]]:
-            end += 1
-        avg = (pos + end) / 2 + 1
-        for t in range(pos, end + 1):
-            ranks[order[t]] = avg
-        pos = end + 1
-    return ranks
+def _fractional_ranks(values: list[float]) -> np.ndarray:
+    """Descending ranks; tied values share the mean of their positions.
+
+    A value's tie group holds positions left+1..right of the ascending sort of
+    the negated values, so its rank is (left + right + 1) / 2.
+    """
+    v = -np.asarray(values, dtype=np.float64)
+    s = np.sort(v)
+    return (np.searchsorted(s, v, "left") + np.searchsorted(s, v, "right") + 1) / 2
 
 
 def _row_labels(docs: list[dict]) -> list[str]:

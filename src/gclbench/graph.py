@@ -69,11 +69,6 @@ class TextAttributedGraph:
         indices.setflags(write=False)
         return indptr, indices
 
-    def neighbor_lists(self) -> list[np.ndarray]:
-        """Sorted neighbor array per node (self-loops appear as own id)."""
-        indptr, indices = self.neighbor_csr
-        return [indices[indptr[i]:indptr[i + 1]] for i in range(self.node_count)]
-
 
 @dataclass(frozen=True)
 class EgoGraph:
@@ -179,8 +174,10 @@ def load_tag(directory) -> TextAttributedGraph:
             raw_edges.append((a, b))
     edges = np.array(raw_edges, dtype=np.int64) if raw_edges else np.zeros((0, 2), np.int64)
 
-    with open(d / "class_names.json", encoding="utf-8") as fh:
-        class_names = json.load(fh)
+    try:
+        class_names = json.loads((d / "class_names.json").read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise TagFormatError(f"class_names.json: not a JSON file ({exc})") from exc
     if not isinstance(class_names, list) or not all(isinstance(c, str) for c in class_names):
         raise TagFormatError("class_names.json: expected an array of strings")
 

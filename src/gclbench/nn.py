@@ -90,6 +90,8 @@ def init_params(
     # rate 1 would divide by zero in the dropout mask; a negative one rescales silently.
     if not 0.0 <= dropout_rate < 1.0:
         raise ValueError(f"dropout_rate must be in [0, 1), got {dropout_rate!r}")
+    if hidden_dim < 1:
+        raise ValueError(f"hidden_dim must be >= 1, got {hidden_dim!r}")
     rng = np.random.default_rng(seed)
     w = {}
     for i in range(1, hidden + 1):
@@ -138,6 +140,7 @@ def _dropout_mask(rng: np.random.Generator, shape, rate: float, rows=None) -> np
     return keep.astype(np.float64) / (1.0 - rate)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite logits raise below
 def model_forward(
     p: ModelParams,
     S: sp.csr_matrix | None,
@@ -261,7 +264,7 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
 def adam_step(
     p: ModelParams, grads: dict[str, np.ndarray], st: AdamState
 ) -> tuple[ModelParams, AdamState]:
-    """One bias-corrected Adam update; errors on non-finite gradients."""
+    """One bias-corrected Adam update; errors on non-finite gradients or weights."""
     if set(grads) != set(p.weights):
         raise ValueError("gradient keys do not match parameters")
     st.step += 1
@@ -276,6 +279,8 @@ def adam_step(
         mhat = st.m[k] / (1 - st.beta1**t)
         vhat = st.v[k] / (1 - st.beta2**t)
         p.weights[k] = p.weights[k] - st.lr * mhat / (np.sqrt(vhat) + st.eps)
+        if not np.isfinite(p.weights[k]).all():
+            raise FloatingPointError(f"non-finite weights for {k} after the update")
     return p, st
 
 

@@ -229,7 +229,9 @@ def train_session(
     is the cross-entropy, plus ewc_penalty(p, anchor) when an EWC anchor is
     given, plus distill_loss against distill.frozen's logits on the train rows
     when a distillation source is given. The frozen logits are computed once,
-    zero-padded to the head's width. Deterministic under a fixed seed.
+    zero-padded to the head's width. Deterministic under a fixed seed. A
+    non-finite loss, forward pass, gradient or Adam step raises TrainingError
+    naming the epoch.
 
     Each forward pass computes the train rows' logits only (model_forward's
     `rows`); an mlp2 model thus never reads another row of X.
@@ -248,23 +250,26 @@ def train_session(
         old_logits = np.concatenate([ol, pad], axis=1)
     st = init_adam(p, lr)
     for epoch in range(epochs):
-        dropout_seed = _mix(seed, epoch)
-        logits, cache = model_forward(p, S, X, dropout_seed=dropout_seed, rows=train_rows)
-        loss, dlogits = cross_entropy(logits, labels)
-        if anchor is not None:
-            penalty, g_ewc = ewc_penalty(p, anchor)
-            loss += penalty
-        if distill is not None:
-            dloss, dl_distill = distill_loss(logits, old_logits, distill.old_class_mask,
-                                             distill.temperature, distill.weight)
-            loss += dloss
-            dlogits = dlogits + dl_distill
-        if not np.isfinite(loss):
-            raise TrainingError(f"non-finite loss at epoch {epoch}")
-        grads = model_backward(cache, dlogits)
-        if anchor is not None:
-            grads = {k: g + g_ewc[k] for k, g in grads.items()}
-        p, st = adam_step(p, grads, st)
+        try:
+            dropout_seed = _mix(seed, epoch)
+            logits, cache = model_forward(p, S, X, dropout_seed=dropout_seed, rows=train_rows)
+            loss, dlogits = cross_entropy(logits, labels)
+            if anchor is not None:
+                penalty, g_ewc = ewc_penalty(p, anchor)
+                loss += penalty
+            if distill is not None:
+                dloss, dl_distill = distill_loss(logits, old_logits, distill.old_class_mask,
+                                                 distill.temperature, distill.weight)
+                loss += dloss
+                dlogits = dlogits + dl_distill
+            if not np.isfinite(loss):
+                raise FloatingPointError("non-finite loss")
+            grads = model_backward(cache, dlogits)
+            if anchor is not None:
+                grads = {k: g + g_ewc[k] for k, g in grads.items()}
+            p, st = adam_step(p, grads, st)
+        except FloatingPointError as exc:
+            raise TrainingError(f"{exc} at epoch {epoch}") from exc
     return p
 
 

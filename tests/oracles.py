@@ -205,6 +205,23 @@ def summarize_direct(rows: list[list[float]]) -> dict:
     }
 
 
+def fractional_ranks_loop(values: list[float]) -> list[float]:
+    """Descending ranks by a walk over the sorted values; each run of equal
+    values shares the mean of its 1-based positions."""
+    order = sorted(range(len(values)), key=lambda i: -values[i])
+    ranks = [0.0] * len(values)
+    pos = 0
+    while pos < len(order):
+        end = pos
+        while end + 1 < len(order) and values[order[end + 1]] == values[order[pos]]:
+            end += 1
+        avg = (pos + end) / 2 + 1
+        for t in range(pos, end + 1):
+            ranks[order[t]] = avg
+        pos = end + 1
+    return ranks
+
+
 def nearest_centroid_accuracy(X: np.ndarray, labels: np.ndarray) -> float:
     """Classify each row by its nearest empirical class centroid."""
     X = np.asarray(X, dtype=np.float64)

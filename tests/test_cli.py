@@ -276,6 +276,52 @@ def test_regularizer_bounds_fail_in_one_line(runner, tmp_path, dataset_dir, meth
     assert not (tmp_path / "o").exists()
 
 
+def _run_config(runner, tmp_path, dataset_dir, hypers):
+    doc = {"version": 1, "dataset": str(dataset_dir), "methods": ["gcn"],
+           "plan": {"classes_per_session": 2, "num_sessions": 2, "shots": 10, "test_cap": 50},
+           "hyperparameters": hypers}
+    cfg = tmp_path / "hypers.json"
+    cfg.write_text(json.dumps(doc))
+    return runner.invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("hypers, where", [
+    ({"hidden_dim": 0}, "hidden_dim"),
+    ({"hidden_dim": [16, 0]}, "hidden_dim/1"),
+    ({"epochs": 0}, "epochs"),
+    ({"epochs": [5, 0]}, "epochs/1"),
+], ids=["hidden_dim", "hidden_dim-grid", "epochs", "epochs-grid"])
+def test_zero_sizes_fail_in_one_line(runner, tmp_path, dataset_dir, hypers, where):
+    # hidden_dim 0 used to end in a ZeroDivisionError traceback, and epochs 0
+    # in exit status 0 with untrained models.
+    result = _run_config(runner, tmp_path, dataset_dir, hypers)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines() == [
+        f"error: config invalid at hyperparameters/{where}: 0 is less than the minimum of 1"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("epochs, message", [
+    (5, "non-finite logits in forward pass at epoch 1"),
+    (1, "non-finite logits in forward pass"),  # overflows in the first evaluation
+])
+def test_huge_learning_rate_fails_in_one_line(runner, tmp_path, dataset_dir, epochs, message):
+    result = _run_config(runner, tmp_path, dataset_dir, {"lr": 1e300, "epochs": epochs})
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines() == [f"error: {message}"]
+
+
+def test_class_names_not_json_fails_in_one_line_naming_the_file(runner, dataset_dir):
+    (dataset_dir / "class_names.json").write_text('["a", "b"', encoding="utf-8")
+    result = runner.invoke(main, ["plan", "--dataset", str(dataset_dir)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: class_names.json: not a JSON file (")
+
+
 def test_report_command(runner, config_file, tmp_path):
     out = tmp_path / "runout"
     runner.invoke(main, ["run", "--config", str(config_file), "--out", str(out)])

@@ -253,7 +253,7 @@ def test_get_or_embed_appends_each_miss_set_with_one_open(tmp_path, monkeypatch)
             out = get_or_embed(src, nodes, render, cache)
             assert np.array_equal(out, np.stack([vec(n) for n in nodes]))
             assert opens[before:] == (["ab"] if new else [])
-            cache_append_loop(ref, [cache_key(src.source_id, "stub", render(n)) for n in new],
+            cache_append_loop(ref, [cache_key("http", "stub", render(n)) for n in new],
                               [vec(n) for n in new])
             assert path.read_bytes() == ref.read_bytes()
         assert srv.request_count == 2

@@ -15,7 +15,7 @@ from gclbench.graph import (
     save_tag,
     smoothing_operator,
 )
-from gclbench.nn import ARCH_GCN, init_params, model_forward
+from gclbench.nn import ARCH_GCN, ARCH_MLP, init_params, model_forward
 from gclbench.prototypes import PrototypeBank, build_prototypes, classify_batch, task_prototype
 from gclbench.sessions import build_eval_task, filter_classes
 
@@ -89,6 +89,11 @@ def test_smoothing_operator_unknown_weighting(two_node_graph):
 def test_init_params_unknown_arch():
     with pytest.raises(ValueError, match="unknown arch"):
         init_params("transformer", 2, 3, 2, seed=0)
+
+
+def test_init_params_hidden_dim_guard():
+    with pytest.raises(ValueError, match="hidden_dim"):
+        init_params(ARCH_MLP, 4, 0, 2, seed=0)
 
 
 def test_forward_input_dim_mismatch(two_node_graph):

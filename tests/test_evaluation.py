@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gclbench.evaluation import (
     AccuracyMatrix,
+    _fractional_ranks,
     evaluate,
     leakage_diagnostic,
     lenient_accuracy,
@@ -19,7 +20,7 @@ from gclbench.sessions import build_eval_task, plan_ncil
 from gclbench.synth import SynthConfig, synth_tag
 from gclbench.trainers import fit_task_heads
 
-from oracles import routed_head_triangle, summarize_direct
+from oracles import fractional_ranks_loop, routed_head_triangle, summarize_direct
 
 
 # ------------------------------------------------------------------- evaluate
@@ -367,11 +368,15 @@ _REPORT_RUNS = st.lists(
     min_size=1, max_size=12)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0, 1), max_size=30))
+def test_fractional_ranks_match_loop_oracle(values):
+    assert list(_fractional_ranks(values)) == fractional_ranks_loop(values)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(runs=_REPORT_RUNS, data=st.data())
 def test_report_md_cells_and_ranks_match_numpy_in_any_order(tmp_path_factory, runs, data):
-    from gclbench.evaluation import _fractional_ranks
-
     docs = []
     for seed, (method, dataset, first, last, lr) in enumerate(runs):
         doc = _final_only(method, first, dataset, seed, grid_point={"epochs": 5, "lr": lr})
@@ -403,7 +408,7 @@ def test_report_md_cells_and_ranks_match_numpy_in_any_order(tmp_path_factory, ru
         present = [r for r in rows if (r, d) in cells]
         for metric in (0, 1):
             means = [float(np.mean(cells[(r, d)], axis=0)[metric]) for r in present]
-            for r, rank in zip(present, _fractional_ranks(means)):
+            for r, rank in zip(present, fractional_ranks_loop(means)):
                 ranks[r].append(rank)
     lines = text.decode("utf-8").splitlines()
     assert len(lines) >= 2 + len(rows)

@@ -294,9 +294,6 @@ def test_neighbor_csr_and_degrees_match_loop_oracle(g):
     assert len(indptr) == g.node_count + 1 and indptr[-1] == indices.size
     for i, want in enumerate(expected):
         assert np.array_equal(indices[indptr[i]:indptr[i + 1]], want)
-    got = g.neighbor_lists()
-    assert len(got) == len(expected)
-    assert all(a.dtype == np.int64 and np.array_equal(a, b) for a, b in zip(got, expected))
     assert np.array_equal(degrees(g), degrees_loop(g, self_loops=True))
 
 
@@ -319,7 +316,6 @@ def test_ego_sample_matches_loop_oracle_on_testkit(testkit_graph):
 def test_neighbor_csr_built_once_per_graph(path_graph):
     first = path_graph.neighbor_csr
     degrees(path_graph)
-    path_graph.neighbor_lists()
     sample_ego_graph(path_graph, 1, [2, 2], seed=0)
     gcn_normalized_adjacency(path_graph)
     assert path_graph.neighbor_csr is first

@@ -685,6 +685,23 @@ def test_provider_run_loads_cache_once_and_warm_run_sends_nothing(testkit_plan, 
     assert warm.matrix.rows == cold.matrix.rows
 
 
+def test_cache_filled_at_one_address_serves_another(testkit_plan, tmp_path):
+    # The key names the provider kind and model, not the endpoint.
+    from gclbench.stub_server import StubEmbeddingServer
+
+    cfg = dict(CFG, cache_path=str(tmp_path / "c.bin"), fanouts=[3, 3])
+    with StubEmbeddingServer(dim=8) as first, StubEmbeddingServer(dim=8) as second:
+        assert first.endpoint != second.endpoint
+        runs = []
+        for srv in (first, second):
+            provider = {"kind": "http", "endpoint": srv.endpoint, "model": "stub"}
+            runs.append(run_method("simgcl_proto", testkit_plan, dict(cfg, provider=provider),
+                                   mode="local", seed=0))
+        assert first.request_count > 0
+        assert second.request_count == 0
+    assert runs[0].matrix.rows == runs[1].matrix.rows
+
+
 def test_file_provider_reads_rows_by_node_id_and_writes_no_cache(testkit_graph, tmp_path,
                                                                   monkeypatch):
     # Two nodes of different classes share one text. Each must get its own
