@@ -101,6 +101,19 @@ def test_train_session_nonfinite_loss_reports_epoch():
                       epochs=3, lr=1e-2, anchor=far)
 
 
+@pytest.mark.parametrize("epochs, lr, message", [
+    (3, 1e300, "non-finite logits in forward pass at epoch 1"),
+    (1, np.inf, "non-finite weights for .* after the update at epoch 0"),
+])
+def test_train_session_overflow_reports_epoch(epochs, lr, message):
+    # Before, both escaped as FloatingPointError, or not at all: an inf
+    # learning rate in the last epoch returned non-finite weights.
+    g, S, X = _separable_session()
+    p = init_params(ARCH_GCN, X.shape[1], 8, 2, seed=1)
+    with pytest.raises(TrainingError, match=message):
+        train_session(p, S, X, g.labels, np.arange(g.node_count), epochs=epochs, lr=lr)
+
+
 # ------------------------------------------------------------ fisher diagonal
 
 
