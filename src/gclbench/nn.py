@@ -8,11 +8,15 @@ One loop over that stack serves init, head growth, forward, backward and
 embedding.
 
 model_forward takes an optional `rows`: the logits come back for those rows
-only, and model_backward then takes their gradient alone. Layers that
-propagate still run over every node; the layers after the last one that
-propagates run on `rows` only (for mlp2, every layer). Dropout masks are drawn
-for every node and then sliced, so the random stream does not depend on
-`rows`.
+only, and model_backward then takes their gradient alone. Each layer then
+runs only on the rows those logits need (layer_rows): mlp2 on `rows`; a GCN's
+last layer on `rows` and each layer below on the nodes the layer above reads
+(for gcn2_mlp1, layer 1 on the rows' neighbours). Propagation and
+elementwise work shrink to those rows. Dense products and the sums over
+nodes in gradients still run at every node, with zeros outside a layer's
+rows, so the results equal the full pass's bit for bit. Dropout masks are
+drawn for every node and then cut to each layer's rows, so the random stream
+does not depend on `rows`.
 
 Dense matrices are float64 numpy arrays throughout; gradients are derived by
 hand and cross-checked against central finite differences. No autodiff.
@@ -127,11 +131,6 @@ def spmm(S: sp.csr_matrix, X: np.ndarray) -> np.ndarray:
     return np.asarray(S @ X)
 
 
-def _spmm_t(S: sp.csr_matrix, X: np.ndarray) -> np.ndarray:
-    # Exact S^T @ X; S is symmetric by construction but we do not rely on it.
-    return np.asarray(S.T @ X)
-
-
 def _dropout_mask(rng: np.random.Generator, shape, rate: float, rows=None) -> np.ndarray:
     # Inverted dropout: kept units scaled by 1/(1-rate) so eval needs no rescale.
     # The uniforms are drawn for the full shape, then cut to `rows`.
@@ -140,53 +139,116 @@ def _dropout_mask(rng: np.random.Generator, shape, rate: float, rows=None) -> np
     return keep.astype(np.float64) / (1.0 - rate)
 
 
+@dataclass(frozen=True)
+class LayerRows:
+    """The rows each layer of a pass runs on, and the operators it propagates by.
+
+    inputs: rows of X the first layer reads (None: every row).
+    hidden: per hidden layer, the sorted positions in X[inputs] it runs on
+        (None: every position). At most one of `inputs` and `hidden[i]` is set.
+    ops: per hidden layer, (A, A^T) with A = S[hidden[i]], the operator's rows
+        for that layer, or None when the layer does not propagate.
+    out: positions of the requested rows in the last hidden layer's rows
+        (None: the same rows in the same order).
+    """
+
+    inputs: np.ndarray | None
+    hidden: tuple
+    ops: tuple
+    out: np.ndarray | None
+
+
+def layer_rows(arch: str, S: sp.csr_matrix | None, rows: np.ndarray | None = None) -> LayerRows:
+    """Where each layer must run for the logits at `rows` (None: every row).
+
+    A model that does not propagate runs every layer on X[rows]. A GCN runs
+    its last layer on the sorted rows and each layer below on the nodes whose
+    columns the operator rows above it hold (their receptive field). S[r]
+    keeps each row's terms in S's order, and its transpose is built once as
+    CSR with each row's terms in node order, the order S.T sums them in; so
+    each propagated row is the full product's row bit for bit.
+    """
+    hidden, propagate = _layers(arch)
+    if propagate and S is None:
+        raise ValueError(f"{arch} requires a propagation operator")
+    if not propagate and S is not None:
+        raise ValueError(f"{arch} takes no propagation operator")
+    if not propagate:
+        inputs = None if rows is None else np.asarray(rows, dtype=np.int64)
+        return LayerRows(inputs, (None,) * hidden, (None,) * hidden, None)
+    if rows is None:
+        return LayerRows(None, (None,) * hidden, ((S, S.T),) * hidden, None)
+    rows = np.asarray(rows, dtype=np.int64)
+    top = np.unique(rows)
+    if top.size != rows.size:
+        raise ValueError("rows must be distinct")
+    per_layer, ops = [top], [S[top]]
+    for _ in range(hidden - 1):
+        per_layer.insert(0, np.unique(ops[0].indices))
+        ops.insert(0, S[per_layer[0]])
+    return LayerRows(None, tuple(per_layer), tuple((A, A.T.tocsr()) for A in ops),
+                     np.searchsorted(top, rows))
+
+
+def _full(A: np.ndarray, rows: np.ndarray | None, n: int) -> np.ndarray:
+    # A's rows placed at `rows` of an n-row zero matrix. Dense products and
+    # sums over nodes run on this form, at the full pass's shapes: BLAS picks
+    # its kernel and blocking by shape, and numpy sums a one-column array
+    # pairwise, so a shorter operand would round differently.
+    if rows is None:
+        return A
+    out = np.zeros((n, A.shape[1]))
+    out[rows] = A
+    return out
+
+
 @np.errstate(over="ignore", invalid="ignore")  # non-finite logits raise below
 def model_forward(
     p: ModelParams,
     S: sp.csr_matrix | None,
     X: np.ndarray,
     dropout_seed: int | None = None,
-    rows: np.ndarray | None = None,
+    rows: np.ndarray | LayerRows | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Forward pass. Returns (logits, cache) where the cache feeds model_backward.
 
     Training mode (dropout after each hidden ReLU) is enabled only when
     dropout_seed is given; evaluation is fully deterministic. With `rows`
     (distinct row ids of X, in any order), the logits are the full pass's
-    logits at `rows`, in that order; the hidden layers that do not feed a
-    propagation run on those rows alone.
+    logits at `rows`, in that order, bit for bit; each layer runs only on the
+    rows those logits need (see layer_rows). `rows` may also be the LayerRows
+    that layer_rows(p.arch, S, rows) built, so that repeated passes build it
+    once.
     """
     X = np.asarray(X, dtype=np.float64)
     w = p.weights
     hidden, propagate = _layers(p.arch)
-    if propagate and S is None:
-        raise ValueError(f"{p.arch} requires a propagation operator")
-    if not propagate and S is not None:
-        raise ValueError(f"{p.arch} takes no propagation operator")
     if X.shape[1] != w["W1"].shape[0]:
         raise ValueError("input feature dim mismatch")
+    lr = rows if isinstance(rows, LayerRows) else layer_rows(p.arch, S, rows)
     training = dropout_seed is not None
     rng = np.random.default_rng(dropout_seed) if training else None
-    if rows is not None:
-        rows = np.asarray(rows, dtype=np.int64)
-    # Rows the hidden layers run on: all nodes when they propagate.
-    hidden_rows = None if propagate else rows
-    D = X if hidden_rows is None else X[hidden_rows]
-    cache: dict = {"X": D, "S": S, "training": training, "rows": rows}
+    A = X if lr.inputs is None else X[lr.inputs]  # each layer's input, at every node
+    n = A.shape[0]
+    cache: dict = {"X": A, "rows": lr, "training": training}
 
     for i in range(1, hidden + 1):
-        P = D @ w[f"W{i}"]
+        P = A @ w[f"W{i}"]
         if propagate:
-            P = spmm(S, P)
+            P = spmm(lr.ops[i - 1][0], P)
         if f"b{i}" in w:
             P = P + w[f"b{i}"]
         H = np.maximum(P, 0.0)
-        M = (_dropout_mask(rng, (X.shape[0], H.shape[1]), p.dropout_rate, hidden_rows)
+        at = lr.hidden[i - 1]
+        M = (_dropout_mask(rng, (X.shape[0], H.shape[1]), p.dropout_rate,
+                           lr.inputs if at is None else at)
              if training else None)
         D = H * M if training else H
         cache.update({f"P{i}": P, f"D{i}": D, f"M{i}": M})
-    if rows is not None and hidden_rows is None:
-        D = D[rows]
+        if i < hidden:
+            A = cache[f"A{i + 1}"] = _full(D, at, n)
+    if lr.out is not None:
+        D = D[lr.out]
     cache["D_out"] = D  # the output layer's input
     logits = D @ w[f"W{hidden + 1}"] + w[f"b{hidden + 1}"]
 
@@ -208,11 +270,14 @@ def model_backward(cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
 
     dlogits has one row per logit row of the forward pass: per row of `rows`
     when it was given. The gradient equals the full-batch one with dlogits
-    zero outside `rows`.
+    zero outside `rows`, bit for bit: elementwise work and propagation run
+    on each layer's rows, dense products at every node.
     """
     p: ModelParams = cache["params"]
     w = p.weights
     hidden, propagate = _layers(p.arch)
+    lr: LayerRows = cache["rows"]
+    n = cache["X"].shape[0]
     dlogits = np.asarray(dlogits, dtype=np.float64)
     grads: dict[str, np.ndarray] = {}
 
@@ -220,19 +285,20 @@ def model_backward(cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
     grads[f"b{out}"] = dlogits.sum(axis=0)
     grads[f"W{out}"] = cache["D_out"].T @ dlogits
     dD = dlogits @ w[f"W{out}"].T
-    if propagate and cache["rows"] is not None:
-        # Hidden layers ran on every node but the output layer on `rows` only.
-        dD_rows, dD = dD, np.zeros_like(cache[f"D{hidden}"])
-        dD[cache["rows"]] = dD_rows
+    if lr.out is not None:
+        dD_rows, dD = dD, np.empty_like(dD)
+        dD[lr.out] = dD_rows
     for i in range(hidden, 0, -1):
         dH = dD * cache[f"M{i}"] if cache["training"] else dD
         dP = dH * (cache[f"P{i}"] > 0)
         if f"b{i}" in w:
-            grads[f"b{i}"] = dP.sum(axis=0)
-        dT = _spmm_t(cache["S"], dP) if propagate else dP
-        grads[f"W{i}"] = (cache[f"D{i - 1}"] if i > 1 else cache["X"]).T @ dT
+            grads[f"b{i}"] = _full(dP, lr.hidden[i - 1], n).sum(axis=0)
+        dT = np.asarray(lr.ops[i - 1][1] @ dP) if propagate else dP
+        grads[f"W{i}"] = cache["X" if i == 1 else f"A{i}"].T @ dT
         if i > 1:
             dD = dT @ w[f"W{i}"].T
+            if lr.hidden[i - 2] is not None:
+                dD = dD[lr.hidden[i - 2]]
 
     if set(grads) != set(w):
         raise ValueError("stale cache: gradient keys do not match parameters")
@@ -261,10 +327,14 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     return loss, dlogits
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite moments and weights raise below
 def adam_step(
     p: ModelParams, grads: dict[str, np.ndarray], st: AdamState
 ) -> tuple[ModelParams, AdamState]:
-    """One bias-corrected Adam update; errors on non-finite gradients or weights."""
+    """One bias-corrected Adam update; errors on non-finite gradients, second
+    moments or weights. A squared gradient that overflows to inf in the
+    second moment would otherwise round every later update of its weights to
+    zero; a first moment that overflows makes the weights non-finite."""
     if set(grads) != set(p.weights):
         raise ValueError("gradient keys do not match parameters")
     st.step += 1
@@ -276,6 +346,8 @@ def adam_step(
             raise FloatingPointError(f"non-finite gradient for {k}")
         st.m[k] = st.beta1 * st.m[k] + (1 - st.beta1) * g
         st.v[k] = st.beta2 * st.v[k] + (1 - st.beta2) * g * g
+        if not np.isfinite(st.v[k]).all():
+            raise FloatingPointError(f"non-finite second moment for {k}")
         mhat = st.m[k] / (1 - st.beta1**t)
         vhat = st.v[k] / (1 - st.beta2**t)
         p.weights[k] = p.weights[k] - st.lr * mhat / (np.sqrt(vhat) + st.eps)

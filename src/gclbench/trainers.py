@@ -35,6 +35,7 @@ from .nn import (
     grow_output,
     init_adam,
     init_params,
+    layer_rows,
     model_backward,
     model_embed,
     model_forward,
@@ -234,7 +235,10 @@ def train_session(
     naming the epoch.
 
     Each forward pass computes the train rows' logits only (model_forward's
-    `rows`); an mlp2 model thus never reads another row of X.
+    `rows`, with the layers' rows and operators built once here): an mlp2
+    model never reads another row of X, and a GCN's layers run only on the
+    train rows' receptive field, with weights bit-identical to a pass over
+    every node.
     """
     p = p.copy()
     if epochs == 0:
@@ -244,15 +248,16 @@ def train_session(
         raise ValueError("train rows must be distinct")
     labels = np.asarray(labels, dtype=np.int64)
     X = np.asarray(X, dtype=np.float64)
+    rows = layer_rows(p.arch, S, train_rows)
     if distill is not None:
-        ol, _ = model_forward(distill.frozen, S, X, dropout_seed=None, rows=train_rows)
+        ol, _ = model_forward(distill.frozen, S, X, dropout_seed=None, rows=rows)
         pad = np.zeros((ol.shape[0], distill.old_class_mask.size - ol.shape[1]))
         old_logits = np.concatenate([ol, pad], axis=1)
     st = init_adam(p, lr)
     for epoch in range(epochs):
         try:
             dropout_seed = _mix(seed, epoch)
-            logits, cache = model_forward(p, S, X, dropout_seed=dropout_seed, rows=train_rows)
+            logits, cache = model_forward(p, S, X, dropout_seed=dropout_seed, rows=rows)
             loss, dlogits = cross_entropy(logits, labels)
             if anchor is not None:
                 penalty, g_ewc = ewc_penalty(p, anchor)

@@ -335,6 +335,67 @@ def full_batch_epoch(p, S, X, rows, dl_rows, dropout_seed=None):
     return model_backward(cache, dlogits)
 
 
+def train_session_all_nodes(p, S, X, labels, rows, epochs, lr, seed=0, distill=None):
+    """train_session for a gcn2_mlp1 model as it ran before its layers were
+    cut to the train rows' receptive field: every epoch runs both GCN layers
+    over every node and only the output layer on `rows`. The reference that
+    train_session's weights must equal bit for bit."""
+    from gclbench.nn import adam_step, cross_entropy, init_adam
+    from gclbench.trainers import _mix, distill_loss
+
+    p = p.copy()
+    rows = np.asarray(rows, dtype=np.int64)
+    X = np.asarray(X, dtype=np.float64)
+    if distill is not None:
+        ol, _ = _all_nodes_forward(distill.frozen, S, X, rows, None)
+        pad = np.zeros((ol.shape[0], distill.old_class_mask.size - ol.shape[1]))
+        old_logits = np.concatenate([ol, pad], axis=1)
+    st = init_adam(p, lr)
+    for epoch in range(epochs):
+        logits, cache = _all_nodes_forward(p, S, X, rows, _mix(seed, epoch))
+        _, dlogits = cross_entropy(logits, labels)
+        if distill is not None:
+            dlogits = dlogits + distill_loss(logits, old_logits, distill.old_class_mask,
+                                             distill.temperature, distill.weight)[1]
+        p, st = adam_step(p, _all_nodes_backward(p, S, rows, cache, dlogits), st)
+    return p
+
+
+def _all_nodes_forward(p, S, X, rows, dropout_seed):
+    w = p.weights
+    rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
+    D = X
+    cache = {"D0": X}
+    for i in (1, 2):
+        P = np.asarray(S @ (D @ w[f"W{i}"]))
+        if f"b{i}" in w:
+            P = P + w[f"b{i}"]
+        H = np.maximum(P, 0.0)
+        M = None
+        if rng is not None:
+            M = (rng.random(H.shape) >= p.dropout_rate).astype(np.float64) / (1.0 - p.dropout_rate)
+        D = H if M is None else H * M
+        cache.update({f"P{i}": P, f"D{i}": D, f"M{i}": M})
+    cache["D_out"] = D[rows]
+    return cache["D_out"] @ w["W3"] + w["b3"], cache
+
+
+def _all_nodes_backward(p, S, rows, cache, dlogits):
+    w = p.weights
+    grads = {"b3": dlogits.sum(axis=0), "W3": cache["D_out"].T @ dlogits}
+    dD = np.zeros_like(cache["D2"])
+    dD[rows] = dlogits @ w["W3"].T
+    for i in (2, 1):
+        dH = dD if cache[f"M{i}"] is None else dD * cache[f"M{i}"]
+        dP = dH * (cache[f"P{i}"] > 0)
+        if f"b{i}" in w:
+            grads[f"b{i}"] = dP.sum(axis=0)
+        dT = np.asarray(S.T @ dP)
+        grads[f"W{i}"] = cache[f"D{i - 1}"].T @ dT
+        dD = dT @ w[f"W{i}"].T
+    return grads
+
+
 def model_forward_dense(p, S_dense, X) -> tuple[np.ndarray, np.ndarray]:
     """Evaluation-mode (logits, last hidden layer) straight from the formulas
     in the ModelParams docstring, with a dense operator:

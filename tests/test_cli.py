@@ -276,8 +276,8 @@ def test_regularizer_bounds_fail_in_one_line(runner, tmp_path, dataset_dir, meth
     assert not (tmp_path / "o").exists()
 
 
-def _run_config(runner, tmp_path, dataset_dir, hypers):
-    doc = {"version": 1, "dataset": str(dataset_dir), "methods": ["gcn"],
+def _run_config(runner, tmp_path, dataset_dir, hypers, method="gcn"):
+    doc = {"version": 1, "dataset": str(dataset_dir), "methods": [method],
            "plan": {"classes_per_session": 2, "num_sessions": 2, "shots": 10, "test_cap": 50},
            "hyperparameters": hypers}
     cfg = tmp_path / "hypers.json"
@@ -311,6 +311,18 @@ def test_huge_learning_rate_fails_in_one_line(runner, tmp_path, dataset_dir, epo
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.output.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("method", ["gcn", "cosine"])
+def test_overflowing_second_moment_fails_in_one_line(runner, tmp_path, dataset_dir, method, recwarn):
+    # At lr 1e100 the second epoch's squared gradient overflows the second
+    # moment. Before, every later update then rounded to zero: exit status 0,
+    # chance-level accuracies and numpy RuntimeWarnings.
+    result = _run_config(runner, tmp_path, dataset_dir, {"lr": 1e100, "epochs": 5}, method)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines() == ["error: non-finite second moment for W3 at epoch 1"]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_class_names_not_json_fails_in_one_line_naming_the_file(runner, dataset_dir):

@@ -16,7 +16,7 @@ from gclbench.graph import (
     save_tag,
     smoothing_operator,
 )
-from gclbench.nn import _spmm_t, spmm
+from gclbench.nn import ARCH_GCN, layer_rows, spmm
 from gclbench.synth import SynthConfig, synth_tag
 
 from oracles import (
@@ -325,14 +325,16 @@ def test_neighbor_csr_built_once_per_graph(path_graph):
 
 
 def test_operator_scipy_matrix_built_once(testkit_graph):
-    # The operator is the scipy CSR matrix itself: spmm and its transpose
-    # multiply by it with no per-call conversion.
+    # The operator is the scipy CSR matrix itself: a pass over every node
+    # multiplies by it and its transpose with no per-call conversion.
     s = gcn_normalized_adjacency(testkit_graph)
     assert isinstance(s, sp.csr_matrix) and s.has_sorted_indices
     assert s.dtype == np.float64
     X = np.asarray(testkit_graph.features, dtype=np.float64)
     assert np.array_equal(spmm(s, X), s @ X)
-    assert np.array_equal(_spmm_t(s, X), s.T @ X)
+    ops = layer_rows(ARCH_GCN, s).ops
+    assert all(A is s for A, _ in ops)
+    assert np.array_equal(ops[0][1] @ X, s.T @ X)
 
 
 def test_operator_built_once_per_graph_and_weighting(testkit_graph, monkeypatch):

@@ -183,15 +183,19 @@ def test_rows_forward_equals_full_logits_at_rows(arch, conv_bias, rows):
 @pytest.mark.parametrize("rows", list(_ROW_SETS), ids=list(_ROW_SETS))
 def test_rows_dropout_masks_are_the_full_masks_rows(arch, conv_bias, rows):
     # Same dropout_seed, same random stream: every mask the row-restricted
-    # pass uses is the full pass's mask at the rows that layer ran on.
+    # pass uses is the full pass's mask at the rows that layer ran on. A GCN
+    # runs layer 2 on the rows in node order and layer 1 on their neighbours
+    # (self-loops included); mlp2 runs on the rows as given.
     p, s, X = _rows_case(arch, conv_bias)
     r = np.array(_ROW_SETS[rows])
     full_logits, full = model_forward(p, s, X, dropout_seed=21)
     got_logits, cut = model_forward(p, s, X, dropout_seed=21, rows=r)
-    hidden = 2 if arch == ARCH_GCN else 1
-    for i in range(1, hidden + 1):
-        want = full[f"M{i}"] if arch == ARCH_GCN else full[f"M{i}"][r]
-        assert np.array_equal(cut[f"M{i}"], want)
+    if arch == ARCH_GCN:
+        at = {1: np.flatnonzero(np.asarray(s[r].sum(axis=0)).ravel()), 2: np.sort(r)}
+    else:
+        at = {1: r}
+    for i, layer_rows in at.items():
+        assert np.array_equal(cut[f"M{i}"], full[f"M{i}"][layer_rows]), i
     assert (full["M1"] == 0).any() and (full["M1"] > 0).any()
     assert np.abs(got_logits - full_logits[r]).max() <= 1e-12
 

@@ -23,12 +23,19 @@ from gclbench.trainers import (
     fisher_diagonal,
     fit_task_heads,
     run_method,
+    _GcnFamily,
     _RoutedHeads,
     _mix,
     train_session,
 )
 
-from oracles import finite_diff_check, fisher_diagonal_loop, nearest_centroid_accuracy
+from oracles import (
+    finite_diff_check,
+    fisher_diagonal_loop,
+    khop_nodes,
+    nearest_centroid_accuracy,
+    train_session_all_nodes,
+)
 
 CFG = {"epochs": 200, "lr": 1e-2, "hidden_dim": 32}
 
@@ -104,14 +111,108 @@ def test_train_session_nonfinite_loss_reports_epoch():
 @pytest.mark.parametrize("epochs, lr, message", [
     (3, 1e300, "non-finite logits in forward pass at epoch 1"),
     (1, np.inf, "non-finite weights for .* after the update at epoch 0"),
+    (3, 1e100, "non-finite second moment for W3 at epoch 1"),
 ])
 def test_train_session_overflow_reports_epoch(epochs, lr, message):
-    # Before, both escaped as FloatingPointError, or not at all: an inf
-    # learning rate in the last epoch returned non-finite weights.
+    # Before, the first two escaped as FloatingPointError, or not at all: an
+    # inf learning rate in the last epoch returned non-finite weights. At lr
+    # 1e100 the second moment overflowed to inf and training went on with
+    # every later update rounded to zero.
     g, S, X = _separable_session()
     p = init_params(ARCH_GCN, X.shape[1], 8, 2, seed=1)
     with pytest.raises(TrainingError, match=message):
         train_session(p, S, X, g.labels, np.arange(g.node_count), epochs=epochs, lr=lr)
+
+
+# ------------------------------------------------------------ receptive field
+
+
+def _sparse_graph(seed=4):
+    # Average degree about 2: a few rows reach a small part of the graph, and
+    # some nodes have no edge at all.
+    return synth_tag(SynthConfig(num_classes=3, nodes_per_class=300, feature_dim=8,
+                                 class_sep=1.0, intra_p=0.015, inter_p=0.002, seed=seed))
+
+
+def _neighbours(S, rows):
+    return np.unique(S[rows].indices)
+
+
+@pytest.mark.parametrize("conv_bias", [False, True], ids=["no_bias", "conv_bias"])
+@pytest.mark.parametrize("case", ["unsorted", "few_shot", "isolated", "whole_graph", "distill",
+                                  "one_unit"])
+def test_train_session_matches_all_nodes_oracle(case, conv_bias):
+    # Each GCN layer runs on the train rows' receptive field only, yet the
+    # trained weights are those of epochs that ran both layers over every
+    # node, bit for bit. Hundreds of rows make BLAS block the sums over
+    # nodes; one hidden unit makes numpy sum a bias gradient pairwise.
+    g = _separable_session()[0] if case == "whole_graph" else _sparse_graph()
+    S, X, n = gcn_normalized_adjacency(g), np.asarray(g.features, np.float64), g.node_count
+    order = np.random.default_rng(9).permutation(n)
+    if case == "few_shot":
+        rows = order[:4]
+        assert _neighbours(S, _neighbours(S, rows)).size < n // 4
+    elif case == "isolated":
+        rows = np.flatnonzero(np.diff(S.indptr) == 1)[:1]  # only its self-loop
+        assert rows.size == 1
+    elif case == "whole_graph":
+        rows = order[:10]
+        assert _neighbours(S, rows).size == n
+    else:
+        rows = order[:300]
+        assert (np.diff(rows) < 0).any() and 300 < _neighbours(S, rows).size < n
+    labels = np.random.default_rng(5).integers(0, 3, rows.size)
+    hidden_dim = 1 if case == "one_unit" else 64
+    p = init_params(ARCH_GCN, X.shape[1], hidden_dim, 3, seed=2, conv_bias=conv_bias)
+    if case == "one_unit":  # positive weights keep the one unit alive at some nodes
+        p.weights.update({k: np.abs(v) for k, v in p.weights.items()})
+    distill = None
+    if case == "distill":
+        frozen = init_params(ARCH_GCN, X.shape[1], hidden_dim, 2, seed=8, conv_bias=conv_bias)
+        distill = DistillSource(frozen, 2.0, 1.0, np.arange(3) < 2)
+    want = train_session_all_nodes(p, S, X, labels, rows, 20, 1e-2, seed=6, distill=distill)
+    got = train_session(p, S, X, labels, rows, epochs=20, lr=1e-2, seed=6, distill=distill)
+    assert sorted(got.weights) == sorted(want.weights)
+    for k, w in want.weights.items():
+        assert np.array_equal(got.weights[k], w), k
+        assert not np.array_equal(w, p.weights[k]), k
+
+
+def _poison_beyond_two_hops(plan, seed):
+    """The plan with every node more than two hops from all of its session's
+    train nodes given other finite features, some near the float32 limit."""
+    from dataclasses import replace
+
+    rng = np.random.default_rng(seed)
+    sessions = []
+    for s in plan.sessions:
+        feats = np.array(s.subgraph.features)
+        far = np.ones(s.subgraph.node_count, dtype=bool)
+        for r in s.local_ids(s.train_nodes):
+            far[[int(r), *khop_nodes(s.subgraph, int(r), 2)]] = False
+        assert far.any() and not far.all()
+        shape = (far.sum(), feats.shape[1])
+        feats[far] = rng.standard_normal(shape) * rng.choice([1.0, 1e3, 1e37], size=(shape[0], 1))
+        sessions.append(replace(s, subgraph=replace(s.subgraph, features=feats)))
+    return replace(plan, sessions=tuple(sessions))
+
+
+@pytest.mark.parametrize("use_lwf", [False, True], ids=["gcn", "lwf"])
+def test_gcn_weights_never_read_features_beyond_two_hops(use_lwf):
+    # A two-layer GCN's train-row logits depend on nodes within two hops of
+    # those rows only; the weights it trains must not move when any other
+    # node's features change, however large they are.
+    plan = plan_ncil(_sparse_graph(), classes_per_session=1, num_sessions=3, shots=5,
+                     test_cap=50, seed=3)
+    poisoned = _poison_beyond_two_hops(plan, seed=17)
+    config = {"epochs": 20, "hidden_dim": 16}
+    clean = _GcnFamily(plan, config, seed=5, use_lwf=use_lwf)
+    dirty = _GcnFamily(poisoned, config, seed=5, use_lwf=use_lwf)
+    for i in range(1, plan.num_sessions + 1):
+        clean.fit_session(i)
+        dirty.fit_session(i)
+        for k, w in clean.params.weights.items():
+            assert np.array_equal(w, dirty.params.weights[k]), (i, k)
 
 
 # ------------------------------------------------------------ fisher diagonal
