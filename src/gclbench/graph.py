@@ -25,11 +25,11 @@ class TextAttributedGraph:
 
     Edges are canonical (min, max) pairs, deduplicated and lexicographically
     sorted. Instances are immutable after construction and safe to share
-    across workers. The neighbour CSR (`neighbor_csr`) and each propagation
-    operator (`smoothing_operator`, one per weighting) are built lazily on
-    first read and cached on the instance; if two threads race on that first
-    read, each builds the same read-only arrays and one of them is kept, which
-    is harmless.
+    across workers. The neighbour CSR (`neighbor_csr`) and the propagation
+    operator (`gcn_normalized_adjacency`) are built lazily on first read and
+    cached on the instance; if two threads race on that first read, each
+    builds the same read-only arrays and one of them is kept, which is
+    harmless.
     """
 
     features: np.ndarray  # (n, d) float32
@@ -37,7 +37,8 @@ class TextAttributedGraph:
     labels: np.ndarray  # (n,) int64
     class_names: tuple[str, ...]
     edges: np.ndarray  # (m, 2) int64, canonicalized
-    _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # [S] once gcn_normalized_adjacency has built it
+    _operator: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.features.setflags(write=False)
@@ -241,21 +242,21 @@ def induced_subgraph(
     keep = np.unique(np.asarray(list(nodes), dtype=np.int64))
     if keep.size and (keep.min() < 0 or keep.max() >= g.node_count):
         raise ValueError("node id out of range")
+    return node_subgraph(g, keep, edges_within(g, keep)), keep
+
+
+def edges_within(g: TextAttributedGraph, nodes: np.ndarray) -> np.ndarray:
+    """g's edges between two of `nodes` (distinct ids), each end renamed to its position in `nodes`."""
     local_of = np.full(g.node_count, -1, dtype=np.int64)
-    local_of[keep] = np.arange(keep.size)
-    if g.edges.size:
-        mask = (local_of[g.edges[:, 0]] >= 0) & (local_of[g.edges[:, 1]] >= 0)
-        sub_edges = local_of[g.edges[mask]]
-    else:
-        sub_edges = np.zeros((0, 2), np.int64)
-    sub = make_graph(
-        g.features[keep],
-        [g.texts[i] for i in keep],
-        g.labels[keep],
-        g.class_names,
-        sub_edges,
-    )
-    return sub, keep
+    local_of[nodes] = np.arange(nodes.size)
+    mask = (local_of[g.edges[:, 0]] >= 0) & (local_of[g.edges[:, 1]] >= 0)
+    return local_of[g.edges[mask]]
+
+
+def node_subgraph(g: TextAttributedGraph, nodes: np.ndarray, edges: np.ndarray) -> TextAttributedGraph:
+    """Graph whose node j is g's node nodes[j], with `edges` given in those positions."""
+    return make_graph(g.features[nodes], [g.texts[i] for i in nodes], g.labels[nodes],
+                      g.class_names, edges)
 
 
 def degrees(g: TextAttributedGraph) -> np.ndarray:
@@ -264,54 +265,31 @@ def degrees(g: TextAttributedGraph) -> np.ndarray:
 
 
 def gcn_normalized_adjacency(g: TextAttributedGraph) -> sp.csr_matrix:
-    """S = D^{-1/2} (A + I) D^{-1/2}, degrees taken from A + I.
+    """S = D^{-1/2} (A + I) D^{-1/2} = I - D^{-1/2} L D^{-1/2}, degrees from A + I.
 
-    Self-loops keep isolated nodes well-defined; the operator is symmetric
-    with spectral radius <= 1.
+    The one propagation operator: the GCN layers and laplacian_smooth both
+    multiply by it. Self-loops keep isolated nodes well-defined; S is
+    symmetric with spectral radius <= 1. Built once per graph as CSR with
+    sorted indices and cached on the graph; its arrays are read-only.
     """
-    return smoothing_operator(g, "laplacian")
-
-
-def smoothing_operator(g: TextAttributedGraph, weighting: str = "laplacian") -> sp.csr_matrix:
-    """Propagation operator used by laplacian_smooth, as CSR with sorted indices.
-
-    laplacian:  S = I - D^{-1/2} L D^{-1/2} = D^{-1/2} A_hat D^{-1/2}
-    plain-mean: S = D^{-1} A_hat  (row-normalized adjacency)
-
-    with A_hat = A + I, so every degree is at least 1. Built once per graph
-    and weighting and cached on the graph; its arrays are read-only.
-    """
-    if weighting not in ("laplacian", "plain-mean"):
-        raise ValueError(f"unknown weighting {weighting!r}")
-    cached = g._operators.get(weighting)
-    if cached is not None:
-        return cached
+    if g._operator:
+        return g._operator[0]
     n = g.node_count
     indptr, indices = g.neighbor_csr
     ahat = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
     ahat = ahat + sp.identity(n, format="csr")
-    deg = np.asarray(ahat.sum(axis=1)).ravel()
-    if weighting == "laplacian":
-        dinv_sqrt = sp.diags(1.0 / np.sqrt(deg))
-        s = dinv_sqrt @ ahat @ dinv_sqrt
-    else:
-        s = sp.diags(1.0 / deg) @ ahat
-    s = s.tocsr()
+    dinv_sqrt = sp.diags(1.0 / np.sqrt(degrees(g)))
+    s = (dinv_sqrt @ ahat @ dinv_sqrt).tocsr()
     s.sum_duplicates()
     s.sort_indices()
     for a in (s.data, s.indices, s.indptr):
         a.setflags(write=False)
-    g._operators[weighting] = s
+    g._operator.append(s)
     return s
 
 
-def laplacian_smooth(
-    X: np.ndarray,
-    g: TextAttributedGraph,
-    k: int,
-    weighting: str = "laplacian",
-) -> np.ndarray:
-    """Z = S^k X. k=0 returns X unchanged (as float64) for both weightings."""
+def laplacian_smooth(X: np.ndarray, g: TextAttributedGraph, k: int) -> np.ndarray:
+    """Z = S^k X with S = gcn_normalized_adjacency(g). k=0 returns X unchanged (as float64)."""
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] != g.node_count:
         raise ValueError(f"feature rows {X.shape[0]} != node count {g.node_count}")
@@ -319,7 +297,7 @@ def laplacian_smooth(
         raise ValueError("k must be >= 0")
     if k == 0:
         return X.copy()
-    s = smoothing_operator(g, weighting)
+    s = gcn_normalized_adjacency(g)
     z = X
     for _ in range(k):
         z = s @ z

@@ -96,12 +96,21 @@ def classify_batch(bank: PrototypeBank, H: np.ndarray) -> np.ndarray:
     protos = np.stack([bank.prototypes[c] for c in ids])
     if H.ndim != 2 or H.shape[1] != protos.shape[1]:
         raise ValueError("embedding dim mismatch")
-    pn = np.linalg.norm(protos, axis=1)
-    hn = np.linalg.norm(H, axis=1)
+    # Finite norms bound every dot product (Cauchy-Schwarz), so no score overflows.
+    pn, hn = _norms(protos), _norms(H)
     sim = H @ protos.T
     denom = np.outer(hn, pn)
     scores = np.divide(sim, denom, out=np.zeros_like(sim), where=denom > 0)
     return ids[np.argmax(scores, axis=1)]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite norm raises below
+def _norms(M: np.ndarray) -> np.ndarray:
+    """L2 norms along the last axis; FloatingPointError if one is not finite."""
+    n = np.linalg.norm(M, axis=-1)
+    if not np.isfinite(n).all():
+        raise FloatingPointError("non-finite embedding norm")
+    return n
 
 
 def teen_calibrate(
@@ -128,7 +137,7 @@ def teen_calibrate(
             raise ValueError(f"missing prototype for class {c}")
 
     def unit(v):
-        n = np.linalg.norm(v)
+        n = _norms(v)
         return v / n if n > 0 else v
 
     base_mat = np.stack([unit(bank.prototypes[b]) for b in base])
@@ -174,7 +183,7 @@ def routing_features(
         return X
     if weighting != "laplacian":
         raise ValueError(f"unknown weighting {weighting!r}")
-    z = laplacian_smooth(X, g, k, "laplacian")
+    z = laplacian_smooth(X, g, k)
     return z * (1.0 / np.sqrt(degrees(g)))[:, None]
 
 

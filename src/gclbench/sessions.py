@@ -8,11 +8,10 @@ only, which removes every edge between nodes of different sessions.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
-from .graph import TextAttributedGraph, induced_subgraph, make_graph
+from .graph import TextAttributedGraph, edges_within, induced_subgraph, node_subgraph
 
 NCIL = "ncil"
 FSNCIL = "fsncil"
@@ -30,16 +29,17 @@ class Session:
     train_nodes: tuple[int, ...]  # original graph ids
     test_nodes: tuple[int, ...]  # original graph ids
     subgraph: TextAttributedGraph
-    node_map: np.ndarray  # local id -> original id
-
-    @cached_property
-    def _local_of(self) -> dict[int, int]:
-        return {int(o): i for i, o in enumerate(self.node_map)}
+    node_map: np.ndarray  # local id -> original id, ascending
 
     def local_ids(self, original_ids) -> np.ndarray:
         """Subgraph ids of original graph ids; KeyError for a node outside the session."""
-        lookup = self._local_of
-        return np.array([lookup[int(o)] for o in original_ids], dtype=np.int64)
+        ids = np.asarray(original_ids, dtype=np.int64)
+        local = np.searchsorted(self.node_map, ids)
+        found = local < self.node_map.size
+        found[found] = self.node_map[local[found]] == ids[found]
+        if not found.all():
+            raise KeyError(int(ids[np.argmin(found)]))
+        return local
 
 
 @dataclass(frozen=True)
@@ -176,30 +176,14 @@ def plan_fsncil(
     return SessionPlan(FSNCIL, seed, tuple(order), sessions, g, eval_edges)
 
 
-def _disjoint_union(parts: list[TextAttributedGraph], class_names) -> tuple[TextAttributedGraph, np.ndarray]:
-    feats = np.concatenate([p.features for p in parts], axis=0)
-    texts: list[str] = []
-    labels = np.concatenate([p.labels for p in parts])
-    edges = []
-    offset = 0
-    offsets = []
-    for p in parts:
-        offsets.append(offset)
-        texts.extend(p.texts)
-        if p.edges.size:
-            edges.append(p.edges + offset)
-        offset += p.node_count
-    all_edges = np.concatenate(edges, axis=0) if edges else np.zeros((0, 2), np.int64)
-    g = make_graph(feats, texts, labels, class_names, all_edges)
-    return g, np.array(offsets, dtype=np.int64)
-
-
 def build_eval_task(plan: SessionPlan, i: int, mode: str) -> EvalTask:
     """Evaluation task after training session i (1-based).
 
     local:  session-i subgraph, its test nodes, classes of sessions 1..i.
-    global: union of session subgraphs 1..i (disjoint under intra_only; edges
-            between sessions restored under full_union), union of test nodes.
+    global: the nodes of sessions 1..i, session by session in subgraph order,
+            and their union of test nodes. Both eval-edge policies share this
+            node order; intra_only keeps each session's own edges, full_union
+            also restores the plan graph's edges between sessions.
     """
     if not (1 <= i <= plan.num_sessions):
         raise IndexError(f"session index {i} out of range 1..{plan.num_sessions}")
@@ -213,20 +197,16 @@ def build_eval_task(plan: SessionPlan, i: int, mode: str) -> EvalTask:
         return EvalTask(i, s.subgraph, eval_local, s.node_map, class_ids)
 
     active = plan.sessions[:i]
-    if plan.eval_edges == EVAL_EDGES_FULL:
-        all_nodes = sorted({n for s in active for n in (*s.train_nodes, *s.test_nodes)})
-        g, node_map = induced_subgraph(plan.graph, all_nodes)
-        lookup = {int(o): j for j, o in enumerate(node_map)}
-        eval_local = np.array(
-            sorted(lookup[n] for s in active for n in s.test_nodes), dtype=np.int64
-        )
-        return EvalTask(i, g, eval_local, node_map, class_ids)
-
-    g, offsets = _disjoint_union([s.subgraph for s in active], plan.graph.class_names)
+    offsets = np.cumsum([0] + [s.node_map.size for s in active[:-1]])
     node_sources = np.concatenate([s.node_map for s in active])
+    if plan.eval_edges == EVAL_EDGES_FULL:
+        edges = edges_within(plan.graph, node_sources)
+    else:
+        edges = np.concatenate([s.subgraph.edges + off for s, off in zip(active, offsets)])
     eval_local = np.concatenate(
-        [s.local_ids(s.test_nodes) + offsets[j] for j, s in enumerate(active)]
+        [s.local_ids(s.test_nodes) + off for s, off in zip(active, offsets)]
     )
+    g = node_subgraph(plan.graph, node_sources, edges)
     return EvalTask(i, g, np.sort(eval_local), node_sources, class_ids)
 
 

@@ -119,6 +119,7 @@ def ewc_penalty(p: ModelParams, anchor: EwcAnchor) -> tuple[float, dict[str, np.
     return loss, grads
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite entry raises below
 def fisher_diagonal(
     p: ModelParams,
     S,
@@ -138,7 +139,8 @@ def fisher_diagonal(
         b1: (S_R m1)[r] * u       W1: G_r * u,  G_r = sum_j S[r, j] (S X)[j] (x) m1[j]
 
     S need not be symmetric. G_r (d x h) is built one row at a time, so no
-    (rows, d, h) array is held.
+    (rows, d, h) array is held. An entry that overflows raises
+    FloatingPointError.
     """
     rows = np.asarray(rows, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -172,6 +174,9 @@ def fisher_diagonal(
         nbrs = S_R.indices[lo:hi]
         G = (SX[nbrs] * S_R.data[lo:hi, None]).T @ m1[nbrs]
         fisher["W1"] += G * G * sq_u[i]
+    for k in w:
+        if not np.isfinite(fisher[k]).all():
+            raise FloatingPointError(f"non-finite Fisher entry for {k}")
     return {k: fisher[k] / rows.size for k in w}
 
 

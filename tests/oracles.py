@@ -236,6 +236,12 @@ def nearest_centroid_accuracy(X: np.ndarray, labels: np.ndarray) -> float:
     return hits / X.shape[0]
 
 
+def local_ids_dict(node_map, original_ids) -> np.ndarray:
+    """Session-local ids by a dict over the node map; KeyError for an outside id."""
+    lookup = {int(o): i for i, o in enumerate(node_map)}
+    return np.array([lookup[int(o)] for o in original_ids], dtype=np.int64)
+
+
 def neighbor_lists_loop(g) -> list[np.ndarray]:
     """Sorted neighbours per node by a loop over edges; a self-loop is listed once."""
     nbrs: list[list[int]] = [[] for _ in range(g.node_count)]

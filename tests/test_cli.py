@@ -325,6 +325,25 @@ def test_overflowing_second_moment_fails_in_one_line(runner, tmp_path, dataset_d
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("method, message", [
+    ("cosine", "non-finite embedding norm"),
+    ("teen", "non-finite embedding norm"),
+    ("ewc", "non-finite Fisher entry for W1"),
+])
+def test_overflowing_embeddings_and_fisher_fail_in_one_line(runner, tmp_path, dataset_dir,
+                                                            method, message, recwarn):
+    # One Adam step at lr 1e100 leaves weights near 1e100. Before, cosine and
+    # teen exited 0 with chance-level accuracies after RuntimeWarnings from
+    # classify_batch, and ewc warned from fisher_diagonal and ewc_penalty
+    # before its error line.
+    result = _run_config(runner, tmp_path, dataset_dir, {"lr": 1e100, "epochs": 1}, method)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.splitlines() == [f"error: {message}"]
+    assert result.stdout == ""
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_class_names_not_json_fails_in_one_line_naming_the_file(runner, dataset_dir):
     (dataset_dir / "class_names.json").write_text('["a", "b"', encoding="utf-8")
     result = runner.invoke(main, ["plan", "--dataset", str(dataset_dir)])

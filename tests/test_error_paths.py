@@ -13,7 +13,6 @@ from gclbench.graph import (
     load_tag,
     make_graph,
     save_tag,
-    smoothing_operator,
 )
 from gclbench.nn import ARCH_GCN, ARCH_MLP, init_params, model_forward
 from gclbench.prototypes import PrototypeBank, build_prototypes, classify_batch, task_prototype
@@ -79,11 +78,6 @@ def test_make_graph_label_count_mismatch():
     with pytest.raises(TagFormatError, match="label-count"):
         make_graph(np.zeros((2, 2), np.float32), ["a", "b"], np.array([0]),
                    ["x"], np.zeros((0, 2), np.int64))
-
-
-def test_smoothing_operator_unknown_weighting(two_node_graph):
-    with pytest.raises(ValueError, match="unknown weighting"):
-        smoothing_operator(two_node_graph, "harmonic")
 
 
 def test_init_params_unknown_arch():

@@ -14,7 +14,6 @@ from gclbench.graph import (
     make_graph,
     sample_ego_graph,
     save_tag,
-    smoothing_operator,
 )
 from gclbench.nn import ARCH_GCN, layer_rows, spmm
 from gclbench.synth import SynthConfig, synth_tag
@@ -188,11 +187,10 @@ def test_csr_indices_sorted(testkit_graph):
 # ------------------------------------------------------------------ smoothing
 
 
-def test_smooth_k0_identity_both_weightings(testkit_graph):
+def test_smooth_k0_identity(testkit_graph):
     X = np.asarray(testkit_graph.features, dtype=np.float64)
-    for weighting in ("laplacian", "plain-mean"):
-        z = laplacian_smooth(X, testkit_graph, 0, weighting)
-        assert np.array_equal(z, X)
+    z = laplacian_smooth(X, testkit_graph, 0)
+    assert np.array_equal(z, X) and z is not X
 
 
 def test_smooth_two_nodes_one_step(two_node_graph):
@@ -202,9 +200,8 @@ def test_smooth_two_nodes_one_step(two_node_graph):
 
 def test_smooth_matches_dense_oracle(testkit_graph):
     X = np.asarray(testkit_graph.features, dtype=np.float64)[:, :4]
-    for weighting in ("laplacian", "plain-mean"):
-        z = laplacian_smooth(X, testkit_graph, 3, weighting)
-        assert np.allclose(z, dense_smooth(testkit_graph, X, 3, weighting), atol=1e-10)
+    z = laplacian_smooth(X, testkit_graph, 3)
+    assert np.allclose(z, dense_smooth(testkit_graph, X, 3), atol=1e-10)
 
 
 def test_smooth_row_convergence_monotone():
@@ -337,7 +334,7 @@ def test_operator_scipy_matrix_built_once(testkit_graph):
     assert np.array_equal(ops[0][1] @ X, s.T @ X)
 
 
-def test_operator_built_once_per_graph_and_weighting(testkit_graph, monkeypatch):
+def test_operator_built_once_per_graph(testkit_graph, monkeypatch):
     from gclbench import graph
     from gclbench.sessions import plan_ncil
     from gclbench.trainers import run_method
@@ -350,12 +347,11 @@ def test_operator_built_once_per_graph_and_weighting(testkit_graph, monkeypatch)
     run_method("gcn", plan, {"epochs": 2, "hidden_dim": 8}, mode="local", seed=0)
     assert builds == [s.subgraph.node_count for s in plan.sessions]
     sub = plan.sessions[0].subgraph
-    for weighting in ("laplacian", "plain-mean"):
-        first = smoothing_operator(sub, weighting)
-        laplacian_smooth(np.asarray(sub.features), sub, 2, weighting)
-        assert smoothing_operator(sub, weighting) is first
-    assert gcn_normalized_adjacency(sub) is smoothing_operator(sub, "laplacian")
-    assert len(builds) == 4
+    first = gcn_normalized_adjacency(sub)
+    laplacian_smooth(np.asarray(sub.features), sub, 2)
+    degrees(sub)
+    assert gcn_normalized_adjacency(sub) is first
+    assert len(builds) == 3
     s = gcn_normalized_adjacency(sub)
     before = s.toarray()
     for arr in (s.data, s.indices, s.indptr):

@@ -104,6 +104,18 @@ def test_classify_zero_norm_scores_zero():
     assert list(classify_batch(bank, H)) == [1, 0, 0]
 
 
+def test_classify_overflow_raises_without_warnings(recwarn):
+    # The largest finite norms still score: their dot products cannot overflow.
+    big = _bank({0: [1e154, 0.0], 1: [0.0, 1e154]})
+    assert list(classify_batch(big, np.array([[0.0, 1e154]]))) == [1]
+    for bank, h in ((big, [1e155, 1.0]),  # the squared norm overflows
+                    (_bank({0: [1e155, 0.0]}), [1.0, 0.0]),
+                    (big, [np.nan, 0.0])):
+        with pytest.raises(FloatingPointError, match="non-finite embedding norm"):
+            classify_batch(bank, np.array([h]))
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_classify_errors():
     with pytest.raises(ValueError, match="empty"):
         classify_batch(PrototypeBank(), np.array([[1.0]]))

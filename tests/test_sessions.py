@@ -1,9 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gclbench.graph import make_graph
 from gclbench.sessions import (
     PlanError,
+    Session,
     build_eval_task,
     filter_classes,
     plan_digest,
@@ -11,6 +16,8 @@ from gclbench.sessions import (
     plan_ncil,
 )
 from gclbench.synth import SynthConfig, synth_tag
+
+from oracles import local_ids_dict
 
 
 def _graph_with_counts(counts):
@@ -227,6 +234,34 @@ def test_eval_task_full_union_restores_intersession_edges(testkit_graph):
     assert np.array_equal(np.sort(full.node_sources), np.sort(intra.node_sources))
 
 
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_eval_edge_policies_differ_only_in_cross_session_edges(testkit_graph, i):
+    # The two policies share node order, eval nodes, features and labels, so
+    # a method seeded by union-local id draws the same numbers under both.
+    intra_plan = plan_ncil(testkit_graph, 2, 3, 30, seed=7)
+    intra = build_eval_task(intra_plan, i, "global")
+    full = build_eval_task(replace(intra_plan, eval_edges="full_union"), i, "global")
+    assert np.array_equal(full.node_sources, intra.node_sources)
+    assert np.array_equal(full.eval_nodes, intra.eval_nodes)
+    assert np.array_equal(full.graph.features, intra.graph.features)
+    assert np.array_equal(full.graph.labels, intra.graph.labels)
+    assert full.graph.texts == intra.graph.texts
+    assert full.class_ids == intra.class_ids
+
+    owner = {n: j for j, s in enumerate(intra_plan.sessions[:i])
+             for n in (*s.train_nodes, *s.test_nodes)}
+    cross = {(a, b) for a, b in testkit_graph.edges.tolist()
+             if a in owner and b in owner and owner[a] != owner[b]}
+    assert cross or i == 1
+
+    def original(task):
+        return {tuple(sorted(task.node_sources[e].tolist())) for e in task.graph.edges}
+
+    full_edges, intra_edges = original(full), original(intra)
+    assert intra_edges <= full_edges
+    assert full_edges - intra_edges == cross
+
+
 def test_eval_task_index_out_of_range(testkit_plan):
     with pytest.raises(IndexError):
         build_eval_task(testkit_plan, 0, "local")
@@ -257,13 +292,30 @@ def test_digest_line_count(testkit_plan):
             assert testkit_plan.graph.class_names[c] in digest
 
 
-def test_local_ids_lookup_built_once_and_unknown_ids_raise(cora_shaped):
+def test_local_ids_maps_and_unknown_ids_raise(cora_shaped):
     plan = plan_ncil(cora_shaped, classes_per_session=2, num_sessions=3, shots=10, seed=0)
     s, other = plan.sessions[0], plan.sessions[1]
     got = s.local_ids(s.test_nodes)
+    assert got.dtype == np.int64
     assert np.array_equal(s.node_map[got], s.test_nodes)
-    lookup = s._local_of
-    s.local_ids(s.train_nodes)
-    assert s._local_of is lookup
-    with pytest.raises(KeyError):
+    assert s.local_ids(()).shape == (0,)
+    with pytest.raises(KeyError) as err:
         s.local_ids([s.train_nodes[0], other.train_nodes[0]])
+    assert err.value.args == (other.train_nodes[0],)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.integers(0, 60), max_size=25),
+       st.lists(st.integers(-5, 70), max_size=12))
+def test_local_ids_matches_dict_lookup(members, queries):
+    node_map = np.array(sorted(members), dtype=np.int64)
+    s = Session((), (), (), None, node_map)
+    for ids in (queries, [int(o) for o in node_map[::-1]]):
+        try:
+            want = local_ids_dict(node_map, ids)
+        except KeyError as exc:
+            with pytest.raises(KeyError) as err:
+                s.local_ids(ids)
+            assert err.value.args == exc.args
+        else:
+            assert np.array_equal(s.local_ids(ids), want)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gclbench.graph import gcn_normalized_adjacency, make_graph, smoothing_operator
+from gclbench.graph import gcn_normalized_adjacency, make_graph
 from gclbench.nn import (
     ARCH_GCN,
     ARCH_MLP,
@@ -30,6 +31,7 @@ from gclbench.trainers import (
 )
 
 from oracles import (
+    dense_smoothing_operator,
     finite_diff_check,
     fisher_diagonal_loop,
     khop_nodes,
@@ -268,7 +270,9 @@ def _fisher_cases(draw):
     for k in p.weights:  # nonzero biases and a mix of live and dead ReLU units
         p.weights[k] = rng.standard_normal(p.weights[k].shape)
     X = np.asarray(g.features, np.float64)
-    return p, smoothing_operator(g, weighting), X, np.array(rows), np.array(labels)
+    S = (gcn_normalized_adjacency(g) if weighting == "laplacian"
+         else sp.csr_matrix(dense_smoothing_operator(g, "plain-mean")))
+    return p, S, X, np.array(rows), np.array(labels)
 
 
 # Derandomized: the bound is a float-rounding bound, and on about 1 in 20000
