@@ -13,7 +13,11 @@ The plans are chosen to tell the methods apart:
 - "sep0" (class_sep 0) is a plan on which plain-mean routing picks the wrong
   session while laplacian routing does not, so `tpp_heads` and `meanpool_tpp`
   differ;
-- "fsncil" gives `teen` a base session larger than its novel ones.
+- "fsncil" gives `teen` a base session larger than its novel ones;
+- "sep1-full" is "sep1" with eval_edges "full_union": global tasks that keep
+  the edges between sessions, for gcn, cosine, tpp_heads and (on the stub
+  provider, "sep1-full-stub") simgcl_proto, whose ego samples are seeded by
+  union-local id.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import hashlib
 import json
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 if __name__ == "__main__":  # run as a script from the root of a checkout
@@ -30,7 +35,7 @@ if __name__ == "__main__":  # run as a script from the root of a checkout
 from gclbench.evaluation import leakage_diagnostic  # noqa: E402
 from gclbench.graph import save_tag  # noqa: E402
 from gclbench.prompts import default_template, emit_instruction_jsonl  # noqa: E402
-from gclbench.sessions import plan_digest, plan_fsncil, plan_ncil  # noqa: E402
+from gclbench.sessions import EVAL_EDGES_FULL, plan_digest, plan_fsncil, plan_ncil  # noqa: E402
 from gclbench.stub_server import StubEmbeddingServer  # noqa: E402
 from gclbench.synth import SynthConfig, synth_tag  # noqa: E402
 from gclbench.trainers import run_method  # noqa: E402
@@ -41,6 +46,7 @@ CONFIG = {"epochs": 40, "hidden_dim": 16, "strength": 100.0}
 K_GRID = (0, 1, 2, 4, 8)
 GNN_METHODS = ("gcn", "ewc", "lwf", "cosine", "teen", "tpp_heads", "meanpool_tpp")
 PROVIDER_METHODS = ("simplecil", "simgcl_proto")
+FULL_UNION_METHODS = ("gcn", "cosine", "tpp_heads")
 MODES = ("local", "global")
 FANOUTS = (3, 3)
 
@@ -85,6 +91,9 @@ def compute() -> dict:
             run("sep0", m, plans["sep0"], CONFIG, mode)
     for m in ("cosine", "teen"):
         run("fsncil", m, plans["fsncil"], CONFIG, "local")
+    full_union = replace(plans["sep1"], eval_edges=EVAL_EDGES_FULL)
+    for m in FULL_UNION_METHODS:
+        run("sep1-full", m, full_union, CONFIG, "global")
     for name in ("sep1", "sep0"):
         out["leakage"][name] = leakage_diagnostic(plans[name], K_GRID, CONFIG).entries
 
@@ -105,6 +114,8 @@ def compute() -> dict:
                               cache_path=str(tmp / f"{m}.cache.bin"))
                 for mode in MODES:
                     run("sep1-stub", m, plan, config, mode)
+                if m == "simgcl_proto":
+                    run("sep1-full-stub", m, full_union, config, "global")
 
         save_tag(plan.graph, tmp / "emb")
         (tmp / "emb" / "index.json").write_text(json.dumps(list(range(plan.graph.node_count))))

@@ -19,5 +19,10 @@ def test_reference_plans_tell_the_methods_apart():
         assert m[f"sep1/teen/{mode}"] != m[f"sep1/cosine/{mode}"]
         assert m[f"sep1-stub/simplecil/{mode}"] != m[f"sep1-stub/simgcl_proto/{mode}"]
     assert m["fsncil/teen/local"] != m["fsncil/cosine/local"]
+    # Each full_union entry differs from its intra_only one, so the pins see
+    # the edges between sessions.
+    for m_id in reference.FULL_UNION_METHODS:
+        assert m[f"sep1-full/{m_id}/global"] != m[f"sep1/{m_id}/global"]
+    assert m["sep1-full-stub/simgcl_proto/global"] != m["sep1-stub/simgcl_proto/global"]
     routing = {(e["weighting"], e["k"]): e["task_id_accuracy"] for e in ref["leakage"]["sep0"]}
     assert routing[("plain-mean", 8)] < 1.0 == routing[("laplacian", 8)]
