@@ -31,9 +31,16 @@ def _or_grid(item: dict) -> dict:
     return {"oneOf": [item, {"type": "array", "items": item, "minItems": 1}]}
 
 
-_num_or_grid = _or_grid({"type": "number"})
-_int_or_grid = _or_grid({"type": "integer"})
-_count_or_grid = _or_grid({"type": "integer", "minimum": 1})
+# The hyperparameters a config may sweep, each with the schema of one value.
+_GRID_ITEMS = {
+    "lr": {"type": "number"},
+    "hidden_dim": {"type": "integer", "minimum": 1},
+    "epochs": {"type": "integer", "minimum": 1},
+    "strength": {"type": "number", "minimum": 0},
+    "lwf_lambda": {"type": "number", "minimum": 0},
+    "lwf_T": {"type": "number", "exclusiveMinimum": 0},
+    "k_smooth": {"type": "integer"},
+}
 
 # provider kind -> the fields it cannot do without
 PROVIDER_FIELDS = {"file": ("matrix", "index"), "http": ("endpoint",)}
@@ -96,16 +103,10 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "lr": _num_or_grid,
-                "hidden_dim": _count_or_grid,
-                "epochs": _count_or_grid,
+                **{k: _or_grid(item) for k, item in _GRID_ITEMS.items()},
                 "dropout": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-                "strength": _or_grid({"type": "number", "minimum": 0}),
-                "lwf_lambda": _or_grid({"type": "number", "minimum": 0}),
-                "lwf_T": _or_grid({"type": "number", "exclusiveMinimum": 0}),
                 "tau": {"type": "number", "exclusiveMinimum": 0},
                 "sample_num": {"type": "integer", "minimum": 1},
-                "k_smooth": _int_or_grid,
                 "softmax_T": {"type": "number"},
                 "shift_weight": {"type": "number", "minimum": 0, "maximum": 1},
                 "fanouts": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 1},
@@ -144,9 +145,6 @@ DEFAULT_HYPERS = {
     "conv_bias": False,
 }
 
-_GRID_KEYS = ("lr", "hidden_dim", "epochs", "strength", "lwf_lambda", "lwf_T", "k_smooth")
-
-
 class ConfigError(ValueError):
     pass
 
@@ -181,8 +179,8 @@ def resolve_hypers(doc: dict) -> dict:
 
 def expand_grid(hypers: dict) -> list[dict]:
     """Cross-product of all list-valued grid keys; scalars pass through."""
-    fixed = {k: v for k, v in hypers.items() if k not in _GRID_KEYS or not isinstance(v, list)}
-    grids = {k: v for k, v in hypers.items() if k in _GRID_KEYS and isinstance(v, list)}
+    fixed = {k: v for k, v in hypers.items() if k not in _GRID_ITEMS or not isinstance(v, list)}
+    grids = {k: v for k, v in hypers.items() if k in _GRID_ITEMS and isinstance(v, list)}
     keys = sorted(grids)
     points = []
     for combo in itertools.product(*(grids[k] for k in keys)):

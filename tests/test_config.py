@@ -1,0 +1,46 @@
+import itertools
+
+import pytest
+
+from gclbench.config import (
+    CONFIG_SCHEMA,
+    DEFAULT_HYPERS,
+    ConfigError,
+    _GRID_ITEMS,
+    expand_grid,
+    resolve_hypers,
+    validate_config,
+)
+
+
+def _doc(hypers):
+    return {"version": 1, "hyperparameters": hypers}
+
+
+def test_grid_keys_are_the_schema_keys_that_take_a_list():
+    props = CONFIG_SCHEMA["properties"]["hyperparameters"]["properties"]
+    assert {k for k, v in props.items() if "oneOf" in v} == set(_GRID_ITEMS)
+    assert set(_GRID_ITEMS) <= set(DEFAULT_HYPERS)
+
+
+@pytest.mark.parametrize("key", sorted(_GRID_ITEMS))
+def test_every_grid_key_expands(key):
+    doc = validate_config(_doc({key: [1, 2]}))
+    points = expand_grid(resolve_hypers(doc))
+    assert [p[key] for p in points] == [1, 2]
+    for p in points:
+        assert {k: v for k, v in p.items() if k != key} == {
+            k: v for k, v in DEFAULT_HYPERS.items() if k != key}
+
+
+def test_all_grid_keys_expand_to_their_cross_product():
+    grids = {k: [1, 2] for k in _GRID_ITEMS}
+    points = expand_grid(resolve_hypers(validate_config(_doc(grids))))
+    keys = sorted(grids)
+    assert [tuple(p[k] for k in keys) for p in points] == list(
+        itertools.product(*(grids[k] for k in keys)))
+
+
+def test_a_list_for_a_key_outside_the_table_is_rejected():
+    with pytest.raises(ConfigError, match="hyperparameters/dropout"):
+        validate_config(_doc({"dropout": [0.1, 0.2]}))
