@@ -246,14 +246,15 @@ def induced_subgraph(
 
 
 def edges_within(g: TextAttributedGraph, nodes: np.ndarray) -> np.ndarray:
-    """g's edges between two of `nodes` (distinct ids), each end renamed to its position in `nodes`."""
+    """g's edges between two of `nodes` (distinct ids), each end renamed to its index in `nodes`."""
     local_of = np.full(g.node_count, -1, dtype=np.int64)
     local_of[nodes] = np.arange(nodes.size)
     mask = (local_of[g.edges[:, 0]] >= 0) & (local_of[g.edges[:, 1]] >= 0)
     return local_of[g.edges[mask]]
 
 
-def node_subgraph(g: TextAttributedGraph, nodes: np.ndarray, edges: np.ndarray) -> TextAttributedGraph:
+def node_subgraph(g: TextAttributedGraph, nodes: np.ndarray,
+                  edges: np.ndarray) -> TextAttributedGraph:
     """Graph whose node j is g's node nodes[j], with `edges` given in those positions."""
     return make_graph(g.features[nodes], [g.texts[i] for i in nodes], g.labels[nodes],
                       g.class_names, edges)
