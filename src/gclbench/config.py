@@ -33,13 +33,13 @@ def _or_grid(item: dict) -> dict:
 
 # The hyperparameters a config may sweep, each with the schema of one value.
 _GRID_ITEMS = {
-    "lr": {"type": "number"},
+    "lr": {"type": "number", "exclusiveMinimum": 0},
     "hidden_dim": {"type": "integer", "minimum": 1},
     "epochs": {"type": "integer", "minimum": 1},
     "strength": {"type": "number", "minimum": 0},
     "lwf_lambda": {"type": "number", "minimum": 0},
     "lwf_T": {"type": "number", "exclusiveMinimum": 0},
-    "k_smooth": {"type": "integer"},
+    "k_smooth": {"type": "integer", "minimum": 0},
 }
 
 # provider kind -> the fields it cannot do without

@@ -26,6 +26,10 @@ from .graph import read_features_bin
 log = logging.getLogger(__name__)
 
 CACHE_KEY_BYTES = 32
+# HttpSource: attempts per batch, first retry wait (doubling), request timeout (s)
+HTTP_RETRIES = 3
+HTTP_BACKOFF = 0.5
+HTTP_TIMEOUT = 30.0
 
 
 class EmbeddingProviderError(RuntimeError):
@@ -71,9 +75,6 @@ class HttpSource:
     model: str
     batch_size: int = 16
     max_in_flight: int = 2
-    retries: int = 3
-    backoff: float = 0.5
-    timeout: float = 30.0
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -87,9 +88,9 @@ class HttpSource:
             headers["Authorization"] = f"Bearer {token}"
         body = {"model": self.model, "input": batch}
         last_err = None
-        for attempt in range(self.retries):
+        for attempt in range(HTTP_RETRIES):
             try:
-                resp = requests.post(url, json=body, headers=headers, timeout=self.timeout)
+                resp = requests.post(url, json=body, headers=headers, timeout=HTTP_TIMEOUT)
                 if 200 <= resp.status_code < 300:
                     return self._parse(resp.json(), len(batch))
                 last_err = EmbeddingProviderError(
@@ -97,8 +98,8 @@ class HttpSource:
                 )
             except requests.RequestException as exc:
                 last_err = EmbeddingProviderError(f"embedding request failed: {exc}")
-            if attempt + 1 < self.retries:
-                time.sleep(self.backoff * (2**attempt))
+            if attempt + 1 < HTTP_RETRIES:
+                time.sleep(HTTP_BACKOFF * (2**attempt))
         raise last_err
 
     @staticmethod

@@ -234,12 +234,15 @@ def write_report(results: list[dict], path, format: str = "json") -> None:
     """Write merged run results.
 
     json: the canonical full record (list of run documents).
-    csv:  flat (method, dataset, session, metric, value) rows.
+    csv:  flat (method, dataset, scenario, mode, eval_edges, seed, grid_point,
+          session, metric, value) rows; grid_point is compact JSON, and a
+          field a document lacks is left empty.
     md:   methods x datasets table of mean/final accuracy with fractional
           ranks (rank rule: mean over datasets and both metrics; ties share
           the average of their positions). Runs of one method and dataset
-          (seeds) share a cell: mean ± population std (n=runs); each grid
-          point of a method gets its own row.
+          that differ only in their seed share a cell: mean ± population std
+          (n=runs); each mode, scenario, eval-edge policy and grid point of a
+          method gets its own row.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -248,16 +251,20 @@ def write_report(results: list[dict], path, format: str = "json") -> None:
     elif format == "csv":
         with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
-            w.writerow(["method", "dataset", "session", "metric", "value"])
+            w.writerow(["method", "dataset", "scenario", "mode", "eval_edges", "seed",
+                        "grid_point", "session", "metric", "value"])
             for doc in results:
                 run = doc["run"]
+                gp = run.get("grid_point")
+                gp = "" if gp is None else json.dumps(gp, sort_keys=True, separators=(",", ":"))
+                ident = [run["method"], run["dataset"], run.get("scenario", ""),
+                         doc["matrix"]["mode"], run.get("eval_edges", ""), run.get("seed", ""), gp]
                 matrix = AccuracyMatrix.from_dict(doc["matrix"])
                 for i, acc in enumerate(matrix.stage_accuracies(), start=1):
-                    w.writerow([run["method"], run["dataset"], i, "accuracy", f"{acc:.6f}"])
+                    w.writerow(ident + [i, "accuracy", f"{acc:.6f}"])
                 for key in ("mean_acc", "final_acc", "aa", "af"):
                     val = doc["summary"].get(key)
-                    w.writerow([run["method"], run["dataset"], "", key,
-                                "" if val is None else f"{val:.6f}"])
+                    w.writerow(ident + ["", key, "" if val is None else f"{val:.6f}"])
     elif format == "md":
         path.write_text(_markdown_table(results), encoding="utf-8")
     else:
@@ -276,10 +283,12 @@ def _fractional_ranks(values: list[float]) -> np.ndarray:
 
 
 def _row_labels(docs: list[dict]) -> list[str]:
-    """One row label per run of one method: the method id, plus the grid_point
-    keys whose values differ between the method's runs."""
+    """One row label per run of one method: the method id, plus each setting
+    whose value differs between the method's runs: the mode (from the matrix),
+    scenario, eval_edges or a grid_point key. Seeds share a label."""
     method = docs[0]["run"]["method"]
-    points = [doc["run"].get("grid_point", {}) for doc in docs]
+    points = [{**doc["run"].get("grid_point", {}), "mode": doc["matrix"]["mode"],
+               **{k: doc["run"].get(k) for k in ("scenario", "eval_edges")}} for doc in docs]
     keys = sorted({k for p in points for k in p})
     varying = [k for k in keys if len({json.dumps(p.get(k)) for p in points}) > 1]
     if not varying:

@@ -7,16 +7,16 @@ D_i = dropout(ReLU(P_i)), with D_0 = X; the output layer is W_{L+1}/b_{L+1}.
 One loop over that stack serves init, head growth, forward, backward and
 embedding.
 
-model_forward takes an optional `rows`: the logits come back for those rows
-only, and model_backward then takes their gradient alone. Each layer then
-runs only on the rows those logits need (layer_rows): mlp2 on `rows`; a GCN's
-last layer on `rows` and each layer below on the nodes the layer above reads
-(for gcn2_mlp1, layer 1 on the rows' neighbours). Propagation and
-elementwise work shrink to those rows. Dense products and the sums over
-nodes in gradients still run at every node, with zeros outside a layer's
-rows, so the results equal the full pass's bit for bit. Dropout masks are
-drawn for every node and then cut to each layer's rows, so the random stream
-does not depend on `rows`.
+model_forward takes an optional `rows`, strictly increasing row ids: the
+logits come back for those rows only, and model_backward then takes their
+gradient alone. Each layer then runs only on the rows those logits need
+(layer_rows): mlp2 on `rows`; a GCN's last layer on `rows` and each layer
+below on the nodes the layer above reads (for gcn2_mlp1, layer 1 on the
+rows' neighbours). Propagation and elementwise work shrink to those rows.
+Dense products and the sums over nodes in gradients still run at every node,
+with zeros outside a layer's rows, so the results equal the full pass's bit
+for bit. Dropout masks are drawn for every node and then cut to each layer's
+rows, so the random stream does not depend on `rows`.
 
 Dense matrices are float64 numpy arrays throughout; gradients are derived by
 hand and cross-checked against central finite differences. No autodiff.
@@ -148,46 +148,42 @@ class LayerRows:
         (None: every position). At most one of `inputs` and `hidden[i]` is set.
     ops: per hidden layer, (A, A^T) with A = S[hidden[i]], the operator's rows
         for that layer, or None when the layer does not propagate.
-    out: positions of the requested rows in the last hidden layer's rows
-        (None: the same rows in the same order).
     """
 
     inputs: np.ndarray | None
     hidden: tuple
     ops: tuple
-    out: np.ndarray | None
 
 
 def layer_rows(arch: str, S: sp.csr_matrix | None, rows: np.ndarray | None = None) -> LayerRows:
-    """Where each layer must run for the logits at `rows` (None: every row).
+    """Where each layer must run for the logits at `rows`, strictly increasing
+    row ids (None: every row).
 
     A model that does not propagate runs every layer on X[rows]. A GCN runs
-    its last layer on the sorted rows and each layer below on the nodes whose
-    columns the operator rows above it hold (their receptive field). S[r]
-    keeps each row's terms in S's order, and its transpose is built once as
-    CSR with each row's terms in node order, the order S.T sums them in; so
-    each propagated row is the full product's row bit for bit.
+    its last layer on `rows` and each layer below on the nodes whose columns
+    the operator rows above it hold (their receptive field). S[r] keeps each
+    row's terms in S's order, and its transpose is built once as CSR with
+    each row's terms in node order, the order S.T sums them in; so each
+    propagated row is the full product's row bit for bit.
     """
     hidden, propagate = _layers(arch)
     if propagate and S is None:
         raise ValueError(f"{arch} requires a propagation operator")
     if not propagate and S is not None:
         raise ValueError(f"{arch} takes no propagation operator")
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64)
+        if (np.diff(rows) <= 0).any():
+            raise ValueError("rows must be strictly increasing")
     if not propagate:
-        inputs = None if rows is None else np.asarray(rows, dtype=np.int64)
-        return LayerRows(inputs, (None,) * hidden, (None,) * hidden, None)
+        return LayerRows(rows, (None,) * hidden, (None,) * hidden)
     if rows is None:
-        return LayerRows(None, (None,) * hidden, ((S, S.T),) * hidden, None)
-    rows = np.asarray(rows, dtype=np.int64)
-    top = np.unique(rows)
-    if top.size != rows.size:
-        raise ValueError("rows must be distinct")
-    per_layer, ops = [top], [S[top]]
+        return LayerRows(None, (None,) * hidden, ((S, S.T),) * hidden)
+    per_layer, ops = [rows], [S[rows]]
     for _ in range(hidden - 1):
         per_layer.insert(0, np.unique(ops[0].indices))
         ops.insert(0, S[per_layer[0]])
-    return LayerRows(None, tuple(per_layer), tuple((A, A.T.tocsr()) for A in ops),
-                     np.searchsorted(top, rows))
+    return LayerRows(None, tuple(per_layer), tuple((A, A.T.tocsr()) for A in ops))
 
 
 def _full(A: np.ndarray, rows: np.ndarray | None, n: int) -> np.ndarray:
@@ -214,11 +210,10 @@ def model_forward(
 
     Training mode (dropout after each hidden ReLU) is enabled only when
     dropout_seed is given; evaluation is fully deterministic. With `rows`
-    (distinct row ids of X, in any order), the logits are the full pass's
-    logits at `rows`, in that order, bit for bit; each layer runs only on the
-    rows those logits need (see layer_rows). `rows` may also be the LayerRows
-    that layer_rows(p.arch, S, rows) built, so that repeated passes build it
-    once.
+    (strictly increasing row ids of X), the logits are the full pass's logits
+    at `rows` bit for bit; each layer runs only on the rows those logits need
+    (see layer_rows). `rows` may also be the LayerRows that
+    layer_rows(p.arch, S, rows) built, so that repeated passes build it once.
     """
     X = np.asarray(X, dtype=np.float64)
     w = p.weights
@@ -247,9 +242,6 @@ def model_forward(
         cache.update({f"P{i}": P, f"D{i}": D, f"M{i}": M})
         if i < hidden:
             A = cache[f"A{i + 1}"] = _full(D, at, n)
-    if lr.out is not None:
-        D = D[lr.out]
-    cache["D_out"] = D  # the output layer's input
     logits = D @ w[f"W{hidden + 1}"] + w[f"b{hidden + 1}"]
 
     if not np.isfinite(logits).all():
@@ -268,10 +260,10 @@ def model_embed(p: ModelParams, S: sp.csr_matrix | None, X: np.ndarray) -> np.nd
 def model_backward(cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
     """Exact gradients of the scalar loss whose logit gradient is dlogits.
 
-    dlogits has one row per logit row of the forward pass: per row of `rows`
-    when it was given. The gradient equals the full-batch one with dlogits
-    zero outside `rows`, bit for bit: elementwise work and propagation run
-    on each layer's rows, dense products at every node.
+    dlogits has one row per logit row of the forward pass: per row of `rows`,
+    in ascending order, when it was given. The gradient equals the full-batch
+    one with dlogits zero outside `rows`, bit for bit: elementwise work and
+    propagation run on each layer's rows, dense products at every node.
     """
     p: ModelParams = cache["params"]
     w = p.weights
@@ -283,11 +275,8 @@ def model_backward(cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
 
     out = hidden + 1
     grads[f"b{out}"] = dlogits.sum(axis=0)
-    grads[f"W{out}"] = cache["D_out"].T @ dlogits
+    grads[f"W{out}"] = cache[f"D{hidden}"].T @ dlogits
     dD = dlogits @ w[f"W{out}"].T
-    if lr.out is not None:
-        dD_rows, dD = dD, np.empty_like(dD)
-        dD[lr.out] = dD_rows
     for i in range(hidden, 0, -1):
         dH = dD * cache[f"M{i}"] if cache["training"] else dD
         dP = dH * (cache[f"P{i}"] > 0)
@@ -299,9 +288,6 @@ def model_backward(cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
             dD = dT @ w[f"W{i}"].T
             if lr.hidden[i - 2] is not None:
                 dD = dD[lr.hidden[i - 2]]
-
-    if set(grads) != set(w):
-        raise ValueError("stale cache: gradient keys do not match parameters")
     return grads
 
 

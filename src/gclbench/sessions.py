@@ -207,7 +207,7 @@ def build_eval_task(plan: SessionPlan, i: int, mode: str) -> EvalTask:
         [s.local_ids(s.test_nodes) + off for s, off in zip(active, offsets)]
     )
     g = node_subgraph(plan.graph, node_sources, edges)
-    return EvalTask(i, g, np.sort(eval_local), node_sources, class_ids)
+    return EvalTask(i, g, eval_local, node_sources, class_ids)
 
 
 def plan_digest(plan: SessionPlan) -> str:

@@ -231,7 +231,8 @@ def train_session(
 ) -> ModelParams:
     """Full-batch Adam over one session's labeled nodes.
 
-    `labels` are head-column indices aligned with `train_rows`. The objective
+    `train_rows` are strictly increasing row ids of X, and `labels` are
+    head-column indices aligned with them. `lr` must be positive. The objective
     is the cross-entropy, plus ewc_penalty(p, anchor) when an EWC anchor is
     given, plus distill_loss against distill.frozen's logits on the train rows
     when a distillation source is given. The frozen logits are computed once,
@@ -245,12 +246,9 @@ def train_session(
     train rows' receptive field, with weights bit-identical to a pass over
     every node.
     """
+    if not lr > 0:
+        raise ValueError(f"learning rate must be positive, got {lr!r}")
     p = p.copy()
-    if epochs == 0:
-        return p
-    train_rows = np.asarray(train_rows, dtype=np.int64)
-    if np.unique(train_rows).size != train_rows.size:
-        raise ValueError("train rows must be distinct")
     labels = np.asarray(labels, dtype=np.int64)
     X = np.asarray(X, dtype=np.float64)
     rows = layer_rows(p.arch, S, train_rows)
@@ -621,6 +619,7 @@ class RunResult:
     method: str
     scenario: str
     mode: str
+    eval_edges: str
     seed: int
     dataset: str
     config_hash: str
@@ -634,6 +633,7 @@ class RunResult:
                 "method": self.method,
                 "scenario": self.scenario,
                 "mode": self.mode,
+                "eval_edges": self.eval_edges,
                 "seed": self.seed,
                 "dataset": self.dataset,
                 "config_hash": self.config_hash,
@@ -695,6 +695,7 @@ def run_method(
         method=method,
         scenario=plan.scenario,
         mode=mode,
+        eval_edges=plan.eval_edges,
         seed=seed,
         dataset=dataset,
         config_hash=config_hash(config),

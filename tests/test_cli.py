@@ -276,13 +276,47 @@ def test_regularizer_bounds_fail_in_one_line(runner, tmp_path, dataset_dir, meth
     assert not (tmp_path / "o").exists()
 
 
-def _run_config(runner, tmp_path, dataset_dir, hypers, method="gcn"):
+def _run_config(runner, tmp_path, dataset_dir, hypers, method="gcn", extra=()):
     doc = {"version": 1, "dataset": str(dataset_dir), "methods": [method],
            "plan": {"classes_per_session": 2, "num_sessions": 2, "shots": 10, "test_cap": 50},
            "hyperparameters": hypers}
     cfg = tmp_path / "hypers.json"
     cfg.write_text(json.dumps(doc))
-    return runner.invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    return runner.invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                                *extra])
+
+
+@pytest.mark.parametrize("k_smooth, where, message", [
+    (-1, "k_smooth", "-1 is less than the minimum of 0"),
+    ([2, -1], "k_smooth/1", "-1 is less than the minimum of 0"),
+], ids=["scalar", "grid"])
+def test_negative_k_smooth_fails_in_one_line(runner, tmp_path, dataset_dir, k_smooth, where,
+                                             message):
+    # Before, gcn trained and printed its line, then tpp_heads failed on
+    # "k must be >= 0" and no results.json was written.
+    result = _run_config(runner, tmp_path, dataset_dir, {"k_smooth": k_smooth, "epochs": 2},
+                         extra=["--method", "gcn", "--method", "tpp_heads"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines() == [
+        f"error: config invalid at hyperparameters/{where}: {message}"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("lr, where, message", [
+    (-0.01, "lr", "-0.01 is less than or equal to the minimum of 0"),
+    (0, "lr", "0 is less than or equal to the minimum of 0"),
+    ([0.01, -0.01], "lr/1", "-0.01 is less than or equal to the minimum of 0"),
+], ids=["negative", "zero", "grid"])
+def test_non_positive_learning_rate_fails_in_one_line(runner, tmp_path, dataset_dir, lr, where,
+                                                      message):
+    # Before, a negative rate ran gradient ascent and exited 0.
+    result = _run_config(runner, tmp_path, dataset_dir, {"lr": lr, "epochs": 2})
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines() == [
+        f"error: config invalid at hyperparameters/{where}: {message}"]
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("hypers, where", [
@@ -369,7 +403,26 @@ def test_report_command(runner, config_file, tmp_path):
         "--format", "csv",
     ])
     assert result.exit_code == 0
-    assert csv_out.read_text().startswith("method,dataset,session,metric,value")
+    assert csv_out.read_text().startswith(
+        "method,dataset,scenario,mode,eval_edges,seed,grid_point,session,metric,value")
+
+
+def test_report_keeps_local_and_global_runs_apart(runner, tmp_path, dataset_dir):
+    # Before, the report averaged the local and the global run into one cell,
+    # "(n=2)", as if they were two seeds.
+    results = []
+    for mode in ("local", "global"):
+        (tmp_path / mode).mkdir()
+        result = _run_config(runner, tmp_path / mode, dataset_dir, {"epochs": 5},
+                             extra=["--mode", mode])
+        assert result.exit_code == 0, result.output
+        results += ["--results", str(tmp_path / mode / "o" / "results.json")]
+    md = tmp_path / "report.md"
+    result = runner.invoke(main, ["report", *results, "--out", str(md), "--format", "md"])
+    assert result.exit_code == 0, result.output
+    rows = [line for line in md.read_text().splitlines() if line.startswith("| gcn")]
+    assert [r.split(" |")[0] for r in rows] == ["| gcn (mode=global)", "| gcn (mode=local)"]
+    assert "(n=" not in md.read_text()
 
 
 _GOOD_DOC = {"run": {"method": "gcn", "dataset": "d"},

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gclbench import embeddings
 from gclbench.embeddings import (
     EmbeddingCache,
     EmbeddingProviderError,
@@ -96,21 +97,22 @@ def test_http_dimension_drift_rejected():
             src.embed(["one", "two"])
 
 
-def test_http_retries_then_succeeds():
+def test_http_retries_then_succeeds(monkeypatch):
+    monkeypatch.setattr(embeddings, "HTTP_BACKOFF", 0.01)
     with StubEmbeddingServer(dim=4, fail_first=2) as srv:
-        src = HttpSource(srv.endpoint, "stub", batch_size=4, max_in_flight=1,
-                         retries=3, backoff=0.01)
+        src = HttpSource(srv.endpoint, "stub", batch_size=4, max_in_flight=1)
         out = src.embed(["x"])
         assert out.shape == (1, 4)
         assert srv.request_count == 3
 
 
-def test_http_fails_after_retries():
+def test_http_fails_after_retries(monkeypatch):
+    monkeypatch.setattr(embeddings, "HTTP_BACKOFF", 0.01)
     with StubEmbeddingServer(dim=4, fail_first=10) as srv:
-        src = HttpSource(srv.endpoint, "stub", batch_size=4, retries=3, backoff=0.01)
+        src = HttpSource(srv.endpoint, "stub", batch_size=4)
         with pytest.raises(EmbeddingProviderError, match="status"):
             src.embed(["x"])
-        assert srv.request_count == 3
+        assert srv.request_count == embeddings.HTTP_RETRIES == 3
 
 
 def test_http_bearer_token_from_env(monkeypatch):

@@ -290,12 +290,29 @@ def test_report_csv_row_counts(tmp_path):
     with open(tmp_path / "r.csv") as fh:
         rows = list(csv.reader(fh))
     header, body = rows[0], rows[1:]
-    assert header == ["method", "dataset", "session", "metric", "value"]
-    acc_rows = [r for r in body if r[3] == "accuracy"]
-    summary_rows = [r for r in body if r[3] != "accuracy"]
+    assert header == ["method", "dataset", "scenario", "mode", "eval_edges", "seed",
+                      "grid_point", "session", "metric", "value"]
+    acc_rows = [r for r in body if r[8] == "accuracy"]
+    summary_rows = [r for r in body if r[8] != "accuracy"]
     assert len(acc_rows) == 3
     assert len(summary_rows) == 4
-    assert {r[3] for r in summary_rows} == {"mean_acc", "final_acc", "aa", "af"}
+    assert {r[8] for r in summary_rows} == {"mean_acc", "final_acc", "aa", "af"}
+
+
+def test_report_csv_names_each_runs_settings(tmp_path):
+    # A document without eval_edges or grid_point (written before either
+    # existed) leaves those columns empty.
+    old = _dummy_result("gcn", "ds1", mode="local")
+    new = _dummy_result("gcn", "ds1")
+    new["run"].update(eval_edges="full_union", seed=3, grid_point={"lr": 0.1, "epochs": 5})
+    write_report([old, new], tmp_path / "r.csv", "csv")
+    with open(tmp_path / "r.csv") as fh:
+        body = list(csv.reader(fh))[1:]
+    assert {tuple(r[:7]) for r in body} == {
+        ("gcn", "ds1", "ncil", "local", "", "0", ""),
+        ("gcn", "ds1", "ncil", "global", "full_union", "3", '{"epochs":5,"lr":0.1}'),
+    }
+    assert len(body) == 2 * (3 + 4)
 
 
 def test_report_md_column_count(tmp_path):
@@ -362,9 +379,34 @@ def test_report_md_grid_points_get_own_rows(tmp_path):
     ]
 
 
+def test_report_md_splits_runs_by_mode_scenario_and_eval_edges(tmp_path):
+    # Before, a method's local and global runs were averaged into one cell
+    # as if they were two seeds.
+    local, glob = _final_only("gcn", 0.994), _final_only("gcn", 0.672, seed=1)
+    local["matrix"]["mode"] = "local"
+    write_report([local, glob], tmp_path / "r.md", "md")
+    lines = (tmp_path / "r.md").read_text().splitlines()
+    assert lines[2:4] == ["| gcn (mode=global) | 67.2 | 67.2 | 2.0 |",
+                          "| gcn (mode=local) | 99.4 | 99.4 | 1.0 |"]
+    assert len(lines) == 6  # header, rule, two rows, blank, rank rule
+
+    full, fsncil = _final_only("gcn", 0.5), _final_only("gcn", 0.6)
+    full["run"]["eval_edges"] = "full_union"
+    glob["run"]["eval_edges"] = fsncil["run"]["eval_edges"] = "intra_only"
+    fsncil["run"]["scenario"] = "fsncil"
+    write_report([glob, full, fsncil], tmp_path / "r.md", "md")
+    lines = (tmp_path / "r.md").read_text().splitlines()
+    assert [line.split(" |")[0] for line in lines[2:5]] == [
+        "| gcn (eval_edges=full_union, scenario=ncil)",
+        "| gcn (eval_edges=intra_only, scenario=fsncil)",
+        "| gcn (eval_edges=intra_only, scenario=ncil)",
+    ]
+
+
 _REPORT_RUNS = st.lists(
     st.tuples(st.sampled_from(["gcn", "ewc", "cosine"]), st.sampled_from(["ds1", "ds2"]),
-              st.floats(0, 1), st.floats(0, 1), st.sampled_from([0.1, 0.01])),
+              st.floats(0, 1), st.floats(0, 1), st.sampled_from([0.1, 0.01]),
+              st.sampled_from(["local", "global"])),
     min_size=1, max_size=12)
 
 
@@ -378,11 +420,11 @@ def test_fractional_ranks_match_loop_oracle(values):
 @given(runs=_REPORT_RUNS, data=st.data())
 def test_report_md_cells_and_ranks_match_numpy_in_any_order(tmp_path_factory, runs, data):
     docs = []
-    for seed, (method, dataset, first, last, lr) in enumerate(runs):
+    for seed, (method, dataset, first, last, lr, mode) in enumerate(runs):
         doc = _final_only(method, first, dataset, seed, grid_point={"epochs": 5, "lr": lr})
-        m = AccuracyMatrix(mode="global")
+        m = AccuracyMatrix(mode=mode)
         m.add_row([first])
-        m.add_row([last])
+        m.add_row([last] if mode == "global" else [first, last])
         doc["matrix"], doc["summary"] = m.to_dict(), summarize(m)
         docs.append(doc)
     out = tmp_path_factory.mktemp("md")
@@ -391,14 +433,19 @@ def test_report_md_cells_and_ranks_match_numpy_in_any_order(tmp_path_factory, ru
     text = (out / "a.md").read_bytes()
     assert (out / "b.md").read_bytes() == text
 
-    # A method's runs split into one row per lr only where its lr values differ.
-    lrs = {}
-    for method, _, _, _, lr in runs:
-        lrs.setdefault(method, set()).add(lr)
+    # A method's runs split into one row per lr and mode only where its
+    # values of that key differ.
+    seen = {}
+    for method, _, _, _, lr, mode in runs:
+        seen.setdefault(method, {"lr": set(), "mode": set()})
+        seen[method]["lr"].add(lr)
+        seen[method]["mode"].add(mode)
     cells = {}
     for doc in docs:
-        method, lr = doc["run"]["method"], doc["run"]["grid_point"]["lr"]
-        row = (method, f"{method} (lr={lr})" if len(lrs[method]) > 1 else method)
+        method = doc["run"]["method"]
+        values = {"lr": doc["run"]["grid_point"]["lr"], "mode": doc["matrix"]["mode"]}
+        varying = [f"{k}={v}" for k, v in values.items() if len(seen[method][k]) > 1]
+        row = (method, f"{method} ({', '.join(varying)})" if varying else method)
         cells.setdefault((row, doc["run"]["dataset"]), []).append(
             (doc["summary"]["mean_acc"], doc["summary"]["final_acc"]))
     datasets = sorted({d for _, d in cells})

@@ -147,11 +147,19 @@ def test_dense_forward_oracle_matches_model_forward_and_embed(arch, conv_bias):
 
 # ----------------------------------------------------------------------- rows
 
+# Row sets as drawn: a sparse set in no order, a single row, and every row in
+# reverse. The passes take rows in ascending order only, so each test feeds
+# _rows(name), the set sorted (see tests/test_trainers.py,
+# test_rows_must_be_strictly_increasing).
 _ROW_SETS = {
     "unsorted": [7, 2, 11, 0, 5],
     "single": [4],
-    "all": list(range(11, -1, -1)),  # every row, reversed
+    "all": list(range(11, -1, -1)),
 }
+
+
+def _rows(name):
+    return np.sort(_ROW_SETS[name])
 
 
 def _rows_case(arch, conv_bias):
@@ -172,7 +180,7 @@ _ROW_ARCHS = [(ARCH_GCN, False), (ARCH_GCN, True), (ARCH_MLP, False)]
 @pytest.mark.parametrize("rows", list(_ROW_SETS), ids=list(_ROW_SETS))
 def test_rows_forward_equals_full_logits_at_rows(arch, conv_bias, rows):
     p, s, X = _rows_case(arch, conv_bias)
-    r = np.array(_ROW_SETS[rows])
+    r = _rows(rows)
     full, _ = model_forward(p, s, X)
     got, _ = model_forward(p, s, X, rows=r)
     assert got.shape == (r.size, 3)
@@ -184,14 +192,14 @@ def test_rows_forward_equals_full_logits_at_rows(arch, conv_bias, rows):
 def test_rows_dropout_masks_are_the_full_masks_rows(arch, conv_bias, rows):
     # Same dropout_seed, same random stream: every mask the row-restricted
     # pass uses is the full pass's mask at the rows that layer ran on. A GCN
-    # runs layer 2 on the rows in node order and layer 1 on their neighbours
-    # (self-loops included); mlp2 runs on the rows as given.
+    # runs layer 2 on the rows and layer 1 on their neighbours (self-loops
+    # included); mlp2 runs on the rows.
     p, s, X = _rows_case(arch, conv_bias)
-    r = np.array(_ROW_SETS[rows])
+    r = _rows(rows)
     full_logits, full = model_forward(p, s, X, dropout_seed=21)
     got_logits, cut = model_forward(p, s, X, dropout_seed=21, rows=r)
     if arch == ARCH_GCN:
-        at = {1: np.flatnonzero(np.asarray(s[r].sum(axis=0)).ravel()), 2: np.sort(r)}
+        at = {1: np.flatnonzero(np.asarray(s[r].sum(axis=0)).ravel()), 2: r}
     else:
         at = {1: r}
     for i, layer_rows in at.items():
@@ -205,7 +213,7 @@ def test_rows_dropout_masks_are_the_full_masks_rows(arch, conv_bias, rows):
 @pytest.mark.parametrize("dropout_seed", [None, 21], ids=["eval", "train"])
 def test_rows_backward_matches_full_batch_epoch(arch, conv_bias, rows, dropout_seed):
     p, s, X = _rows_case(arch, conv_bias)
-    r = np.array(_ROW_SETS[rows])
+    r = _rows(rows)
     dl = np.random.default_rng(13).standard_normal((r.size, 3))
     want = full_batch_epoch(p, s, X, r, dl, dropout_seed)
     _, cache = model_forward(p, s, X, dropout_seed=dropout_seed, rows=r)

@@ -64,13 +64,30 @@ def test_train_session_reaches_full_accuracy_on_separable_data():
     assert float(np.mean(np.argmax(logits, axis=1) == g.labels)) == 1.0
 
 
-def test_train_session_rejects_repeated_train_rows():
-    # model_backward scatters each row's gradient back once, so a repeated
-    # row would silently drop gradient.
+@pytest.mark.parametrize("entry", ["model_forward", "train_session"])
+@pytest.mark.parametrize("rows", [[3, 9, 3], [9, 3]], ids=["repeated", "descending"])
+@pytest.mark.parametrize("arch", [ARCH_GCN, ARCH_MLP])
+def test_rows_must_be_strictly_increasing(arch, rows, entry):
+    # One row contract for both architectures. Before, mlp2 took repeated and
+    # descending rows, and a GCN took descending ones.
+    g, S, X = _separable_session()
+    S = S if arch == ARCH_GCN else None
+    p = init_params(arch, X.shape[1], 8, 2, seed=1)
+    rows = np.array(rows)
+    with pytest.raises(ValueError, match="rows must be strictly increasing"):
+        if entry == "model_forward":
+            model_forward(p, S, X, rows=rows)
+        else:
+            train_session(p, S, X, np.zeros(rows.size, int), rows, epochs=2, lr=1e-2)
+
+
+@pytest.mark.parametrize("lr", [0.0, -1e-2, np.nan])
+def test_train_session_rejects_non_positive_lr(lr):
+    # A negative rate ran gradient ascent to the end without a word.
     g, S, X = _separable_session()
     p = init_params(ARCH_GCN, X.shape[1], 8, 2, seed=1)
-    with pytest.raises(ValueError, match="train rows must be distinct"):
-        train_session(p, S, X, np.array([0, 1, 0]), np.array([3, 9, 3]), epochs=2, lr=1e-2)
+    with pytest.raises(ValueError, match="learning rate must be positive"):
+        train_session(p, S, X, g.labels, np.arange(g.node_count), epochs=2, lr=lr)
 
 
 def test_train_session_zero_epochs_no_change():
@@ -163,6 +180,7 @@ def test_train_session_matches_all_nodes_oracle(case, conv_bias):
     else:
         rows = order[:300]
         assert (np.diff(rows) < 0).any() and 300 < _neighbours(S, rows).size < n
+    rows = np.sort(rows)  # drawn in random order; train rows are ascending ids
     labels = np.random.default_rng(5).integers(0, 3, rows.size)
     hidden_dim = 1 if case == "one_unit" else 64
     p = init_params(ARCH_GCN, X.shape[1], hidden_dim, 3, seed=2, conv_bias=conv_bias)
@@ -664,6 +682,58 @@ def test_run_method_manifest_fields(testkit_plan):
     assert len(doc["run"]["session_seconds"]) == 3
     assert doc["summary"]["mean_acc"] is not None
     assert len(doc["run"]["config_hash"]) == 16
+
+
+def test_run_document_names_its_eval_edge_policy(testkit_graph):
+    # Before, a full_union and an intra_only run wrote documents that differed
+    # only in their numbers.
+    for policy in ("intra_only", "full_union"):
+        plan = plan_ncil(testkit_graph, 2, 3, 30, seed=7, eval_edges=policy)
+        doc = run_method("cosine", plan, dict(CFG, epochs=5), mode="global", seed=0).to_doc()
+        assert doc["run"]["eval_edges"] == policy
+
+
+def test_eval_nodes_and_train_rows_strictly_increase(testkit_graph, tmp_path, monkeypatch):
+    # layer_rows refuses rows that do not strictly increase, and no path
+    # sorts them first: every row set the sessions hand out must already.
+    from gclbench import trainers
+    from gclbench.graph import save_tag
+    from gclbench.sessions import Session, plan_fsncil
+
+    def increasing(ids):
+        return bool((np.diff(ids) > 0).all())
+
+    plans = [plan_ncil(testkit_graph, 2, 3, 30, seed=7, eval_edges=policy)
+             for policy in ("intra_only", "full_union")]
+    plans += [plan_fsncil(testkit_graph, 2, 2, 3, 30, 5, seed=4, eval_edges=policy)
+              for policy in ("intra_only", "full_union")]
+    for plan in plans:
+        for i in range(1, plan.num_sessions + 1):
+            for mode in ("local", "global"):
+                assert increasing(build_eval_task(plan, i, mode).eval_nodes), (plan.scenario, i)
+
+    seen = []  # every id array a runner maps, and every train_rows it trains on
+    local_ids, fit = Session.local_ids, trainers.train_session
+
+    def spy_local_ids(session, ids):
+        seen.append(local_ids(session, ids))
+        return seen[-1]
+
+    def spy_fit(p, S, X, labels, train_rows, *args, **kwargs):
+        seen.append(train_rows)
+        return fit(p, S, X, labels, train_rows, *args, **kwargs)
+
+    monkeypatch.setattr(Session, "local_ids", spy_local_ids)
+    monkeypatch.setattr(trainers, "train_session", spy_fit)
+    save_tag(testkit_graph, tmp_path / "emb")
+    (tmp_path / "emb" / "index.json").write_text(str(list(range(testkit_graph.node_count))))
+    provider = {"kind": "file", "matrix": str(tmp_path / "emb" / "features.bin"),
+                "index": str(tmp_path / "emb" / "index.json")}
+    for plan in (plans[0], plans[2]):
+        for m in METHOD_IDS:
+            seen.clear()
+            run_method(m, plan, dict(CFG, epochs=2, provider=provider), mode="local", seed=0)
+            assert seen and all(increasing(r) for r in seen), (plan.scenario, m)
 
 
 # ----------------------------------------------------------------- task heads
