@@ -15,7 +15,7 @@ import os
 import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -69,28 +69,51 @@ class FileSource:
 
 @dataclass
 class HttpSource:
-    """Batched, retried client for an embeddings endpoint."""
+    """Batched, retried client for an embeddings endpoint.
+
+    A source builds one session at its first fetch, with a keep-alive pool of
+    up to `max_in_flight` connections to the endpoint, so later batches reuse
+    open connections. The environment is read then, once: the token, the
+    proxy settings for the endpoint (HTTP(S)_PROXY, NO_PROXY), the CA bundle
+    (REQUESTS_CA_BUNDLE, CURL_CA_BUNDLE) and any .netrc login. A source whose
+    texts are all cached builds nothing. Its connections close when the source
+    is freed.
+    """
 
     endpoint: str
     model: str
     batch_size: int = 16
     max_in_flight: int = 2
+    _session: requests.Session | None = field(default=None, init=False, repr=False,
+                                              compare=False)
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
 
-    def _post_batch(self, batch: list[str]) -> np.ndarray:
-        url = self.endpoint.rstrip("/") + "/embeddings"
-        headers = {"Content-Type": "application/json"}
+    def _open_session(self) -> requests.Session:
+        s = requests.Session()
+        adapter = requests.adapters.HTTPAdapter(pool_connections=1,
+                                                pool_maxsize=max(1, self.max_in_flight))
+        s.mount("http://", adapter)
+        s.mount("https://", adapter)
+        # What Session.request would otherwise look up in os.environ per call.
+        s.proxies = requests.utils.get_environ_proxies(self.endpoint)
+        s.verify = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE") or True
+        s.auth = requests.utils.get_netrc_auth(self.endpoint)
+        s.trust_env = False
         token = os.environ.get("EMBEDDINGS_API_KEY")
         if token:
-            headers["Authorization"] = f"Bearer {token}"
+            s.headers["Authorization"] = f"Bearer {token}"
+        return s
+
+    def _post_batch(self, batch: list[str]) -> np.ndarray:
+        url = self.endpoint.rstrip("/") + "/embeddings"
         body = {"model": self.model, "input": batch}
         last_err = None
         for attempt in range(HTTP_RETRIES):
             try:
-                resp = requests.post(url, json=body, headers=headers, timeout=HTTP_TIMEOUT)
+                resp = self._session.post(url, json=body, timeout=HTTP_TIMEOUT)
                 if 200 <= resp.status_code < 300:
                     return self._parse(resp.json(), len(batch))
                 last_err = EmbeddingProviderError(
@@ -130,6 +153,8 @@ class HttpSource:
         """Embed texts in request order; batches may run concurrently."""
         if not texts:
             return np.zeros((0, 0), dtype=np.float32)
+        if self._session is None:  # before the batch threads start, so they share one
+            self._session = self._open_session()
         batches = [texts[i:i + self.batch_size] for i in range(0, len(texts), self.batch_size)]
         if self.max_in_flight > 1 and len(batches) > 1:
             with ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:

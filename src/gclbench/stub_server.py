@@ -3,6 +3,8 @@
 Returns deterministic unit vectors derived from a hash of each input text,
 so reruns and cache comparisons are exact. A drift schedule can force the
 response dimension to change after N requests, for exercising client checks.
+It speaks HTTP/1.1, so a client may keep its connections open between
+requests; an error reply closes its connection.
 """
 
 from __future__ import annotations
@@ -24,7 +26,11 @@ def deterministic_embedding(text: str, dim: int) -> list[float]:
 
 
 class StubEmbeddingServer:
-    """Context manager: serves POST /embeddings on an ephemeral port."""
+    """Context manager: serves POST /embeddings on an ephemeral port.
+
+    `request_count` counts the requests served, `connection_count` the
+    connections accepted.
+    """
 
     def __init__(self, dim: int = 8, drift_dim: int | None = None, drift_after: int = 1,
                  fail_first: int = 0):
@@ -33,6 +39,7 @@ class StubEmbeddingServer:
         self.drift_after = drift_after
         self.fail_first = fail_first
         self.request_count = 0
+        self.connection_count = 0
         self.last_auth_header: str | None = None
         self._lock = threading.Lock()
         self._httpd: ThreadingHTTPServer | None = None
@@ -48,6 +55,15 @@ class StubEmbeddingServer:
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            # Without this, a keep-alive reply waits on the client's delayed ACK.
+            disable_nagle_algorithm = True
+
+            def setup(self):
+                super().setup()
+                with outer._lock:
+                    outer.connection_count += 1
+
             def log_message(self, *args):  # keep test output quiet
                 pass
 

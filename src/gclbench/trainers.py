@@ -232,7 +232,8 @@ def train_session(
     """Full-batch Adam over one session's labeled nodes.
 
     `train_rows` are strictly increasing row ids of X, and `labels` are
-    head-column indices aligned with them. `lr` must be positive. The objective
+    head-column indices aligned with them. `lr` must be positive and `epochs`
+    non-negative; zero epochs return the weights unchanged. The objective
     is the cross-entropy, plus ewc_penalty(p, anchor) when an EWC anchor is
     given, plus distill_loss against distill.frozen's logits on the train rows
     when a distillation source is given. The frozen logits are computed once,
@@ -248,6 +249,8 @@ def train_session(
     """
     if not lr > 0:
         raise ValueError(f"learning rate must be positive, got {lr!r}")
+    if epochs < 0:
+        raise ValueError(f"epochs must be non-negative, got {epochs!r}")
     p = p.copy()
     labels = np.asarray(labels, dtype=np.int64)
     X = np.asarray(X, dtype=np.float64)

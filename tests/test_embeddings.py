@@ -1,5 +1,9 @@
 import json
+import socket
 import struct
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -104,6 +108,78 @@ def test_http_retries_then_succeeds(monkeypatch):
         out = src.embed(["x"])
         assert out.shape == (1, 4)
         assert srv.request_count == 3
+        # Each 503 closes its connection; the retry that succeeds opens the
+        # connection the next batch reuses.
+        assert srv.connection_count == 3
+        src.embed(["y"])
+        assert (srv.request_count, srv.connection_count) == (4, 3)
+
+
+def test_http_batches_reuse_pooled_connections():
+    with StubEmbeddingServer(dim=4) as srv:
+        src = HttpSource(srv.endpoint, "stub", batch_size=1, max_in_flight=1)
+        src.embed([f"t{i}" for i in range(5)])
+        assert (srv.request_count, srv.connection_count) == (5, 1)
+    # Three batch threads share the session; switch between them often.
+    texts = [f"t{i}" for i in range(12)]
+    want = np.array([deterministic_embedding(t, 4) for t in texts], np.float32)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with StubEmbeddingServer(dim=4) as srv:
+            src = HttpSource(srv.endpoint, "stub", batch_size=1, max_in_flight=3)
+            for _ in range(2):
+                assert np.array_equal(src.embed(texts), want)
+            assert srv.request_count == 24
+            assert 1 <= srv.connection_count <= 3
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_http_proxy_environment_honoured(monkeypatch):
+    monkeypatch.setattr(embeddings, "HTTP_BACKOFF", 0.01)
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    with socket.socket() as sock:  # a local port that nothing listens on
+        sock.bind(("127.0.0.1", 0))
+        closed_port = sock.getsockname()[1]
+    monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{closed_port}")
+    with StubEmbeddingServer(dim=4) as srv:
+        with pytest.raises(EmbeddingProviderError, match="request failed"):
+            HttpSource(srv.endpoint, "stub", batch_size=4).embed(["a"])
+        assert srv.request_count == 0
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        out = HttpSource(srv.endpoint, "stub", batch_size=4).embed(["a"])
+        assert out.shape == (1, 4)
+        assert srv.request_count == 1
+
+
+def _threads_left(before, timeout=10.0):
+    """Threads started since `before` still alive after up to `timeout` s."""
+    deadline = time.monotonic() + timeout
+    while (left := set(threading.enumerate()) - before) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return left
+
+
+def test_http_dropped_sources_release_their_connections():
+    with StubEmbeddingServer(dim=4) as srv:
+        before = set(threading.enumerate())
+        for i in range(40):
+            src = HttpSource(srv.endpoint, "stub", batch_size=1, max_in_flight=2)
+            src.embed([f"a{i}", f"b{i}", f"c{i}"])
+            del src  # its pool closes, so the stub's handler threads see EOF
+        assert srv.request_count == 120
+        assert not _threads_left(before)
+        held = HttpSource(srv.endpoint, "stub", batch_size=1, max_in_flight=1)
+        held.embed(["idle"])
+        assert len(set(threading.enumerate()) - before) == 1  # its connection's handler
+        t0 = time.monotonic()
+    # An idle keep-alive connection does not hold up shutdown.
+    assert time.monotonic() - t0 < 2.0
+    del held
+    assert not _threads_left(before)
 
 
 def test_http_fails_after_retries(monkeypatch):
@@ -206,6 +282,9 @@ def test_get_or_embed_cache_hits_skip_provider(tmp_path):
         out2 = get_or_embed(src, [1, 2], prompts.get, cache)
         assert srv.request_count == n1  # zero new provider requests
         assert np.array_equal(out1, out2)
+        warm = HttpSource(srv.endpoint, "stub", batch_size=8)
+        assert np.array_equal(get_or_embed(warm, [1, 2], prompts.get, cache), out1)
+        assert warm._session is None  # nothing to fetch: no session, no environment read
 
 
 def test_get_or_embed_cache_delete_identical_bytes(tmp_path):

@@ -90,6 +90,16 @@ def test_train_session_rejects_non_positive_lr(lr):
         train_session(p, S, X, g.labels, np.arange(g.node_count), epochs=2, lr=lr)
 
 
+def test_train_session_rejects_negative_epochs(testkit_plan):
+    # An empty range(epochs) returned the untrained weights: chance accuracy.
+    g, S, X = _separable_session()
+    p = init_params(ARCH_GCN, X.shape[1], 8, 2, seed=1)
+    with pytest.raises(ValueError, match="epochs must be non-negative"):
+        train_session(p, S, X, g.labels, np.arange(g.node_count), epochs=-1, lr=1e-2)
+    with pytest.raises(ValueError, match="epochs must be non-negative"):
+        run_method("gcn", testkit_plan, {"epochs": -5}, mode="local")
+
+
 def test_train_session_zero_epochs_no_change():
     g, S, X = _separable_session()
     p = init_params(ARCH_GCN, X.shape[1], 8, 2, seed=1)
