@@ -135,7 +135,7 @@ def run(config_path, dataset, scenario, mode, methods, seeds, eval_edges, out):
     for m in method_list:
         if m not in METHOD_IDS:
             raise ConfigError(f"unknown method {m!r}; valid ids: {', '.join(METHOD_IDS)}")
-    grid = expand_grid(resolve_hypers(doc))
+    grid = expand_grid(resolve_hypers(doc.get("hyperparameters")))
     outdir = Path(out)
     cache_path = str(outdir / "embeddings.cache.bin")
     results = []
@@ -173,7 +173,7 @@ def prompts(config_path, dataset, scenario, session, seed, out):
     doc = _load_doc(config_path)
     g, name = _resolve_graph(doc, dataset)
     p = _resolve_plan(doc, g, scenario, seed, None)
-    hypers = resolve_hypers(doc)
+    hypers = resolve_hypers(doc.get("hyperparameters"))
     template = default_template(name, len(hypers["fanouts"]), hypers["max_node_text_len"])
     count = emit_instruction_jsonl(
         p, session, template, out, seed, fanouts=tuple(hypers["fanouts"])
@@ -185,7 +185,8 @@ def prompts(config_path, dataset, scenario, session, seed, out):
 @click.option("--config", "config_path", type=click.Path(exists=True))
 @click.option("--dataset", type=click.Path())
 @click.option("--scenario", type=click.Choice(["ncil", "fsncil"]))
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True,
+              help="Seeds the plan; the heads always train at seed 0.")
 @click.option("--k-grid", default="1,2,4,8", show_default=True)
 @click.option("--out", type=click.Path(), help="Optional diagnostics.json path.")
 def diagnose_leakage(config_path, dataset, scenario, seed, k_grid, out):
@@ -194,7 +195,7 @@ def diagnose_leakage(config_path, dataset, scenario, seed, k_grid, out):
     g, _ = _resolve_graph(doc, dataset)
     p = _resolve_plan(doc, g, scenario, seed, None)
     ks = tuple(int(x) for x in k_grid.split(","))
-    points = expand_grid(resolve_hypers(doc))
+    points = expand_grid(resolve_hypers(doc.get("hyperparameters")))
     if len(points) > 1:
         raise ConfigError(f"diagnose-leakage takes one hyperparameter point; "
                           f"the config's grid has {len(points)}")

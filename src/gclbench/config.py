@@ -170,11 +170,9 @@ def load_config(path) -> dict:
     return validate_config(doc)
 
 
-def resolve_hypers(doc: dict) -> dict:
-    """Defaults overlaid with the config's hyperparameters (grids kept as lists)."""
-    out = dict(DEFAULT_HYPERS)
-    out.update(doc.get("hyperparameters", {}))
-    return out
+def resolve_hypers(hypers: dict | None) -> dict:
+    """DEFAULT_HYPERS overlaid with the given hyperparameters (grids kept as lists)."""
+    return {**DEFAULT_HYPERS, **(hypers or {})}
 
 
 def expand_grid(hypers: dict) -> list[dict]:

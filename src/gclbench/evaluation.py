@@ -141,10 +141,10 @@ def leakage_diagnostic(
 
     For each smoothing depth and each weighting, predicts the session of
     every test-node pool from stored train-pool prototypes, then scores
-    session-specific MLP heads routed by that prediction (AA / AF over the
-    full local triangle). Cell A[i][j] routes task j's test pool among the
-    prototypes of sessions 1..i; a head's accuracy on a task does not depend
-    on the routing, so each head scores each task once.
+    session-specific MLP heads, trained at seed 0, routed by that prediction
+    (AA / AF over the full local triangle). Cell A[i][j] routes task j's test
+    pool among the prototypes of sessions 1..i; a head's accuracy on a task
+    does not depend on the routing, so each head scores each task once.
     """
     from .trainers import fit_task_heads  # circular at module level
 

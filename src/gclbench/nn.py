@@ -65,15 +65,15 @@ class ModelParams:
         )
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    lr: float
     step: int = 0
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -330,13 +330,13 @@ def adam_step(
             raise ValueError(f"shape mismatch for {k}")
         if not np.isfinite(g).all():
             raise FloatingPointError(f"non-finite gradient for {k}")
-        st.m[k] = st.beta1 * st.m[k] + (1 - st.beta1) * g
-        st.v[k] = st.beta2 * st.v[k] + (1 - st.beta2) * g * g
+        st.m[k] = ADAM_BETA1 * st.m[k] + (1 - ADAM_BETA1) * g
+        st.v[k] = ADAM_BETA2 * st.v[k] + (1 - ADAM_BETA2) * g * g
         if not np.isfinite(st.v[k]).all():
             raise FloatingPointError(f"non-finite second moment for {k}")
-        mhat = st.m[k] / (1 - st.beta1**t)
-        vhat = st.v[k] / (1 - st.beta2**t)
-        p.weights[k] = p.weights[k] - st.lr * mhat / (np.sqrt(vhat) + st.eps)
+        mhat = st.m[k] / (1 - ADAM_BETA1**t)
+        vhat = st.v[k] / (1 - ADAM_BETA2**t)
+        p.weights[k] = p.weights[k] - st.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
         if not np.isfinite(p.weights[k]).all():
             raise FloatingPointError(f"non-finite weights for {k} after the update")
     return p, st

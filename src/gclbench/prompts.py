@@ -32,29 +32,20 @@ NO_NEIGHBOR_SENTINEL = "no known neighbors."
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    system_text: str
-    task_description: str
-    question_text: str  # must contain exactly one {labels} slot
-    hop_framings: tuple[str, ...]
+    """The fixed prompt text, set by dataset name, hop count and text cap."""
+
+    dataset_name: str
+    hops: int
     max_node_text_len: int = 128
 
     def __post_init__(self):
-        if self.question_text.count("{labels}") != 1:
-            raise ValueError("question_text needs exactly one {labels} slot")
         if self.max_node_text_len < 1:
             raise ValueError("max_node_text_len must be >= 1")
 
 
 def default_template(dataset_name: str = "Cora", hops: int = 2,
                      max_node_text_len: int = 128) -> PromptTemplate:
-    framings = tuple(f"known neighbors at hop {h}:" for h in range(1, hops + 1))
-    return PromptTemplate(
-        system_text=DEFAULT_SYSTEM.format(dataset=dataset_name),
-        task_description=DEFAULT_TASK,
-        question_text=DEFAULT_QUESTION,
-        hop_framings=framings,
-        max_node_text_len=max_node_text_len,
-    )
+    return PromptTemplate(dataset_name, hops, max_node_text_len)
 
 
 def truncate_tokens(text: str, max_tokens: int) -> str:
@@ -72,13 +63,13 @@ def render_prompt(ego: EgoGraph, template: PromptTemplate, class_names) -> str:
     names = list(class_names)
     if not names:
         raise ValueError("empty class list")
-    if len(ego.hop_nodes) > len(template.hop_framings):
+    if len(ego.hop_nodes) > template.hops:
         raise ValueError(
-            f"ego graph has {len(ego.hop_nodes)} hops; template frames {len(template.hop_framings)}"
+            f"ego graph has {len(ego.hop_nodes)} hops; template frames {template.hops}"
         )
     cap = template.max_node_text_len
     center_text = truncate_tokens(ego.center_text, cap)
-    parts = [template.system_text, template.task_description]
+    parts = [DEFAULT_SYSTEM.format(dataset=template.dataset_name), DEFAULT_TASK]
     lines = [f"[0][{center_text}]"]
     next_id = 1
     if all(len(h) == 0 for h in ego.hop_nodes):
@@ -91,9 +82,9 @@ def render_prompt(ego: EgoGraph, template: PromptTemplate, class_names) -> str:
                 entries.append(f"[{next_id}][{text}]")
                 next_id += 1
             body = " ".join(entries) if entries else NO_NEIGHBOR_SENTINEL
-            lines.append(f"{template.hop_framings[h]} {body}")
+            lines.append(f"known neighbors at hop {h + 1}: {body}")
     parts.append(" ".join(lines))
-    parts.append(template.question_text.format(labels=", ".join(names)))
+    parts.append(DEFAULT_QUESTION.format(labels=", ".join(names)))
     return "\n".join(parts)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -42,6 +43,7 @@ class StubEmbeddingServer:
         self.connection_count = 0
         self.last_auth_header: str | None = None
         self._lock = threading.Lock()
+        self._connections: set[socket.socket] = set()
         self._httpd: ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
 
@@ -63,6 +65,12 @@ class StubEmbeddingServer:
                 super().setup()
                 with outer._lock:
                     outer.connection_count += 1
+                    outer._connections.add(self.connection)
+
+            def finish(self):
+                with outer._lock:
+                    outer._connections.discard(self.connection)
+                super().finish()
 
             def log_message(self, *args):  # keep test output quiet
                 pass
@@ -102,6 +110,13 @@ class StubEmbeddingServer:
     def __exit__(self, *exc):
         if self._httpd is not None:
             self._httpd.shutdown()
+            # An idle keep-alive handler waits in readline until its socket closes.
+            with self._lock:
+                for conn in self._connections:
+                    try:
+                        conn.shutdown(socket.SHUT_RDWR)
+                    except OSError:  # the client closed it first
+                        pass
             self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import DEFAULT_HYPERS, PROVIDER_FIELDS
+from .config import PROVIDER_FIELDS, resolve_hypers
 from .embeddings import EmbeddingCache, FileSource, HttpSource, get_or_embed
 from .evaluation import (
     GLOBAL,
@@ -94,15 +94,12 @@ class DistillSource:
     frozen: ModelParams
     temperature: float
     weight: float
-    old_class_mask: np.ndarray  # bool over the grown head's columns
 
     def __post_init__(self):
         if self.temperature <= 0:
             raise ValueError("temperature must be > 0")
         if self.weight < 0:
             raise ValueError("weight must be >= 0")
-        if not self.old_class_mask.any():
-            raise ValueError("old-class mask is empty")
 
 
 def ewc_penalty(p: ModelParams, anchor: EwcAnchor) -> tuple[float, dict[str, np.ndarray]]:
@@ -236,8 +233,9 @@ def train_session(
     non-negative; zero epochs return the weights unchanged. The objective
     is the cross-entropy, plus ewc_penalty(p, anchor) when an EWC anchor is
     given, plus distill_loss against distill.frozen's logits on the train rows
-    when a distillation source is given. The frozen logits are computed once,
-    zero-padded to the head's width. Deterministic under a fixed seed. A
+    when a distillation source is given. The frozen logits are computed once;
+    their columns are the head's first ones, because nn.grow_output appends
+    new classes on the right. Deterministic under a fixed seed. A
     non-finite loss, forward pass, gradient or Adam step raises TrainingError
     naming the epoch.
 
@@ -256,9 +254,7 @@ def train_session(
     X = np.asarray(X, dtype=np.float64)
     rows = layer_rows(p.arch, S, train_rows)
     if distill is not None:
-        ol, _ = model_forward(distill.frozen, S, X, dropout_seed=None, rows=rows)
-        pad = np.zeros((ol.shape[0], distill.old_class_mask.size - ol.shape[1]))
-        old_logits = np.concatenate([ol, pad], axis=1)
+        old_logits, _ = model_forward(distill.frozen, S, X, dropout_seed=None, rows=rows)
     st = init_adam(p, lr)
     for epoch in range(epochs):
         try:
@@ -269,7 +265,8 @@ def train_session(
                 penalty, g_ewc = ewc_penalty(p, anchor)
                 loss += penalty
             if distill is not None:
-                dloss, dl_distill = distill_loss(logits, old_logits, distill.old_class_mask,
+                old_mask = np.arange(logits.shape[1]) < old_logits.shape[1]
+                dloss, dl_distill = distill_loss(logits, old_logits, old_mask,
                                                  distill.temperature, distill.weight)
                 loss += dloss
                 dlogits = dlogits + dl_distill
@@ -329,16 +326,10 @@ def _train_columns(s: Session, head_classes) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.array([col_of[int(s.subgraph.labels[r])] for r in rows], dtype=np.int64)
 
 
-def _with_defaults(config: dict | None) -> dict:
-    """config.DEFAULT_HYPERS overlaid with the caller's values."""
-    return {**DEFAULT_HYPERS, **(config or {})}
-
-
-def fit_task_heads(plan: SessionPlan, config: dict | None = None,
-                   seed: int = 0) -> list[TaskHead]:
-    """One two-layer MLP per session, trained on that session's classes only."""
-    config = _with_defaults(config)
-    return [_fit_head(plan, i, config, seed) for i in range(plan.num_sessions)]
+def fit_task_heads(plan: SessionPlan, config: dict | None = None) -> list[TaskHead]:
+    """One two-layer MLP per session, trained at seed 0 on that session's classes only."""
+    config = resolve_hypers(config)
+    return [_fit_head(plan, i, config, 0) for i in range(plan.num_sessions)]
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +346,7 @@ class _Runner:
 
     def __init__(self, plan: SessionPlan, config: dict, seed: int):
         self.plan = plan
-        self.config = _with_defaults(config)
+        self.config = resolve_hypers(config)
         self.seed = seed
 
 
@@ -385,7 +376,6 @@ class _GcnFamily(_Runner):
         new_classes = [c for c in s.class_ids if c not in self.head_classes]
 
         frozen_before = self.params.copy() if self.params is not None else None
-        n_old = len(self.head_classes)
         self.head_classes.extend(new_classes)
         if self.params is None:
             self.params = init_params(
@@ -408,8 +398,7 @@ class _GcnFamily(_Runner):
 
         source = None
         if self.use_lwf and frozen_before is not None and self.lwf_weight > 0:
-            old_cols = np.arange(len(self.head_classes)) < n_old
-            source = DistillSource(frozen_before, self.lwf_T, self.lwf_weight, old_cols)
+            source = DistillSource(frozen_before, self.lwf_T, self.lwf_weight)
 
         self.params = train_session(
             self.params, S, X, labels, rows,
@@ -679,7 +668,7 @@ def run_method(
         raise ValueError(f"unknown method {method!r}; valid ids: {', '.join(METHOD_IDS)}")
     if mode not in (LOCAL, GLOBAL):
         raise ValueError(f"unknown mode {mode!r}")
-    config = dict(config or {})
+    config = resolve_hypers(config)
     runner = _RUNNERS[method](plan, config, seed, dataset)
     matrix = AccuracyMatrix(mode=mode)
     times: list[float] = []

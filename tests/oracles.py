@@ -353,15 +353,14 @@ def train_session_all_nodes(p, S, X, labels, rows, epochs, lr, seed=0, distill=N
     rows = np.asarray(rows, dtype=np.int64)
     X = np.asarray(X, dtype=np.float64)
     if distill is not None:
-        ol, _ = _all_nodes_forward(distill.frozen, S, X, rows, None)
-        pad = np.zeros((ol.shape[0], distill.old_class_mask.size - ol.shape[1]))
-        old_logits = np.concatenate([ol, pad], axis=1)
+        old_logits, _ = _all_nodes_forward(distill.frozen, S, X, rows, None)
     st = init_adam(p, lr)
     for epoch in range(epochs):
         logits, cache = _all_nodes_forward(p, S, X, rows, _mix(seed, epoch))
         _, dlogits = cross_entropy(logits, labels)
         if distill is not None:
-            dlogits = dlogits + distill_loss(logits, old_logits, distill.old_class_mask,
+            old_mask = np.arange(logits.shape[1]) < old_logits.shape[1]
+            dlogits = dlogits + distill_loss(logits, old_logits, old_mask,
                                              distill.temperature, distill.weight)[1]
         p, st = adam_step(p, _all_nodes_backward(p, S, rows, cache, dlogits), st)
     return p

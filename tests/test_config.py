@@ -26,7 +26,7 @@ def test_grid_keys_are_the_schema_keys_that_take_a_list():
 @pytest.mark.parametrize("key", sorted(_GRID_ITEMS))
 def test_every_grid_key_expands(key):
     doc = validate_config(_doc({key: [1, 2]}))
-    points = expand_grid(resolve_hypers(doc))
+    points = expand_grid(resolve_hypers(doc["hyperparameters"]))
     assert [p[key] for p in points] == [1, 2]
     for p in points:
         assert {k: v for k, v in p.items() if k != key} == {
@@ -35,7 +35,7 @@ def test_every_grid_key_expands(key):
 
 def test_all_grid_keys_expand_to_their_cross_product():
     grids = {k: [1, 2] for k in _GRID_ITEMS}
-    points = expand_grid(resolve_hypers(validate_config(_doc(grids))))
+    points = expand_grid(resolve_hypers(validate_config(_doc(grids))["hyperparameters"]))
     keys = sorted(grids)
     assert [tuple(p[k] for k in keys) for p in points] == list(
         itertools.product(*(grids[k] for k in keys)))

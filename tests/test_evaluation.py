@@ -18,7 +18,7 @@ from gclbench.evaluation import (
 from gclbench.prototypes import task_prototype
 from gclbench.sessions import build_eval_task, plan_ncil
 from gclbench.synth import SynthConfig, synth_tag
-from gclbench.trainers import fit_task_heads
+from gclbench.trainers import fit_task_heads, run_method
 
 from oracles import fractional_ranks_loop, routed_head_triangle, summarize_direct
 
@@ -253,6 +253,27 @@ def test_leakage_aa_af_match_per_cell_routing_oracle():
             want = summarize_direct(rows)
             assert e["aa"] == pytest.approx(want["aa"], abs=1e-12)
             assert e["af"] == pytest.approx(want["af"], abs=1e-12)
+            misrouted += e["task_id_accuracy"] < 1.0
+    assert misrouted > 0
+
+
+def test_leakage_entries_equal_the_routed_methods_run_locally():
+    # Each probe entry is the local run of the routed method with the same
+    # weighting and depth: tpp_heads routes on laplacian smoothing,
+    # meanpool_tpp on plain-mean, both with heads at seed 0.
+    cfg = {"epochs": 20, "lr": 1e-2, "hidden_dim": 8}
+    method_of = {"laplacian": "tpp_heads", "plain-mean": "meanpool_tpp"}
+    misrouted = 0
+    for i, sep in enumerate((0.0, 0.5, 1.0)):
+        g = synth_tag(SynthConfig(num_classes=6, nodes_per_class=24, feature_dim=8,
+                                  class_sep=sep, intra_p=0.3, inter_p=0.3, seed=4000 + i))
+        plan = plan_ncil(g, 2, 3, 7, seed=i)
+        report = leakage_diagnostic(plan, k_grid=(0, 1, 4), config=cfg)
+        assert len(report.entries) == 6
+        for e in report.entries:
+            run = run_method(method_of[e["weighting"]], plan, {**cfg, "k_smooth": e["k"]},
+                             mode="local", seed=0)
+            assert (e["aa"], e["af"]) == (run.summary["aa"], run.summary["af"]), e
             misrouted += e["task_id_accuracy"] < 1.0
     assert misrouted > 0
 

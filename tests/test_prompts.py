@@ -5,7 +5,6 @@ import pytest
 from gclbench.graph import EgoGraph, sample_ego_graph
 from gclbench.prompts import (
     NO_NEIGHBOR_SENTINEL,
-    PromptTemplate,
     default_template,
     emit_instruction_jsonl,
     render_prompt,
@@ -66,13 +65,6 @@ def test_render_hop_count_guard():
     template = default_template("Cora", hops=1)
     with pytest.raises(ValueError, match="hops"):
         render_prompt(_ego_two_hops(), template, ["A"])
-
-
-def test_template_requires_single_label_slot():
-    with pytest.raises(ValueError, match="labels"):
-        PromptTemplate("s", "t", "no slot here", ("hop 1",))
-    with pytest.raises(ValueError, match="labels"):
-        PromptTemplate("s", "t", "{labels} and {labels}", ("hop 1",))
 
 
 def test_render_pure_function(testkit_graph):

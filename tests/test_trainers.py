@@ -199,7 +199,7 @@ def test_train_session_matches_all_nodes_oracle(case, conv_bias):
     distill = None
     if case == "distill":
         frozen = init_params(ARCH_GCN, X.shape[1], hidden_dim, 2, seed=8, conv_bias=conv_bias)
-        distill = DistillSource(frozen, 2.0, 1.0, np.arange(3) < 2)
+        distill = DistillSource(frozen, 2.0, 1.0)
     want = train_session_all_nodes(p, S, X, labels, rows, 20, 1e-2, seed=6, distill=distill)
     got = train_session(p, S, X, labels, rows, epochs=20, lr=1e-2, seed=6, distill=distill)
     assert sorted(got.weights) == sorted(want.weights)
@@ -454,7 +454,7 @@ def test_lwf_gradient_matches_finite_differences():
 
 def test_lwf_distill_via_frozen_model(testkit_plan, monkeypatch):
     # The lwf runner distills every epoch against the logits of the model as it
-    # stood before the session, computed once, zero-padded for the new classes.
+    # stood before the session, computed once, over the head's first columns.
     from gclbench import trainers
 
     calls = []
@@ -475,7 +475,8 @@ def test_lwf_distill_via_frozen_model(testkit_plan, monkeypatch):
     ol, _ = model_forward(frozen, gcn_normalized_adjacency(s.subgraph),
                           np.asarray(s.subgraph.features, np.float64))
     rows = s.local_ids(s.train_nodes)
-    expect = np.concatenate([ol, np.zeros((ol.shape[0], 2))], axis=1)[rows]
+    expect = ol[rows]
+    assert expect.shape[1] == 2
     assert len(calls) == 4
     for old_logits, mask, temperature, weight in calls:
         assert np.array_equal(old_logits, expect)
@@ -485,8 +486,12 @@ def test_lwf_distill_via_frozen_model(testkit_plan, monkeypatch):
 
 def test_distill_source_validation():
     p = init_params(ARCH_MLP, 2, 2, 2, seed=0)
-    with pytest.raises(ValueError, match="mask"):
-        DistillSource(p, 1.0, 1.0, np.array([False, False]))
+    for temperature in (0.0, -1.0):
+        with pytest.raises(ValueError, match="temperature"):
+            DistillSource(p, temperature, 1.0)
+    with pytest.raises(ValueError, match="weight"):
+        DistillSource(p, 1.0, -0.5)
+    DistillSource(p, 1.0, 0.0)  # a zero weight switches the term off
 
 
 # ------------------------------------------------------------------ run_method
@@ -537,6 +542,19 @@ def test_config_hash_ignores_cache_path_and_endpoint():
     assert config_hash(dict(base, lr=2e-2)) != config_hash(base)
     assert config_hash(dict(base, provider=dict(base["provider"], model="n"))) != config_hash(base)
     assert base["cache_path"] == "a.bin" and "endpoint" in base["provider"]  # not mutated
+
+
+def test_config_hash_covers_the_resolved_hyperparameters(testkit_plan, monkeypatch):
+    # A library run hashes the settings that ran, defaults included.
+    from gclbench import config
+
+    partial = run_method("gcn", testkit_plan, {"epochs": 3}, mode="local")
+    full = run_method("gcn", testkit_plan, {**config.DEFAULT_HYPERS, "epochs": 3}, mode="local")
+    assert full.matrix.rows == partial.matrix.rows
+    assert full.config_hash == partial.config_hash
+    monkeypatch.setitem(config.DEFAULT_HYPERS, "hidden_dim", 16)
+    moved = run_method("gcn", testkit_plan, {"epochs": 3}, mode="local")
+    assert moved.config_hash != partial.config_hash
 
 
 def test_run_method_reproducible(testkit_plan):
@@ -773,9 +791,10 @@ def test_head_weights_never_read_non_train_features(testkit_plan, finite):
     # A head trains on its session's train rows alone: test nodes and any
     # other node of the subgraph cannot move its weights. NaN features show
     # the rows are never read at all (a full-batch pass would raise on them).
-    from gclbench.trainers import _fit_head, _with_defaults
+    from gclbench.config import resolve_hypers
+    from gclbench.trainers import _fit_head
 
-    config = _with_defaults(dict(CFG, epochs=30))
+    config = resolve_hypers(dict(CFG, epochs=30))
     poisoned = _poison_non_train(testkit_plan, seed=17, finite=finite)
     for i, s in enumerate(testkit_plan.sessions):
         assert s.subgraph.node_count > len(s.train_nodes)
