@@ -12,20 +12,14 @@ from . import config as cfgmod
 from .config import ConfigError, expand_grid, load_config, resolve_hypers, validate_config
 from .embeddings import EmbeddingProviderError
 from .evaluation import leakage_diagnostic, load_results, write_report
-from .graph import TagFormatError, load_tag, save_tag
+from .graph import load_tag, save_tag
 from .prompts import default_template, emit_instruction_jsonl
-from .sessions import (
-    EVAL_EDGES_INTRA,
-    PlanError,
-    plan_digest,
-    plan_fsncil,
-    plan_ncil,
-)
+from .sessions import EVAL_EDGES_INTRA, plan_digest, plan_fsncil, plan_ncil
 from .synth import SynthConfig, synth_tag
 from .trainers import METHOD_IDS, TrainingError, run_method
 
-_ERRORS = (ConfigError, TagFormatError, PlanError, TrainingError, EmbeddingProviderError,
-           ValueError, OSError, IndexError, FloatingPointError)
+_ERRORS = (TrainingError, EmbeddingProviderError, ValueError, OSError, IndexError,
+           FloatingPointError)
 
 
 def _load_doc(config_path: str | None) -> dict:

@@ -24,7 +24,7 @@ hand and cross-checked against central finite differences. No autodiff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,11 +58,7 @@ class ModelParams:
     dropout_rate: float = 0.5
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            arch=self.arch,
-            weights={k: v.copy() for k, v in self.weights.items()},
-            dropout_rate=self.dropout_rate,
-        )
+        return replace(self, weights={k: v.copy() for k, v in self.weights.items()})
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -375,7 +375,7 @@ class _GcnFamily(_Runner):
         X = np.asarray(sub.features, dtype=np.float64)
         new_classes = [c for c in s.class_ids if c not in self.head_classes]
 
-        frozen_before = self.params.copy() if self.params is not None else None
+        frozen_before = self.params  # grow_output and train_session return new params
         self.head_classes.extend(new_classes)
         if self.params is None:
             self.params = init_params(
@@ -431,13 +431,10 @@ class _GcnFamily(_Runner):
 
 
 def _pad_all(old: dict[str, np.ndarray], p: ModelParams) -> dict[str, np.ndarray]:
-    out = {}
-    for k, w in p.weights.items():
-        src = old.get(k)
-        buf = np.zeros_like(w)
-        if src is not None:
-            buf[tuple(slice(0, s) for s in src.shape)] = src
-        out[k] = buf
+    """Each array of `old` zero-padded to the shape of p's weight of the same key."""
+    out = {k: np.zeros_like(w) for k, w in p.weights.items()}
+    for k, buf in out.items():
+        buf[tuple(map(slice, old[k].shape))] = old[k]
     return out
 
 
@@ -620,20 +617,9 @@ class RunResult:
     summary: dict = field(default_factory=dict)
 
     def to_doc(self) -> dict:
-        return {
-            "run": {
-                "method": self.method,
-                "scenario": self.scenario,
-                "mode": self.mode,
-                "eval_edges": self.eval_edges,
-                "seed": self.seed,
-                "dataset": self.dataset,
-                "config_hash": self.config_hash,
-                "session_seconds": self.session_seconds,
-            },
-            "matrix": self.matrix.to_dict(),
-            "summary": self.summary,
-        }
+        run = asdict(self)
+        del run["matrix"], run["summary"]
+        return {"run": run, "matrix": self.matrix.to_dict(), "summary": self.summary}
 
 
 def config_hash(config: dict) -> str:
@@ -675,12 +661,8 @@ def run_method(
     for i in range(1, plan.num_sessions + 1):
         t0 = time.perf_counter()
         runner.fit_session(i)
-        if mode == GLOBAL:
-            task = build_eval_task(plan, i, GLOBAL)
-            row = [_score(runner, task)]
-        else:
-            row = [_score(runner, build_eval_task(plan, j, LOCAL)) for j in range(1, i + 1)]
-        matrix.add_row(row)
+        tasks = (i,) if mode == GLOBAL else range(1, i + 1)
+        matrix.add_row([_score(runner, build_eval_task(plan, j, mode)) for j in tasks])
         times.append(time.perf_counter() - t0)
 
     return RunResult(
