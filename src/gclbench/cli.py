@@ -48,9 +48,12 @@ def _resolve_plan(doc: dict, g, scenario: str | None, seed: int, eval_edges: str
     # Each defaults table names exactly its builder's shape parameters.
     defaults = cfgmod.DEFAULT_PLAN_NCIL if scenario == "ncil" else cfgmod.DEFAULT_PLAN_FSNCIL
     given = doc.get("plan", {})
-    params = {k: given.get(k, v) for k, v in defaults.items()}
+    unknown = sorted(set(given) - set(defaults))
+    if unknown:
+        raise ConfigError(f"scenario {scenario!r} takes no plan key {', '.join(unknown)}; "
+                          f"its keys are {', '.join(defaults)}")
     build = plan_ncil if scenario == "ncil" else plan_fsncil
-    return build(g, **params, seed=seed, eval_edges=eval_edges)
+    return build(g, **{**defaults, **given}, seed=seed, eval_edges=eval_edges)
 
 
 class _Cli(click.Group):

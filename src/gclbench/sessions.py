@@ -138,6 +138,7 @@ def plan_ncil(
     The few-shot plan whose base session is one more block of the same size
     and shots.
     """
+    _check_shape(classes_per_session=classes_per_session, shots=shots)
     plan = plan_fsncil(g, classes_per_session, classes_per_session, num_sessions,
                        shots, shots, test_cap, seed, eval_edges)
     return replace(plan, scenario=NCIL)
@@ -155,8 +156,8 @@ def plan_fsncil(
     eval_edges: str = EVAL_EDGES_INTRA,
 ) -> SessionPlan:
     """Few-shot plan: a large base session, then m-way k-shot increments."""
-    if num_sessions < 1:
-        raise PlanError("num_sessions must be >= 1")
+    _check_shape(base_classes=base_classes, ways=ways, num_sessions=num_sessions,
+                 shots_base=shots_base, shots_novel=shots_novel, test_cap=test_cap)
     min_samples = max(shots_base, shots_novel) + 1
     retained = filter_classes(g, min_samples)
     needed = base_classes + ways * (num_sessions - 1)
@@ -174,6 +175,13 @@ def plan_fsncil(
         shots_per_block.append(shots_novel)
     sessions = _build_sessions(g, blocks, shots_per_block, test_cap, rng)
     return SessionPlan(FSNCIL, seed, tuple(order), sessions, g, eval_edges)
+
+
+def _check_shape(**counts: int) -> None:
+    """A class, shot, session or test count below 1 would build empty sessions."""
+    for name, value in counts.items():
+        if value < 1:
+            raise PlanError(f"{name} must be >= 1, got {value!r}")
 
 
 def build_eval_task(plan: SessionPlan, i: int, mode: str) -> EvalTask:

@@ -162,6 +162,31 @@ def test_run_rejects_unknown_config_key(runner, tmp_path, dataset_dir):
     assert "surprise" in result.output
 
 
+@pytest.mark.parametrize("command, out", [
+    ("run", "o"), ("plan", "o"), ("prompts", "p.jsonl"), ("diagnose-leakage", "d.json"),
+])
+def test_plan_key_of_another_scenario_fails_in_one_line(runner, tmp_path, dataset_dir,
+                                                         command, out):
+    doc = {"version": 1, "dataset": str(dataset_dir), "scenario": "ncil", "plan": {"ways": 5}}
+    cfg = tmp_path / "ways.json"
+    cfg.write_text(json.dumps(doc))
+    result = runner.invoke(main, [command, "--config", str(cfg), "--out", str(tmp_path / out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines() == [
+        "error: scenario 'ncil' takes no plan key ways; "
+        "its keys are classes_per_session, num_sessions, shots, test_cap"]
+
+
+def test_ncil_plan_keys_under_scenario_fsncil_fail_in_one_line(runner, config_file):
+    result = runner.invoke(main, ["plan", "--config", str(config_file), "--scenario", "fsncil"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines() == [
+        "error: scenario 'fsncil' takes no plan key classes_per_session, shots; its keys are "
+        "base_classes, ways, num_sessions, shots_base, shots_novel, test_cap"]
+
+
 def test_run_grid_expansion(runner, tmp_path, dataset_dir):
     doc = {
         "version": 1,

@@ -89,6 +89,24 @@ def test_plan_ncil_insufficient_classes():
         plan_ncil(g, classes_per_session=2, num_sessions=2, shots=10)
 
 
+_NCIL_SHAPE = {"classes_per_session": 2, "num_sessions": 3, "shots": 5, "test_cap": 10}
+_FSNCIL_SHAPE = {"base_classes": 2, "ways": 2, "num_sessions": 3,
+                 "shots_base": 5, "shots_novel": 3, "test_cap": 10}
+
+
+@pytest.mark.parametrize("build,shape,key", [
+    *(pytest.param(plan_ncil, _NCIL_SHAPE, k, id=f"ncil-{k}") for k in _NCIL_SHAPE),
+    *(pytest.param(plan_fsncil, _FSNCIL_SHAPE, k, id=f"fsncil-{k}") for k in _FSNCIL_SHAPE),
+])
+@pytest.mark.parametrize("value", [0, -1])
+def test_plan_shape_below_one_is_a_plan_error(testkit_graph, build, shape, key, value):
+    # A zero class, shot or test count would build sessions with no classes
+    # or no nodes, which a method then fails on with an untyped numpy error.
+    build(testkit_graph, **shape)  # the shape itself is buildable
+    with pytest.raises(PlanError, match=f"^{key} must be >= 1, got {value}$"):
+        build(testkit_graph, **{**shape, key: value})
+
+
 # ----------------------------------------------------------------- plan_fsncil
 
 
