@@ -90,11 +90,12 @@ class HttpSource:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        if self.max_in_flight < 1:
+            raise ValueError("max_in_flight must be >= 1")
 
     def _open_session(self) -> requests.Session:
         s = requests.Session()
-        adapter = requests.adapters.HTTPAdapter(pool_connections=1,
-                                                pool_maxsize=max(1, self.max_in_flight))
+        adapter = requests.adapters.HTTPAdapter(pool_connections=1, pool_maxsize=self.max_in_flight)
         s.mount("http://", adapter)
         s.mount("https://", adapter)
         # What Session.request would otherwise look up in os.environ per call.

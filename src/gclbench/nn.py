@@ -15,8 +15,9 @@ below on the nodes the layer above reads (for gcn2_mlp1, layer 1 on the
 rows' neighbours). Propagation and elementwise work shrink to those rows.
 Dense products and the sums over nodes in gradients still run at every node,
 with zeros outside a layer's rows, so the results equal the full pass's bit
-for bit. Dropout masks are drawn for every node and then cut to each layer's
-rows, so the random stream does not depend on `rows`.
+for bit. Each dropout mask is drawn for its layer's rows only, in layer
+order, so the random stream depends on `rows`: a pass over every node with
+the same masks on those rows gives the same results.
 
 Dense matrices are float64 numpy arrays throughout; gradients are derived by
 hand and cross-checked against central finite differences. No autodiff.
@@ -127,12 +128,10 @@ def spmm(S: sp.csr_matrix, X: np.ndarray) -> np.ndarray:
     return np.asarray(S @ X)
 
 
-def _dropout_mask(rng: np.random.Generator, shape, rate: float, rows=None) -> np.ndarray:
+def _dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
     # Inverted dropout: kept units scaled by 1/(1-rate) so eval needs no rescale.
-    # The uniforms are drawn for the full shape, then cut to `rows`.
-    u = rng.random(shape)
-    keep = (u if rows is None else u[rows]) >= rate
-    return keep.astype(np.float64) / (1.0 - rate)
+    # One uniform per unit of the layer as it runs: its rows only.
+    return (rng.random(shape) >= rate).astype(np.float64) / (1.0 - rate)
 
 
 @dataclass(frozen=True)
@@ -230,14 +229,11 @@ def model_forward(
         if f"b{i}" in w:
             P = P + w[f"b{i}"]
         H = np.maximum(P, 0.0)
-        at = lr.hidden[i - 1]
-        M = (_dropout_mask(rng, (X.shape[0], H.shape[1]), p.dropout_rate,
-                           lr.inputs if at is None else at)
-             if training else None)
+        M = _dropout_mask(rng, H.shape, p.dropout_rate) if training else None
         D = H * M if training else H
         cache.update({f"P{i}": P, f"D{i}": D, f"M{i}": M})
         if i < hidden:
-            A = cache[f"A{i + 1}"] = _full(D, at, n)
+            A = cache[f"A{i + 1}"] = _full(D, lr.hidden[i - 1], n)
     logits = D @ w[f"W{hidden + 1}"] + w[f"b{hidden + 1}"]
 
     if not np.isfinite(logits).all():

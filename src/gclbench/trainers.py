@@ -243,7 +243,9 @@ def train_session(
     `rows`, with the layers' rows and operators built once here): an mlp2
     model never reads another row of X, and a GCN's layers run only on the
     train rows' receptive field, with weights bit-identical to a pass over
-    every node.
+    every node that uses the same dropout masks on the field's rows. Each
+    mask is drawn for its layer's rows only, so the train rows steer the
+    random stream.
     """
     if not lr > 0:
         raise ValueError(f"learning rate must be positive, got {lr!r}")

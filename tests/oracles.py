@@ -329,23 +329,48 @@ def cache_append_loop(path, keys, vecs) -> None:
             fh.write(vec.tobytes())
 
 
-def full_batch_epoch(p, S, X, rows, dl_rows, dropout_seed=None):
-    """Gradients of the training epoch before `rows` existed: a forward pass
-    over every node, then backward with dlogits zero outside `rows`. The
-    reference for model_forward and model_backward called with rows."""
-    from gclbench.nn import model_backward, model_forward
+def layer_fields(arch, S, rows) -> list[np.ndarray]:
+    """The rows each hidden layer must run on for the logits at `rows`, in
+    layer order: for gcn2_mlp1 the nodes S's rows at `rows` read (their
+    neighbours, self-loops included), then `rows`; for mlp2, `rows`."""
+    rows = np.asarray(rows, dtype=np.int64)
+    return [np.unique(S[rows].indices), rows] if arch == "gcn2_mlp1" else [rows]
 
-    logits, cache = model_forward(p, S, X, dropout_seed=dropout_seed)
-    dlogits = np.zeros_like(logits)
-    dlogits[rows] = dl_rows
-    return model_backward(cache, dlogits)
+
+def dropout_masks(p, S, n, rows, dropout_seed) -> list[np.ndarray]:
+    """Each hidden layer's n-row dropout mask for a training pass that yields
+    the logits at `rows`, in layer order. The uniforms on the rows the layer
+    runs on (layer_fields) are one block per layer drawn from
+    default_rng(dropout_seed), in layer order. Every other row comes from an
+    unrelated stream, so a pass that read a mask row outside its layer's rows
+    would disagree with one that did not."""
+    rng = np.random.default_rng(dropout_seed)
+    elsewhere = np.random.default_rng([dropout_seed, 1])
+    h = p.weights["W1"].shape[1]
+    masks = []
+    for at in layer_fields(p.arch, S, rows):
+        u = elsewhere.random((n, h))
+        u[at] = rng.random((at.size, h))
+        masks.append((u >= p.dropout_rate).astype(np.float64) / (1.0 - p.dropout_rate))
+    return masks
+
+
+def full_batch_epoch(p, S, X, rows, dl_rows, dropout_seed=None):
+    """Gradients of one training epoch over every node: each hidden layer
+    runs on all n nodes under dropout_masks, the output layer on `rows`, and
+    backward takes dlogits zero outside `rows`. The reference for
+    model_forward and model_backward called with rows."""
+    rows = np.asarray(rows, dtype=np.int64)
+    _, cache = _all_nodes_forward(p, S, np.asarray(X, dtype=np.float64), rows, dropout_seed)
+    return _all_nodes_backward(p, S, rows, cache, dl_rows)
 
 
 def train_session_all_nodes(p, S, X, labels, rows, epochs, lr, seed=0, distill=None):
     """train_session for a gcn2_mlp1 model as it ran before its layers were
     cut to the train rows' receptive field: every epoch runs both GCN layers
-    over every node and only the output layer on `rows`. The reference that
-    train_session's weights must equal bit for bit."""
+    over every node, under dropout_masks, and only the output layer on
+    `rows`. The reference that train_session's weights must equal bit for
+    bit."""
     from gclbench.nn import adam_step, cross_entropy, init_adam
     from gclbench.trainers import _mix, distill_loss
 
@@ -366,36 +391,45 @@ def train_session_all_nodes(p, S, X, labels, rows, epochs, lr, seed=0, distill=N
     return p
 
 
+def _hidden(p) -> tuple[tuple[int, ...], bool]:
+    # (hidden layer ids, whether they propagate over S)
+    return ((1, 2), True) if p.arch == "gcn2_mlp1" else ((1,), False)
+
+
 def _all_nodes_forward(p, S, X, rows, dropout_seed):
     w = p.weights
-    rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
+    layers, propagate = _hidden(p)
+    masks = None if dropout_seed is None else dropout_masks(p, S, X.shape[0], rows, dropout_seed)
     D = X
     cache = {"D0": X}
-    for i in (1, 2):
-        P = np.asarray(S @ (D @ w[f"W{i}"]))
+    for i in layers:
+        P = D @ w[f"W{i}"]
+        if propagate:
+            P = np.asarray(S @ P)
         if f"b{i}" in w:
             P = P + w[f"b{i}"]
         H = np.maximum(P, 0.0)
-        M = None
-        if rng is not None:
-            M = (rng.random(H.shape) >= p.dropout_rate).astype(np.float64) / (1.0 - p.dropout_rate)
+        M = None if masks is None else masks[i - 1]
         D = H if M is None else H * M
         cache.update({f"P{i}": P, f"D{i}": D, f"M{i}": M})
+    out = len(layers) + 1
     cache["D_out"] = D[rows]
-    return cache["D_out"] @ w["W3"] + w["b3"], cache
+    return cache["D_out"] @ w[f"W{out}"] + w[f"b{out}"], cache
 
 
 def _all_nodes_backward(p, S, rows, cache, dlogits):
     w = p.weights
-    grads = {"b3": dlogits.sum(axis=0), "W3": cache["D_out"].T @ dlogits}
-    dD = np.zeros_like(cache["D2"])
-    dD[rows] = dlogits @ w["W3"].T
-    for i in (2, 1):
+    layers, propagate = _hidden(p)
+    out = len(layers) + 1
+    grads = {f"b{out}": dlogits.sum(axis=0), f"W{out}": cache["D_out"].T @ dlogits}
+    dD = np.zeros_like(cache[f"D{len(layers)}"])
+    dD[rows] = dlogits @ w[f"W{out}"].T
+    for i in reversed(layers):
         dH = dD if cache[f"M{i}"] is None else dD * cache[f"M{i}"]
         dP = dH * (cache[f"P{i}"] > 0)
         if f"b{i}" in w:
             grads[f"b{i}"] = dP.sum(axis=0)
-        dT = np.asarray(S.T @ dP)
+        dT = np.asarray(S.T @ dP) if propagate else dP
         grads[f"W{i}"] = cache[f"D{i - 1}"].T @ dT
         dD = dT @ w[f"W{i}"].T
     return grads

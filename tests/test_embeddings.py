@@ -83,6 +83,24 @@ def test_http_batch_order_and_shape():
         assert np.array_equal(out[1], np.array(deterministic_embedding("beta", 8), np.float32))
 
 
+@pytest.mark.parametrize("max_in_flight", [0, -3])
+def test_http_concurrency_below_one_rejected(testkit_plan, tmp_path, max_in_flight):
+    # The library API skips the config schema: the source itself refuses a
+    # width that would run one batch at a time, before any request is sent.
+    from gclbench.trainers import run_method
+
+    with StubEmbeddingServer(dim=8) as srv:
+        with pytest.raises(ValueError, match="max_in_flight must be >= 1"):
+            HttpSource(srv.endpoint, "stub", max_in_flight=max_in_flight)
+        provider = {"kind": "http", "endpoint": srv.endpoint, "model": "stub",
+                    "max_in_flight": max_in_flight}
+        cfg = {"epochs": 1, "cache_path": str(tmp_path / "c.bin"), "provider": provider}
+        with pytest.raises(ValueError, match="max_in_flight must be >= 1"):
+            run_method("simplecil", testkit_plan, cfg, mode="local", seed=0)
+        assert srv.request_count == 0
+    assert not (tmp_path / "c.bin").exists()
+
+
 def test_http_multi_batch_concurrent_order():
     with StubEmbeddingServer(dim=4) as srv:
         src = HttpSource(srv.endpoint, "stub", batch_size=2, max_in_flight=3)

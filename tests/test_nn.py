@@ -18,7 +18,13 @@ from gclbench.nn import (
 from gclbench.graph import make_graph
 from gclbench.synth import SynthConfig, synth_tag
 
-from oracles import finite_diff_check, full_batch_epoch, model_forward_dense
+from oracles import (
+    dropout_masks,
+    finite_diff_check,
+    full_batch_epoch,
+    layer_fields,
+    model_forward_dense,
+)
 
 
 def _csr_from_dense(d):
@@ -189,23 +195,22 @@ def test_rows_forward_equals_full_logits_at_rows(arch, conv_bias, rows):
 
 @pytest.mark.parametrize("arch, conv_bias", _ROW_ARCHS)
 @pytest.mark.parametrize("rows", list(_ROW_SETS), ids=list(_ROW_SETS))
-def test_rows_dropout_masks_are_the_full_masks_rows(arch, conv_bias, rows):
-    # Same dropout_seed, same random stream: every mask the row-restricted
-    # pass uses is the full pass's mask at the rows that layer ran on. A GCN
-    # runs layer 2 on the rows and layer 1 on their neighbours (self-loops
-    # included); mlp2 runs on the rows.
+def test_rows_dropout_masks_have_their_layers_rows(arch, conv_bias, rows):
+    # Each mask is drawn for the rows its layer runs on and no other: a GCN's
+    # layer 1 on the rows' neighbours (self-loops included), then layer 2 on
+    # the rows; mlp2's one layer on the rows. One block per layer, in layer
+    # order, from default_rng(dropout_seed).
     p, s, X = _rows_case(arch, conv_bias)
     r = _rows(rows)
-    full_logits, full = model_forward(p, s, X, dropout_seed=21)
-    got_logits, cut = model_forward(p, s, X, dropout_seed=21, rows=r)
+    _, cache = model_forward(p, s, X, dropout_seed=21, rows=r)
+    fields = layer_fields(arch, s, r)
+    assert len(fields) == (2 if arch == ARCH_GCN else 1)
     if arch == ARCH_GCN:
-        at = {1: np.flatnonzero(np.asarray(s[r].sum(axis=0)).ravel()), 2: r}
-    else:
-        at = {1: r}
-    for i, layer_rows in at.items():
-        assert np.array_equal(cut[f"M{i}"], full[f"M{i}"][layer_rows]), i
-    assert (full["M1"] == 0).any() and (full["M1"] > 0).any()
-    assert np.abs(got_logits - full_logits[r]).max() <= 1e-12
+        assert np.array_equal(fields[0], np.flatnonzero(np.asarray(s[r].sum(axis=0)).ravel()))
+    for i, (at, mask) in enumerate(zip(fields, dropout_masks(p, s, X.shape[0], r, 21)), 1):
+        assert cache[f"M{i}"].shape == (at.size, p.weights["W1"].shape[1]), i
+        assert np.array_equal(cache[f"M{i}"], mask[at]), i
+    assert (cache["M1"] == 0).any() and (cache["M1"] > 0).any()
 
 
 @pytest.mark.parametrize("arch, conv_bias", _ROW_ARCHS)
