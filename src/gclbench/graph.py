@@ -82,7 +82,11 @@ class EgoGraph:
 
 
 def canonicalize_edges(edges: np.ndarray, node_count: int) -> np.ndarray:
-    """Return (min,max)-ordered, deduplicated, sorted edges."""
+    """Return (min,max)-ordered, deduplicated, lexicographically sorted int64 edges.
+
+    Each pair is keyed as `lo * node_count + hi`, which sorts as (lo, hi) does,
+    so one 1-D `np.unique` dedups and sorts; an empty input gives shape (0, 2).
+    """
     if edges.size == 0:
         return np.zeros((0, 2), dtype=np.int64)
     edges = np.asarray(edges, dtype=np.int64)
@@ -91,9 +95,8 @@ def canonicalize_edges(edges: np.ndarray, node_count: int) -> np.ndarray:
     if edges.min() < 0 or edges.max() >= node_count:
         bad = int(np.argmax((edges < 0).any(axis=1) | (edges >= node_count).any(axis=1)))
         raise TagFormatError(f"edge endpoint out of range at record {bad}")
-    lo = edges.min(axis=1)
-    hi = edges.max(axis=1)
-    return np.unique(np.stack([lo, hi], axis=1), axis=0)
+    key = np.unique(edges.min(axis=1) * node_count + edges.max(axis=1))
+    return np.stack(np.divmod(key, node_count), axis=1)
 
 
 def make_graph(

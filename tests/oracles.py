@@ -293,6 +293,25 @@ def sbm_edges_dense(rng, labels, intra_p: float, inter_p: float) -> np.ndarray:
     return np.stack([iu[hit], ju[hit]], axis=1).astype(np.int64)
 
 
+def synth_draws_dense(cfg):
+    """`synth_tag`'s random draws, in its stream order, from one dense n x n
+    SBM draw and one scalar keyword draw per node: (noise, edges, picks)."""
+    rng = np.random.default_rng(cfg.seed)
+    n = cfg.num_classes * cfg.nodes_per_class
+    labels = np.repeat(np.arange(cfg.num_classes), cfg.nodes_per_class)
+    noise = rng.standard_normal((n, cfg.feature_dim))
+    edges = sbm_edges_dense(rng, labels, cfg.intra_p, cfg.inter_p)
+    picks = [int(rng.integers(2)) for _ in range(n)]
+    return noise, edges, picks
+
+
+def canonical_edges_rows(edges) -> np.ndarray:
+    """(min, max) pairs, deduplicated and sorted by a 2-D row-wise unique."""
+    e = np.asarray(edges, dtype=np.int64)
+    lo, hi = e.min(axis=1), e.max(axis=1)
+    return np.unique(np.stack([lo, hi], axis=1), axis=0)
+
+
 def fisher_diagonal_loop(p, S, X, rows, labels) -> dict[str, np.ndarray]:
     """Fisher diagonal by one full-graph backward pass per row (the reference)."""
     from gclbench.nn import model_backward, model_forward

@@ -18,6 +18,10 @@ The plans are chosen to tell the methods apart:
   the edges between sessions, for gcn, cosine, tpp_heads and (on the stub
   provider, "sep1-full-stub") simgcl_proto, whose ego samples are seeded by
   union-local id.
+
+The "graphs" entries pin the bytes `synth_tag` writes (features, edges,
+texts) for the sep1 and sep0 graphs and for a 1800-node graph of the
+gnn_train benchmark's shape, so a faster generator must draw the same graph.
 """
 
 from __future__ import annotations
@@ -51,11 +55,19 @@ MODES = ("local", "global")
 FANOUTS = (3, 3)
 
 
-def _plans() -> dict:
-    sep1 = synth_tag(SynthConfig(num_classes=6, nodes_per_class=60, feature_dim=16,
-                                 class_sep=1.0, intra_p=0.1, inter_p=0.03, seed=3))
-    sep0 = synth_tag(SynthConfig(num_classes=6, nodes_per_class=24, feature_dim=8,
-                                 class_sep=0.0, intra_p=0.3, inter_p=0.3, seed=1002))
+def _graphs() -> dict:
+    return {
+        "sep1": synth_tag(SynthConfig(num_classes=6, nodes_per_class=60, feature_dim=16,
+                                      class_sep=1.0, intra_p=0.1, inter_p=0.03, seed=3)),
+        "sep0": synth_tag(SynthConfig(num_classes=6, nodes_per_class=24, feature_dim=8,
+                                      class_sep=0.0, intra_p=0.3, inter_p=0.3, seed=1002)),
+        "gnn_train": synth_tag(SynthConfig(num_classes=6, nodes_per_class=300, feature_dim=64,
+                                           intra_p=0.02, inter_p=0.002, seed=1)),
+    }
+
+
+def _plans(graphs: dict) -> dict:
+    sep1, sep0 = graphs["sep1"], graphs["sep0"]
     return {
         "sep1": plan_ncil(sep1, 2, 3, 20, test_cap=500, seed=5),
         "sep0": plan_ncil(sep0, 2, 3, 8, seed=2),
@@ -68,6 +80,12 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _graph_entry(g) -> dict:
+    return {"features_sha256": _sha256(g.features.tobytes()),
+            "edges_sha256": _sha256(g.edges.tobytes()),
+            "texts_sha256": _sha256("\n".join(g.texts).encode())}
+
+
 def _plan_entry(plan) -> dict:
     nodes = [[list(s.class_ids), list(s.train_nodes), list(s.test_nodes)] for s in plan.sessions]
     return {"digest": plan_digest(plan), "nodes_sha256": _sha256(json.dumps(nodes).encode())}
@@ -75,8 +93,10 @@ def _plan_entry(plan) -> dict:
 
 def compute() -> dict:
     """Every reference output, as plain JSON values."""
-    plans = _plans()
-    out: dict = {"plans": {name: _plan_entry(p) for name, p in plans.items()},
+    graphs = _graphs()
+    plans = _plans(graphs)
+    out: dict = {"graphs": {name: _graph_entry(g) for name, g in graphs.items()},
+                 "plans": {name: _plan_entry(p) for name, p in plans.items()},
                  "matrices": {}, "leakage": {}, "emission": {}}
     matrices = out["matrices"]
 

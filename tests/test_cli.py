@@ -85,6 +85,16 @@ def test_plan_writes_files(runner, dataset_dir, tmp_path):
     assert (out / "plan.digest").read_text() == result.output
 
 
+@pytest.mark.parametrize("classes", ["0", "-2"])
+def test_synth_without_classes_fails_in_one_line(runner, tmp_path, classes):
+    out = tmp_path / "data"
+    result = runner.invoke(main, ["synth", "--out", str(out), "--classes", classes])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines() == ["error: num_classes must be >= 1"]
+    assert not out.exists()
+
+
 def test_plan_default_shots_too_large_fails_cleanly(runner, tmp_path):
     # default NCIL shots=100 exceed these 20-node classes -> one-line error
     small = tmp_path / "small"

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from gclbench.graph import (
     TagFormatError,
+    canonicalize_edges,
     degrees,
     gcn_normalized_adjacency,
     induced_subgraph,
@@ -19,6 +20,7 @@ from gclbench.nn import ARCH_GCN, layer_rows, spmm
 from gclbench.synth import SynthConfig, synth_tag
 
 from oracles import (
+    canonical_edges_rows,
     degrees_loop,
     dense_gcn_operator,
     dense_smooth,
@@ -120,6 +122,40 @@ def test_duplicate_edges_counted(tmp_path):
     loaded = load_tag(tmp_path)
     assert loaded.edge_count == 2  # five records, two distinct undirected edges
     assert loaded.edges.tolist() == [[0, 1], [1, 2]]
+
+
+@pytest.mark.parametrize("node_count,m,seed", [(1, 4, 0), (2, 30, 1), (7, 60, 2),
+                                               (50, 400, 3), (3000, 5000, 4)])
+def test_canonicalize_edges_matches_row_unique(node_count, m, seed):
+    rng = np.random.default_rng(seed)
+    e = rng.integers(node_count, size=(m, 2))
+    e[::5, 1] = e[::5, 0]  # self-loops
+    e = np.concatenate([e, e[: m // 3, ::-1], e[: m // 4]])  # reversed pairs, repeats
+    want = canonical_edges_rows(e)
+    for edges in (e, e.astype(np.int32), e[rng.permutation(len(e))]):
+        got = canonicalize_edges(edges, node_count)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("node_count", [0, 1, 5])
+def test_canonicalize_edges_empty(node_count):
+    for edges in (np.zeros((0, 2), np.int64), np.zeros(0, np.int32)):
+        got = canonicalize_edges(edges, node_count)
+        assert got.dtype == np.int64 and got.shape == (0, 2)
+
+
+def test_load_tag_unsorted_edges(tmp_path):
+    rng = np.random.default_rng(7)
+    n = 40
+    g = make_graph(np.zeros((n, 2), np.float32), [f"t{i}" for i in range(n)],
+                   np.zeros(n, np.int64), ["c"], np.zeros((0, 2), np.int64))
+    save_tag(g, tmp_path)
+    e = rng.integers(n, size=(300, 2))
+    (tmp_path / "edges.tsv").write_text("".join(f"{a}\t{b}\n" for a, b in e))
+    loaded = load_tag(tmp_path)
+    assert loaded.edges.dtype == np.int64
+    assert np.array_equal(loaded.edges, canonical_edges_rows(e))
 
 
 # ------------------------------------------------------------------ subgraphs
