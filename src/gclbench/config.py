@@ -18,7 +18,7 @@ SYNTH_SCHEMA = {
         "nodes_per_class": {"type": "integer", "minimum": 1},
         "feature_dim": {"type": "integer", "minimum": 1},
         "class_sep": {"type": "number", "minimum": 0},
-        "noise_sigma": {"type": "number", "exclusiveMinimum": 0},
+        "noise_sigma": {"type": "number", "minimum": 0},
         "intra_p": {"type": "number", "minimum": 0, "maximum": 1},
         "inter_p": {"type": "number", "minimum": 0, "maximum": 1},
         "seed": {"type": "integer", "minimum": 0},
@@ -162,10 +162,15 @@ def validate_config(doc: dict) -> dict:
     return doc
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def load_config(path) -> dict:
+    """The validated config at `path`, read as strict JSON: no NaN or Infinity literal."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_reject_constant)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return validate_config(doc)
 

@@ -157,11 +157,8 @@ class HttpSource:
         if self._session is None:  # before the batch threads start, so they share one
             self._session = self._open_session()
         batches = [texts[i:i + self.batch_size] for i in range(0, len(texts), self.batch_size)]
-        if self.max_in_flight > 1 and len(batches) > 1:
-            with ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:
-                parts = list(pool.map(self._post_batch, batches))
-        else:
-            parts = [self._post_batch(b) for b in batches]
+        with ThreadPoolExecutor(max_workers=min(self.max_in_flight, len(batches))) as pool:
+            parts = list(pool.map(self._post_batch, batches))
         dims = {p.shape[1] for p in parts}
         if len(dims) != 1:
             raise EmbeddingProviderError(f"dimension drift across batches: {sorted(dims)}")

@@ -106,8 +106,6 @@ def init_params(
 
 def grow_output(p: ModelParams, extra_classes: int, seed: int) -> ModelParams:
     """Append seeded-initialized output columns for newly arrived classes."""
-    if extra_classes <= 0:
-        return p
     rng = np.random.default_rng(seed)
     q = p.copy()
     out = _layers(p.arch)[0] + 1

@@ -27,7 +27,7 @@ class PrototypeBank:
     prototypes: dict[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise ValueError("temperature must be > 0")
 
     @property
@@ -73,8 +73,6 @@ def build_prototypes(
     rng = np.random.default_rng(seed)
     for c in sorted(set(int(x) for x in labels)):
         members = np.flatnonzero(labels == c)
-        if members.size == 0:
-            raise ValueError(f"class {c} has no members")
         if c in bank.prototypes:
             continue
         if members.size > sample_num:

@@ -80,7 +80,7 @@ class EwcAnchor:
     strength: float
 
     def __post_init__(self):
-        if self.strength < 0:
+        if not self.strength >= 0:
             raise ValueError("strength must be >= 0")
         for k, f in self.fisher.items():
             if (f < 0).any():
@@ -96,9 +96,9 @@ class DistillSource:
     weight: float
 
     def __post_init__(self):
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise ValueError("temperature must be > 0")
-        if self.weight < 0:
+        if not self.weight >= 0:
             raise ValueError("weight must be >= 0")
 
 
@@ -301,7 +301,7 @@ class TaskHead:
 
 def _fit_head(plan: SessionPlan, session_idx: int, config: dict, seed: int) -> TaskHead:
     s = plan.sessions[session_idx]
-    feats = np.asarray(s.subgraph.features, dtype=np.float64)
+    feats = s.subgraph.features
     class_ids = np.array(sorted(s.class_ids), dtype=np.int64)
     rows, labels = _train_columns(s, class_ids)
     p = init_params(
@@ -353,28 +353,28 @@ class _Runner:
 
 
 class _GcnFamily(_Runner):
-    """Sequential GCN fine-tuning, optionally with EWC and/or LwF terms."""
+    """Sequential GCN fine-tuning; the EWC and LwF terms run when their weights are > 0."""
 
     def __init__(self, plan: SessionPlan, config: dict, seed: int,
                  use_ewc: bool = False, use_lwf: bool = False):
         super().__init__(plan, config, seed)
-        self.use_ewc = use_ewc
-        self.use_lwf = use_lwf
         self.params: ModelParams | None = None
         self.head_classes: list[int] = []
         self.anchor: EwcAnchor | None = None
-        self.strength = float(self.config["strength"])
-        self.lwf_weight = float(self.config["lwf_lambda"])
+        strength = float(self.config["strength"])
+        lwf_weight = float(self.config["lwf_lambda"])
         self.lwf_T = float(self.config["lwf_T"])
-        # A negative weight would otherwise switch its term off without a word.
-        if self.strength < 0 or self.lwf_weight < 0 or self.lwf_T <= 0:
+        # A negative or NaN weight would otherwise switch its term off without a word.
+        if not (strength >= 0 and lwf_weight >= 0 and self.lwf_T > 0):
             raise TrainingError("strength and lwf_lambda must be >= 0, lwf_T > 0")
+        self.strength = strength if use_ewc else 0.0
+        self.lwf_weight = lwf_weight if use_lwf else 0.0
 
     def fit_session(self, i: int) -> None:
         s = self.plan.sessions[i - 1]
         sub = s.subgraph
         S = gcn_normalized_adjacency(sub)
-        X = np.asarray(sub.features, dtype=np.float64)
+        X = sub.features
         new_classes = [c for c in s.class_ids if c not in self.head_classes]
 
         frozen_before = self.params  # grow_output and train_session return new params
@@ -399,19 +399,19 @@ class _GcnFamily(_Runner):
         rows, labels = _train_columns(s, self.head_classes)
 
         source = None
-        if self.use_lwf and frozen_before is not None and self.lwf_weight > 0:
+        if frozen_before is not None and self.lwf_weight > 0:
             source = DistillSource(frozen_before, self.lwf_T, self.lwf_weight)
 
         self.params = train_session(
             self.params, S, X, labels, rows,
             epochs=int(self.config["epochs"]),
             lr=float(self.config["lr"]),
-            anchor=self.anchor,  # set only when use_ewc and strength > 0
+            anchor=self.anchor,  # set only when strength > 0
             distill=source,
             seed=_mix(self.seed, 3, i),
         )
 
-        if self.use_ewc and self.strength > 0:
+        if self.strength > 0:
             fisher = fisher_diagonal(self.params, S, X, rows, labels)
             if self.anchor is not None:
                 # Online EWC: one running Fisher sum, latest anchor.
@@ -424,8 +424,7 @@ class _GcnFamily(_Runner):
 
     def predict(self, task: EvalTask) -> np.ndarray:
         S = gcn_normalized_adjacency(task.graph)
-        X = np.asarray(task.graph.features, dtype=np.float64)
-        logits, _ = model_forward(self.params, S, X, dropout_seed=None)
+        logits, _ = model_forward(self.params, S, task.graph.features, dropout_seed=None)
         head = np.array(self.head_classes)
         col_mask = np.isin(head, np.array(task.class_ids))
         masked = np.where(col_mask, logits[task.eval_nodes], -np.inf)
@@ -481,9 +480,7 @@ class _FrozenGnnPrototypes(_Prototypes):
         self.params: ModelParams | None = None
 
     def _embed(self, graph, rows, node_sources, class_ids, stage_seed):
-        emb = model_embed(self.params, gcn_normalized_adjacency(graph),
-                          np.asarray(graph.features, dtype=np.float64))
-        return emb[rows]
+        return model_embed(self.params, gcn_normalized_adjacency(graph), graph.features)[rows]
 
     def fit_session(self, i: int) -> None:
         if i == 1:
@@ -551,15 +548,12 @@ class _RoutedHeads(_Runner):
         s = self.plan.sessions[i - 1]
         self.heads.append(_fit_head(self.plan, i - 1, self.config, self.seed))
         self.protos.add(
-            task_prototype(
-                s.subgraph, s.local_ids(s.train_nodes),
-                np.asarray(s.subgraph.features, dtype=np.float64),
-                self.k, self.weighting,
-            )
+            task_prototype(s.subgraph, s.local_ids(s.train_nodes), s.subgraph.features,
+                           self.k, self.weighting)
         )
 
     def predict(self, task: EvalTask) -> np.ndarray:
-        feats = np.asarray(task.graph.features, dtype=np.float64)
+        feats = task.graph.features
         query = task_prototype(task.graph, task.eval_nodes, feats, self.k, self.weighting)
         tid = predict_task_id(query, self.protos)
         return self.heads[tid].predict(feats[task.eval_nodes])
@@ -581,12 +575,8 @@ def make_embedding_source(cfg: dict | None):
         raise TrainingError(f"provider kind {kind!r} needs {', '.join(missing)}")
     if kind == "file":
         return FileSource(matrix_path=cfg["matrix"], index_path=cfg["index"])
-    return HttpSource(
-        endpoint=cfg["endpoint"],
-        model=cfg.get("model", "stub"),
-        batch_size=int(cfg.get("batch_size", 16)),
-        max_in_flight=int(cfg.get("max_in_flight", 2)),
-    )
+    sizes = {k: int(cfg[k]) for k in ("batch_size", "max_in_flight") if k in cfg}
+    return HttpSource(endpoint=cfg["endpoint"], model=cfg.get("model", "stub"), **sizes)
 
 
 # method id -> runner constructor (plan, config, seed, dataset); METHOD_IDS

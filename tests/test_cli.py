@@ -486,3 +486,52 @@ def test_report_malformed_results_fail_in_one_line(runner, tmp_path, doc, messag
 def test_unknown_subcommand(runner):
     result = runner.invoke(main, ["frobnicate"])
     assert result.exit_code != 0
+
+
+def _inline_synth_config(tmp_path, **synth):
+    synth = {"num_classes": 6, "nodes_per_class": 30, "feature_dim": 8, "seed": 1, **synth}
+    doc = {"version": 1, "dataset": {"synth": synth},
+           "plan": {"shots": 10, "test_cap": 10}, "hyperparameters": {"epochs": 5}}
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("noise_sigma", [0.5, 0])
+def test_inline_synth_dataset_plans_and_runs(runner, tmp_path, noise_sigma):
+    # A noise-free graph (noise_sigma 0) is one SynthConfig accepts; before,
+    # the schema refused it.
+    cfg = _inline_synth_config(tmp_path, noise_sigma=noise_sigma)
+    plan = runner.invoke(main, ["plan", "--config", str(cfg)])
+    assert plan.exit_code == 0, plan.output
+    assert "session 3:" in plan.output
+    out = tmp_path / "o"
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--method", "gcn",
+                                  "--method", "tpp_heads", "--mode", "local", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    docs = json.loads((out / "results.json").read_text())
+    assert [d["run"]["method"] for d in docs] == ["gcn", "tpp_heads"]
+    assert {d["run"]["dataset"] for d in docs} == {"synthetic"}
+
+
+def test_inline_synth_out_of_range_fails_in_one_line(runner, tmp_path):
+    cfg = _inline_synth_config(tmp_path, intra_p=1.5)
+    result = runner.invoke(main, ["plan", "--config", str(cfg)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines() == [
+        "error: config invalid at dataset/synth/intra_p: 1.5 is greater than the maximum of 1"]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_strength_fails_in_one_line(runner, tmp_path, dataset_dir, value):
+    # json.dumps writes NaN and Infinity, which Python's json reads back.
+    # Before, a NaN strength passed the schema and trained ewc as plain gcn.
+    result = _run_config(runner, tmp_path, dataset_dir, {"strength": value, "epochs": 2},
+                         method="ewc")
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    literal = json.dumps(value)
+    assert result.output.splitlines() == [
+        f"error: cannot read config {tmp_path / 'hypers.json'}: {literal} is not a JSON number"]
+    assert not (tmp_path / "o").exists()

@@ -8,6 +8,7 @@ from gclbench.config import (
     ConfigError,
     _GRID_ITEMS,
     expand_grid,
+    load_config,
     resolve_hypers,
     validate_config,
 )
@@ -44,3 +45,12 @@ def test_all_grid_keys_expand_to_their_cross_product():
 def test_a_list_for_a_key_outside_the_table_is_rejected():
     with pytest.raises(ConfigError, match="hyperparameters/dropout"):
         validate_config(_doc({"dropout": [0.1, 0.2]}))
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_load_config_rejects_non_finite_literals(tmp_path, literal):
+    # Python's json reads these, and a NaN passes every schema bound.
+    path = tmp_path / "config.json"
+    path.write_text('{"version": 1, "hyperparameters": {"strength": %s}}' % literal)
+    with pytest.raises(ConfigError, match=f"{literal} is not a JSON number"):
+        load_config(path)

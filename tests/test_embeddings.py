@@ -101,6 +101,21 @@ def test_http_concurrency_below_one_rejected(testkit_plan, tmp_path, max_in_flig
     assert not (tmp_path / "c.bin").exists()
 
 
+def test_http_provider_defaults_are_the_source_fields(testkit_plan, tmp_path):
+    from gclbench.trainers import _RUNNERS
+
+    def source(**given):
+        provider = {"kind": "http", "endpoint": "http://127.0.0.1:1", **given}
+        cfg = {"provider": provider, "cache_path": str(tmp_path / "c.bin")}
+        return _RUNNERS["simplecil"](testkit_plan, cfg, 0, "synth").source
+
+    src = source()
+    assert isinstance(src, HttpSource)
+    assert (src.batch_size, src.max_in_flight) == (16, 2)
+    src = source(batch_size=3, max_in_flight=5)
+    assert (src.batch_size, src.max_in_flight) == (3, 5)
+
+
 def test_http_multi_batch_concurrent_order():
     with StubEmbeddingServer(dim=4) as srv:
         src = HttpSource(srv.endpoint, "stub", batch_size=2, max_in_flight=3)
@@ -136,8 +151,15 @@ def test_http_retries_then_succeeds(monkeypatch):
 def test_http_batches_reuse_pooled_connections():
     with StubEmbeddingServer(dim=4) as srv:
         src = HttpSource(srv.endpoint, "stub", batch_size=1, max_in_flight=1)
-        src.embed([f"t{i}" for i in range(5)])
+        texts = [f"t{i}" for i in range(5)]
+        before = set(threading.enumerate())
+        out = src.embed(texts)
         assert (srv.request_count, srv.connection_count) == (5, 1)
+        # One worker posts the batches in request order, and it is joined
+        # before embed returns: the only new thread is the connection's handler.
+        assert np.array_equal(
+            out, np.array([deterministic_embedding(t, 4) for t in texts], np.float32))
+        assert len(set(threading.enumerate()) - before) == 1
     # Three batch threads share the session; switch between them often.
     texts = [f"t{i}" for i in range(12)]
     want = np.array([deterministic_embedding(t, 4) for t in texts], np.float32)

@@ -11,7 +11,7 @@ from gclbench.nn import (
     init_params,
     model_forward,
 )
-from gclbench.prototypes import TaskPrototypeSet, task_prototype
+from gclbench.prototypes import PrototypeBank, TaskPrototypeSet, task_prototype
 from gclbench.sessions import build_eval_task, plan_ncil
 from gclbench.synth import SynthConfig, synth_tag
 from gclbench.trainers import (
@@ -486,12 +486,22 @@ def test_lwf_distill_via_frozen_model(testkit_plan, monkeypatch):
 
 def test_distill_source_validation():
     p = init_params(ARCH_MLP, 2, 2, 2, seed=0)
-    for temperature in (0.0, -1.0):
+    for temperature in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError, match="temperature"):
             DistillSource(p, temperature, 1.0)
-    with pytest.raises(ValueError, match="weight"):
-        DistillSource(p, 1.0, -0.5)
+    for weight in (-0.5, np.nan):
+        with pytest.raises(ValueError, match="weight"):
+            DistillSource(p, 1.0, weight)
     DistillSource(p, 1.0, 0.0)  # a zero weight switches the term off
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan])
+def test_anchor_strength_and_bank_temperature_validation(bad):
+    # Each guard is written so that NaN fails it, as a negative value does.
+    with pytest.raises(ValueError, match="strength"):
+        EwcAnchor(params_star={"w": np.zeros(1)}, fisher={"w": np.ones(1)}, strength=bad)
+    with pytest.raises(ValueError, match="temperature"):
+        PrototypeBank(temperature=bad)
 
 
 # ------------------------------------------------------------------ run_method
@@ -641,6 +651,8 @@ def test_embedding_method_requires_provider(testkit_plan):
 
 @pytest.mark.parametrize("method, bad", [
     ("ewc", {"strength": -5}), ("lwf", {"lwf_lambda": -1}), ("lwf", {"lwf_T": 0.0}),
+    # NaN fails every comparison: before, a NaN strength trained ewc as gcn.
+    ("ewc", {"strength": np.nan}), ("lwf", {"lwf_lambda": np.nan}), ("gcn", {"lwf_T": np.nan}),
 ])
 def test_run_method_rejects_out_of_range_regularizers(testkit_plan, method, bad):
     from gclbench.trainers import TrainingError
@@ -672,6 +684,33 @@ def test_ewc_lwf_terms_reach_the_weights(testkit_plan):
     for other in (ewc, lwf):
         assert sorted(other) == sorted(plain)
         assert not all(np.array_equal(other[k], plain[k]) for k in plain)
+
+
+@pytest.mark.parametrize("method, fisher_calls, distill_sources", [
+    ("gcn", 0, 0), ("ewc", 3, 0), ("lwf", 0, 2),
+])
+def test_each_regularizer_runs_only_for_its_method(testkit_plan, monkeypatch, method,
+                                                   fisher_calls, distill_sources):
+    # Both weights are positive, so only the method decides which term runs:
+    # ewc estimates a Fisher after each session, lwf distills from session 2 on.
+    from gclbench import trainers
+
+    counts = {"fisher": 0, "distill": 0}
+
+    def counting_fisher(*args):
+        counts["fisher"] += 1
+        return fisher_diagonal(*args)
+
+    class CountingDistillSource(DistillSource):
+        def __post_init__(self):
+            counts["distill"] += 1
+            super().__post_init__()
+
+    monkeypatch.setattr(trainers, "fisher_diagonal", counting_fisher)
+    monkeypatch.setattr(trainers, "DistillSource", CountingDistillSource)
+    cfg = dict(CFG, epochs=3, strength=100.0, lwf_lambda=1.0)
+    run_method(method, testkit_plan, cfg, mode="local", seed=0)
+    assert counts == {"fisher": fisher_calls, "distill": distill_sources}
 
 
 @pytest.mark.parametrize("provider, missing", [
