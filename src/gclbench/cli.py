@@ -8,13 +8,14 @@ from pathlib import Path
 
 import click
 
-from . import config as cfgmod
-from .config import ConfigError, expand_grid, load_config, resolve_hypers, validate_config
+from .config import (PLAN_DEFAULTS, ConfigError, expand_grid, load_config, resolve_hypers,
+                     validate_config)
 from .embeddings import EmbeddingProviderError
-from .evaluation import leakage_diagnostic, load_results, write_report
+from .evaluation import ResultsFormatError, leakage_diagnostic, load_results, write_report
 from .graph import load_tag, save_tag
 from .prompts import default_template, emit_instruction_jsonl
-from .sessions import EVAL_EDGES_INTRA, plan_digest, plan_fsncil, plan_ncil
+from .sessions import (EVAL_EDGES_FULL, EVAL_EDGES_INTRA, GLOBAL, LOCAL, NCIL, plan_digest,
+                       plan_fsncil, plan_ncil)
 from .synth import SynthConfig, synth_tag
 from .trainers import METHOD_IDS, TrainingError, run_method
 
@@ -43,16 +44,15 @@ def _resolve_graph(doc: dict, dataset: str | None):
 
 
 def _resolve_plan(doc: dict, g, scenario: str | None, seed: int, eval_edges: str | None):
-    scenario = scenario or doc.get("scenario", "ncil")
+    scenario = scenario or doc.get("scenario", NCIL)
     eval_edges = eval_edges or doc.get("eval_edges", EVAL_EDGES_INTRA)
-    # Each defaults table names exactly its builder's shape parameters.
-    defaults = cfgmod.DEFAULT_PLAN_NCIL if scenario == "ncil" else cfgmod.DEFAULT_PLAN_FSNCIL
+    defaults = PLAN_DEFAULTS[scenario]
     given = doc.get("plan", {})
     unknown = sorted(set(given) - set(defaults))
     if unknown:
         raise ConfigError(f"scenario {scenario!r} takes no plan key {', '.join(unknown)}; "
                           f"its keys are {', '.join(defaults)}")
-    build = plan_ncil if scenario == "ncil" else plan_fsncil
+    build = plan_ncil if scenario == NCIL else plan_fsncil
     return build(g, **{**defaults, **given}, seed=seed, eval_edges=eval_edges)
 
 
@@ -74,20 +74,16 @@ def main():
 
 @main.command()
 @click.option("--out", required=True, type=click.Path(), help="Output dataset directory.")
-@click.option("--classes", default=6, show_default=True)
-@click.option("--nodes-per-class", default=50, show_default=True)
-@click.option("--feature-dim", default=16, show_default=True)
-@click.option("--class-sep", default=3.0, show_default=True)
-@click.option("--intra-p", default=0.2, show_default=True)
-@click.option("--inter-p", default=0.02, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-def synth(out, classes, nodes_per_class, feature_dim, class_sep, intra_p, inter_p, seed):
+@click.option("--classes", "num_classes", default=SynthConfig.num_classes, show_default=True)
+@click.option("--nodes-per-class", default=SynthConfig.nodes_per_class, show_default=True)
+@click.option("--feature-dim", default=SynthConfig.feature_dim, show_default=True)
+@click.option("--class-sep", default=SynthConfig.class_sep, show_default=True)
+@click.option("--intra-p", default=SynthConfig.intra_p, show_default=True)
+@click.option("--inter-p", default=SynthConfig.inter_p, show_default=True)
+@click.option("--seed", default=SynthConfig.seed, show_default=True)
+def synth(out, **settings):
     """Generate a synthetic dataset directory."""
-    g = synth_tag(SynthConfig(
-        num_classes=classes, nodes_per_class=nodes_per_class,
-        feature_dim=feature_dim, class_sep=class_sep,
-        intra_p=intra_p, inter_p=inter_p, seed=seed,
-    ))
+    g = synth_tag(SynthConfig(**settings))
     save_tag(g, out)
     click.echo(f"wrote {g.node_count} nodes, {g.edge_count} edges to {out}")
 
@@ -95,9 +91,9 @@ def synth(out, classes, nodes_per_class, feature_dim, class_sep, intra_p, inter_
 @main.command()
 @click.option("--config", "config_path", type=click.Path(exists=True))
 @click.option("--dataset", type=click.Path())
-@click.option("--scenario", type=click.Choice(["ncil", "fsncil"]))
+@click.option("--scenario", type=click.Choice(list(PLAN_DEFAULTS)))
 @click.option("--seed", default=0, show_default=True)
-@click.option("--eval-edges", type=click.Choice(["intra_only", "full_union"]))
+@click.option("--eval-edges", type=click.Choice([EVAL_EDGES_INTRA, EVAL_EDGES_FULL]))
 @click.option("--out", type=click.Path(), help="Directory to write plan.digest into.")
 def plan(config_path, dataset, scenario, seed, eval_edges, out):
     """Build a session plan and print its digest."""
@@ -115,23 +111,24 @@ def plan(config_path, dataset, scenario, seed, eval_edges, out):
 @main.command()
 @click.option("--config", "config_path", type=click.Path(exists=True))
 @click.option("--dataset", type=click.Path())
-@click.option("--scenario", type=click.Choice(["ncil", "fsncil"]))
-@click.option("--mode", type=click.Choice(["local", "global"]))
+@click.option("--scenario", type=click.Choice(list(PLAN_DEFAULTS)))
+@click.option("--mode", type=click.Choice([LOCAL, GLOBAL]))
 @click.option("--method", "methods", multiple=True,
               help=f"Repeatable; one of: {', '.join(METHOD_IDS)}.")
 @click.option("--seed", "seeds", multiple=True, type=int)
-@click.option("--eval-edges", type=click.Choice(["intra_only", "full_union"]))
+@click.option("--eval-edges", type=click.Choice([EVAL_EDGES_INTRA, EVAL_EDGES_FULL]))
 @click.option("--out", type=click.Path(), default=".", show_default=True)
 def run(config_path, dataset, scenario, mode, methods, seeds, eval_edges, out):
     """Execute methods over the session plan and write results.json."""
     doc = _load_doc(config_path)
-    g, name = _resolve_graph(doc, dataset)
-    mode = mode or doc.get("mode", "global")
     method_list = list(methods) or doc.get("methods", ["gcn"])
     seed_list = list(seeds) or doc.get("seeds", [0])
+    validate_config({"version": 1, "methods": method_list, "seeds": seed_list})
     for m in method_list:
         if m not in METHOD_IDS:
             raise ConfigError(f"unknown method {m!r}; valid ids: {', '.join(METHOD_IDS)}")
+    g, name = _resolve_graph(doc, dataset)
+    mode = mode or doc.get("mode", GLOBAL)
     grid = expand_grid(resolve_hypers(doc.get("hyperparameters")))
     outdir = Path(out)
     cache_path = str(outdir / "embeddings.cache.bin")
@@ -161,7 +158,7 @@ def run(config_path, dataset, scenario, mode, methods, seeds, eval_edges, out):
 @main.command()
 @click.option("--config", "config_path", type=click.Path(exists=True))
 @click.option("--dataset", type=click.Path())
-@click.option("--scenario", type=click.Choice(["ncil", "fsncil"]))
+@click.option("--scenario", type=click.Choice(list(PLAN_DEFAULTS)))
 @click.option("--session", default=0, show_default=True, help="0-based session index.")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", required=True, type=click.Path(), help="Output JSONL path.")
@@ -181,17 +178,19 @@ def prompts(config_path, dataset, scenario, session, seed, out):
 @main.command("diagnose-leakage")
 @click.option("--config", "config_path", type=click.Path(exists=True))
 @click.option("--dataset", type=click.Path())
-@click.option("--scenario", type=click.Choice(["ncil", "fsncil"]))
+@click.option("--scenario", type=click.Choice(list(PLAN_DEFAULTS)))
 @click.option("--seed", default=0, show_default=True,
               help="Seeds the plan; the heads always train at seed 0.")
 @click.option("--k-grid", default="1,2,4,8", show_default=True)
 @click.option("--out", type=click.Path(), help="Optional diagnostics.json path.")
 def diagnose_leakage(config_path, dataset, scenario, seed, k_grid, out):
     """Task-ID leakage probe: prototype routing accuracy and routed-head AA/AF."""
+    ks = tuple(int(x) for x in k_grid.split(","))
+    if len(set(ks)) < len(ks):
+        raise ConfigError(f"--k-grid repeats a value: {k_grid}")
     doc = _load_doc(config_path)
     g, _ = _resolve_graph(doc, dataset)
     p = _resolve_plan(doc, g, scenario, seed, None)
-    ks = tuple(int(x) for x in k_grid.split(","))
     points = expand_grid(resolve_hypers(doc.get("hyperparameters")))
     if len(points) > 1:
         raise ConfigError(f"diagnose-leakage takes one hyperparameter point; "
@@ -211,9 +210,14 @@ def diagnose_leakage(config_path, dataset, scenario, seed, k_grid, out):
               show_default=True)
 def report(results_paths, out, fmt):
     """Merge run results into a csv/md/json report."""
-    merged = []
+    merged, seen = [], {}
     for path in results_paths:
-        merged.extend(load_results(path))
+        for i, doc in enumerate(load_results(path)):
+            key, where = json.dumps(doc, sort_keys=True), f"{path}: record {i}"
+            if key in seen:  # two runs differ at least in session_seconds
+                raise ResultsFormatError(f"{where}: the same run document as {seen[key]}")
+            seen[key] = where
+            merged.append(doc)
     write_report(merged, out, fmt)
     click.echo(f"wrote {out}")
 

@@ -6,29 +6,57 @@ search); scalar values pin a single point. Unknown keys are rejected.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 from pathlib import Path
 
+from .sessions import EVAL_EDGES_FULL, EVAL_EDGES_INTRA, FSNCIL, GLOBAL, LOCAL, NCIL
+from .synth import SynthConfig
+
+# One entry per SynthConfig field, typed by its default; SynthConfig and
+# synth_tag reject a value out of range.
+_JSON_TYPES = {int: "integer", float: "number"}
 SYNTH_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
-    "properties": {
-        "num_classes": {"type": "integer", "minimum": 1},
-        "nodes_per_class": {"type": "integer", "minimum": 1},
-        "feature_dim": {"type": "integer", "minimum": 1},
-        "class_sep": {"type": "number", "minimum": 0},
-        "noise_sigma": {"type": "number", "minimum": 0},
-        "intra_p": {"type": "number", "minimum": 0, "maximum": 1},
-        "inter_p": {"type": "number", "minimum": 0, "maximum": 1},
-        "seed": {"type": "integer", "minimum": 0},
-    },
+    "properties": {f.name: {"type": _JSON_TYPES[type(f.default)]}
+                   for f in dataclasses.fields(SynthConfig)},
+}
+
+# Desk-scale defaults; grid sweeps ([1e-5, 1e-4, 1e-3] etc.) go in as list
+# values where a sweep is wanted.
+DEFAULT_PLAN_NCIL = {"classes_per_session": 2, "num_sessions": 3, "shots": 100, "test_cap": 500}
+DEFAULT_PLAN_FSNCIL = {
+    "base_classes": 3, "ways": 2, "num_sessions": 3,
+    "shots_base": 100, "shots_novel": 5, "test_cap": 500,
+}
+# scenario -> its builder's shape parameters, the only plan keys it takes
+PLAN_DEFAULTS = {NCIL: DEFAULT_PLAN_NCIL, FSNCIL: DEFAULT_PLAN_FSNCIL}
+
+DEFAULT_HYPERS = {
+    "lr": 1e-2,
+    "hidden_dim": 64,
+    "epochs": 200,
+    "dropout": 0.5,
+    "strength": 100.0,
+    "lwf_lambda": 1.0,
+    "lwf_T": 2.0,
+    "tau": 1.0,
+    # sample_num intentionally has no global default: cosine/teen cap at 100,
+    # simplecil at 20, simgcl_proto at 50 unless the config pins one value.
+    "k_smooth": 8,
+    "softmax_T": 16.0,
+    "shift_weight": 0.5,
+    "fanouts": [20, 20],
+    "max_node_text_len": 128,
+    "conv_bias": False,
 }
 
 
 def _or_grid(item: dict) -> dict:
-    """One value, or a non-empty list of values to sweep; each obeys `item`."""
-    return {"oneOf": [item, {"type": "array", "items": item, "minItems": 1}]}
+    """One value, or a non-empty list of distinct values to sweep; each obeys `item`."""
+    return {"oneOf": [item, {"type": "array", "items": item, "minItems": 1, "uniqueItems": True}]}
 
 
 # The hyperparameters a config may sweep, each with the schema of one value.
@@ -80,25 +108,14 @@ CONFIG_SCHEMA = {
             ]
         },
         "dataset_name": {"type": "string"},
-        "scenario": {"enum": ["ncil", "fsncil"]},
-        "mode": {"enum": ["local", "global"]},
-        "methods": {"type": "array", "items": {"type": "string"}, "minItems": 1},
-        "seeds": {"type": "array", "items": {"type": "integer", "minimum": 0}, "minItems": 1},
-        "eval_edges": {"enum": ["intra_only", "full_union"]},
-        "plan": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "classes_per_session": {"type": "integer", "minimum": 1},
-                "num_sessions": {"type": "integer", "minimum": 1},
-                "shots": {"type": "integer", "minimum": 1},
-                "base_classes": {"type": "integer", "minimum": 1},
-                "ways": {"type": "integer", "minimum": 1},
-                "shots_base": {"type": "integer", "minimum": 1},
-                "shots_novel": {"type": "integer", "minimum": 1},
-                "test_cap": {"type": "integer", "minimum": 1},
-            },
-        },
+        "scenario": {"enum": list(PLAN_DEFAULTS)},
+        "mode": {"enum": [LOCAL, GLOBAL]},
+        "methods": {"type": "array", "items": {"type": "string"}, "minItems": 1,
+                    "uniqueItems": True},
+        "seeds": {"type": "array", "items": {"type": "integer", "minimum": 0}, "minItems": 1,
+                  "uniqueItems": True},
+        "eval_edges": {"enum": [EVAL_EDGES_INTRA, EVAL_EDGES_FULL]},
+        "plan": {"type": "object", "additionalProperties": {"type": "integer"}},
         "hyperparameters": {
             "type": "object",
             "additionalProperties": False,
@@ -119,32 +136,6 @@ CONFIG_SCHEMA = {
     },
 }
 
-# Desk-scale defaults; grid sweeps ([1e-5, 1e-4, 1e-3] etc.) go in as list
-# values where a sweep is wanted.
-DEFAULT_PLAN_NCIL = {"classes_per_session": 2, "num_sessions": 3, "shots": 100, "test_cap": 500}
-DEFAULT_PLAN_FSNCIL = {
-    "base_classes": 3, "ways": 2, "num_sessions": 3,
-    "shots_base": 100, "shots_novel": 5, "test_cap": 500,
-}
-DEFAULT_HYPERS = {
-    "lr": 1e-2,
-    "hidden_dim": 64,
-    "epochs": 200,
-    "dropout": 0.5,
-    "strength": 100.0,
-    "lwf_lambda": 1.0,
-    "lwf_T": 2.0,
-    "tau": 1.0,
-    # sample_num intentionally has no global default: cosine/teen cap at 100,
-    # simplecil at 20, simgcl_proto at 50 unless the config pins one value.
-    "k_smooth": 8,
-    "softmax_T": 16.0,
-    "shift_weight": 0.5,
-    "fanouts": [20, 20],
-    "max_node_text_len": 128,
-    "conv_bias": False,
-}
-
 class ConfigError(ValueError):
     pass
 
@@ -154,8 +145,12 @@ def validate_config(doc: dict) -> dict:
     # gclbench should not load the schema validator.
     import jsonschema
 
+    # A JSON integer is a Python int: 30.0 and true are not.
+    base = jsonschema.Draft202012Validator
+    ints = base.TYPE_CHECKER.redefine("integer", lambda _, x: type(x) is int)
+    strict = jsonschema.validators.extend(base, type_checker=ints)
     try:
-        jsonschema.validate(doc, CONFIG_SCHEMA)
+        jsonschema.validate(doc, CONFIG_SCHEMA, cls=strict)
     except jsonschema.ValidationError as exc:
         where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"config invalid at {where}: {exc.message}") from exc

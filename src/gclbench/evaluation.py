@@ -16,10 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .prototypes import TaskPrototypeSet, predict_task_id, routing_features
-from .sessions import EvalTask, SessionPlan
-
-LOCAL = "local"
-GLOBAL = "global"
+from .sessions import GLOBAL, LOCAL, EvalTask, SessionPlan
 
 
 @dataclass

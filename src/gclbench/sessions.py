@@ -15,6 +15,8 @@ from .graph import TextAttributedGraph, edges_within, induced_subgraph, node_sub
 
 NCIL = "ncil"
 FSNCIL = "fsncil"
+LOCAL = "local"
+GLOBAL = "global"
 EVAL_EDGES_INTRA = "intra_only"
 EVAL_EDGES_FULL = "full_union"
 
@@ -195,11 +197,11 @@ def build_eval_task(plan: SessionPlan, i: int, mode: str) -> EvalTask:
     """
     if not (1 <= i <= plan.num_sessions):
         raise IndexError(f"session index {i} out of range 1..{plan.num_sessions}")
-    if mode not in ("local", "global"):
+    if mode not in (LOCAL, GLOBAL):
         raise ValueError(f"unknown mode {mode!r}")
     class_ids = plan.cumulative_classes(i)
 
-    if mode == "local":
+    if mode == LOCAL:
         s = plan.sessions[i - 1]
         eval_local = s.local_ids(s.test_nodes)
         return EvalTask(i, s.subgraph, eval_local, s.node_map, class_ids)

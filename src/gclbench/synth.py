@@ -36,12 +36,15 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 <= self.intra_p <= 1.0 and 0.0 <= self.inter_p <= 1.0):
-            raise ValueError("edge probabilities must lie in [0, 1]")
+        for name, p in (("intra_p", self.intra_p), ("inter_p", self.inter_p)):
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"edge probabilities must lie in [0, 1]: {name}={p}")
         if self.num_classes < 1:
             raise ValueError("num_classes must be >= 1")
         if self.nodes_per_class < 1:
             raise ValueError("nodes_per_class must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not (math.isfinite(self.class_sep) and self.class_sep >= 0):
             raise ValueError("class_sep must be finite and >= 0")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):

@@ -18,8 +18,6 @@ import numpy as np
 from .config import PROVIDER_FIELDS, resolve_hypers
 from .embeddings import EmbeddingCache, FileSource, HttpSource, get_or_embed
 from .evaluation import (
-    GLOBAL,
-    LOCAL,
     AccuracyMatrix,
     evaluate,
     lenient_accuracy,
@@ -50,7 +48,7 @@ from .prototypes import (
     task_prototype,
     teen_calibrate,
 )
-from .sessions import EvalTask, Session, SessionPlan, build_eval_task
+from .sessions import GLOBAL, LOCAL, EvalTask, Session, SessionPlan, build_eval_task
 
 
 class TrainingError(RuntimeError):

@@ -6,7 +6,9 @@ import pytest
 from click.testing import CliRunner
 
 from gclbench.cli import main
+from gclbench.config import CONFIG_SCHEMA, DEFAULT_PLAN_FSNCIL, DEFAULT_PLAN_NCIL, PLAN_DEFAULTS
 from gclbench.graph import FEATURES_MAGIC, load_tag, save_tag
+from gclbench.sessions import FSNCIL, NCIL
 from gclbench.stub_server import StubEmbeddingServer
 from gclbench.synth import SynthConfig, synth_tag
 
@@ -520,7 +522,7 @@ def test_inline_synth_out_of_range_fails_in_one_line(runner, tmp_path):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.output.splitlines() == [
-        "error: config invalid at dataset/synth/intra_p: 1.5 is greater than the maximum of 1"]
+        "error: edge probabilities must lie in [0, 1]: intra_p=1.5"]
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
@@ -535,3 +537,119 @@ def test_non_finite_strength_fails_in_one_line(runner, tmp_path, dataset_dir, va
     assert result.output.splitlines() == [
         f"error: cannot read config {tmp_path / 'hypers.json'}: {literal} is not a JSON number"]
     assert not (tmp_path / "o").exists()
+
+
+def test_scenario_choices_are_the_plan_tables():
+    assert CONFIG_SCHEMA["properties"]["scenario"]["enum"] == list(PLAN_DEFAULTS)
+    for name in ("plan", "run", "prompts", "diagnose-leakage"):
+        [option] = [p for p in main.commands[name].params if p.name == "scenario"]
+        assert list(option.type.choices) == list(PLAN_DEFAULTS), name
+
+
+def _plan_config(tmp_path, synth=None, plan=None, scenario=NCIL):
+    synth = {"num_classes": 6, "nodes_per_class": 30, "feature_dim": 8, "seed": 1, **(synth or {})}
+    doc = {"version": 1, "dataset": {"synth": synth}, "scenario": scenario, "plan": plan or {}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+_BAD_SYNTH = [("num_classes", 0), ("nodes_per_class", 0), ("feature_dim", 0), ("class_sep", -1),
+              ("noise_sigma", -0.5), ("intra_p", 1.5), ("inter_p", -0.1), ("seed", -1),
+              ("bogus", 1)]
+_BAD_PLAN = [*((NCIL, k, 0) for k in DEFAULT_PLAN_NCIL),
+             *((FSNCIL, k, 0) for k in DEFAULT_PLAN_FSNCIL), (NCIL, "bogus", 1)]
+
+
+@pytest.mark.parametrize("synth, plan, scenario, field", [
+    *(pytest.param({k: v}, None, NCIL, k, id=f"synth-{k}") for k, v in _BAD_SYNTH),
+    *(pytest.param(None, {k: v}, s, k, id=f"{s}-{k}") for s, k, v in _BAD_PLAN),
+])
+def test_bad_synth_or_plan_value_fails_in_one_line_naming_it(runner, tmp_path, synth, plan,
+                                                             scenario, field):
+    cfg = _plan_config(tmp_path, synth, plan, scenario)
+    result = runner.invoke(main, ["plan", "--config", str(cfg)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    [line] = result.output.splitlines()
+    assert line.startswith("error: ") and field in line
+
+
+_NOT_INT = "is not of type 'integer'"
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("plan", {"dataset": {"synth": {"nodes_per_class": 30.0}}},
+     f"dataset/synth/nodes_per_class: 30.0 {_NOT_INT}"),
+    ("plan", {"plan": {"shots": 10.0, "test_cap": 10}}, f"plan/shots: 10.0 {_NOT_INT}"),
+    ("run", {"seeds": [0.0]}, f"seeds/0: 0.0 {_NOT_INT}"),
+    # A grid key: 2.0 is neither one integer nor a list of them.
+    ("run", {"hyperparameters": {"epochs": 2.0}},
+     "hyperparameters/epochs: 2.0 is not valid under any of the given schemas"),
+    ("prompts", {"hyperparameters": {"max_node_text_len": 16.0}},
+     f"hyperparameters/max_node_text_len: 16.0 {_NOT_INT}"),
+    ("prompts", {"hyperparameters": {"fanouts": [5.0, 5]}},
+     f"hyperparameters/fanouts/0: 5.0 {_NOT_INT}"),
+], ids=["synth-nodes_per_class", "plan-shots", "seeds", "epochs", "max_node_text_len",
+        "fanouts"])
+def test_integral_float_fails_in_one_line(runner, tmp_path, dataset_dir, command, doc, message):
+    # Before, an integral float passed as a JSON integer: most of these ended
+    # in a TypeError traceback, and epochs 2.0 trained.
+    base = {"version": 1, "dataset": str(dataset_dir), "methods": ["gcn"],
+            "plan": {"shots": 10, "test_cap": 10}}
+    cfg = tmp_path / "float.json"
+    cfg.write_text(json.dumps({**base, **doc}))
+    out = tmp_path / ("o.jsonl" if command == "prompts" else "o")
+    result = runner.invoke(main, [command, "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines() == [f"error: config invalid at {message}"]
+
+
+@pytest.mark.parametrize("doc, flags, message", [
+    ({}, ["--seed", "0", "--seed", "0", "--method", "gcn"],
+     "seeds: [0, 0] has non-unique elements"),
+    ({}, ["--method", "gcn", "--method", "gcn"], "methods: ['gcn', 'gcn'] has non-unique elements"),
+    ({}, ["--seed", "-1"], "seeds/0: -1 is less than the minimum of 0"),
+    ({"seeds": [0, 0]}, [], "seeds: [0, 0] has non-unique elements"),
+    ({"methods": ["gcn", "gcn"]}, [], "methods: ['gcn', 'gcn'] has non-unique elements"),
+    ({"hyperparameters": {"lr": [0.01, 0.01]}}, [],
+     "hyperparameters/lr: [0.01, 0.01] has non-unique elements"),
+], ids=["seed-flags", "method-flags", "negative-seed-flag", "config-seeds", "config-methods",
+        "grid"])
+def test_repeated_or_negative_run_list_fails_in_one_line(runner, tmp_path, dataset_dir, doc,
+                                                         flags, message):
+    # Before, each repeat wrote a second identical run document, and the
+    # report counted the one run as n=2.
+    base = {"version": 1, "dataset": str(dataset_dir), "plan": {"shots": 10, "test_cap": 10},
+            "hyperparameters": {"epochs": 2}}
+    cfg = tmp_path / "repeat.json"
+    cfg.write_text(json.dumps({**base, **doc}))
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                                  *flags])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines() == [f"error: config invalid at {message}"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_repeated_k_grid_value_fails_in_one_line(runner, config_file):
+    # Before, every row of the table was printed twice.
+    result = runner.invoke(main, ["diagnose-leakage", "--config", str(config_file),
+                                  "--k-grid", "1,1"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines() == ["error: --k-grid repeats a value: 1,1"]
+
+
+def test_report_rejects_a_run_document_given_twice(runner, tmp_path):
+    # Before, the one run was reported as "50.0 ± 0.0 (n=2)".
+    results = tmp_path / "r.json"
+    results.write_text(json.dumps([_GOOD_DOC]))
+    result = runner.invoke(main, ["report", "--results", str(results), "--results", str(results),
+                                  "--out", str(tmp_path / "r.md")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines() == [
+        f"error: {results}: record 0: the same run document as {results}: record 0"]
+    assert not (tmp_path / "r.md").exists()

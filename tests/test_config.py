@@ -1,10 +1,12 @@
 import itertools
+from dataclasses import fields
 
 import pytest
 
 from gclbench.config import (
     CONFIG_SCHEMA,
     DEFAULT_HYPERS,
+    SYNTH_SCHEMA,
     ConfigError,
     _GRID_ITEMS,
     expand_grid,
@@ -12,6 +14,7 @@ from gclbench.config import (
     resolve_hypers,
     validate_config,
 )
+from gclbench.synth import SynthConfig
 
 
 def _doc(hypers):
@@ -54,3 +57,16 @@ def test_load_config_rejects_non_finite_literals(tmp_path, literal):
     path.write_text('{"version": 1, "hyperparameters": {"strength": %s}}' % literal)
     with pytest.raises(ConfigError, match=f"{literal} is not a JSON number"):
         load_config(path)
+
+
+def test_synth_schema_has_one_entry_per_synth_field():
+    assert set(SYNTH_SCHEMA["properties"]) == {f.name for f in fields(SynthConfig)}
+    assert SYNTH_SCHEMA["properties"]["seed"] == {"type": "integer"}
+    assert SYNTH_SCHEMA["properties"]["intra_p"] == {"type": "number"}
+
+
+@pytest.mark.parametrize("value", [1.0, True])
+def test_an_integer_setting_takes_only_a_json_integer(value):
+    # A float with an integral value used to pass as an integer.
+    with pytest.raises(ConfigError, match="max_node_text_len: .* is not of type 'integer'"):
+        validate_config(_doc({"max_node_text_len": value}))

@@ -83,6 +83,9 @@ def test_bad_probability_rejected():
     ("noise_sigma", -0.5, "noise_sigma must be finite and >= 0"),
     ("noise_sigma", float("nan"), "noise_sigma must be finite and >= 0"),
     ("noise_sigma", float("inf"), "noise_sigma must be finite and >= 0"),
+    ("intra_p", float("nan"), r"edge probabilities must lie in \[0, 1\]: intra_p=nan"),
+    ("inter_p", -0.1, r"edge probabilities must lie in \[0, 1\]: inter_p=-0.1"),
+    ("seed", -1, "seed must be >= 0"),
 ])
 def test_bad_shape_or_scale_rejected(field, value, message):
     with pytest.raises(ValueError, match=message):
