@@ -23,15 +23,16 @@ _ERRORS = (TrainingError, EmbeddingProviderError, ValueError, OSError, IndexErro
            FloatingPointError)
 
 
-def _load_doc(config_path: str | None) -> dict:
-    if config_path:
-        return load_config(config_path)
-    return validate_config({"version": 1})
+def _config(config_path: str | None, **flags) -> dict:
+    """The config document with each given flag laid over its key, checked by the key's rule."""
+    doc = load_config(config_path) if config_path else {"version": 1}
+    given = {k: list(v) if isinstance(v, tuple) else v for k, v in flags.items() if v}
+    return validate_config({**doc, **given})
 
 
-def _resolve_graph(doc: dict, dataset: str | None):
-    """Graph plus a display name, from --dataset or the config document."""
-    spec = dataset if dataset else doc.get("dataset")
+def _resolve_graph(doc: dict):
+    """Graph plus a display name, from the config document's dataset."""
+    spec = doc.get("dataset")
     if spec is None:
         raise ConfigError("no dataset given (use --dataset or config 'dataset')")
     if isinstance(spec, dict):
@@ -43,9 +44,9 @@ def _resolve_graph(doc: dict, dataset: str | None):
     return g, name
 
 
-def _resolve_plan(doc: dict, g, scenario: str | None, seed: int, eval_edges: str | None):
-    scenario = scenario or doc.get("scenario", NCIL)
-    eval_edges = eval_edges or doc.get("eval_edges", EVAL_EDGES_INTRA)
+def _resolve_plan(doc: dict, g, seed: int):
+    scenario = doc.get("scenario", NCIL)
+    eval_edges = doc.get("eval_edges", EVAL_EDGES_INTRA)
     defaults = PLAN_DEFAULTS[scenario]
     given = doc.get("plan", {})
     unknown = sorted(set(given) - set(defaults))
@@ -95,11 +96,10 @@ def synth(out, **settings):
 @click.option("--seed", default=0, show_default=True)
 @click.option("--eval-edges", type=click.Choice([EVAL_EDGES_INTRA, EVAL_EDGES_FULL]))
 @click.option("--out", type=click.Path(), help="Directory to write plan.digest into.")
-def plan(config_path, dataset, scenario, seed, eval_edges, out):
+def plan(config_path, seed, out, **flags):
     """Build a session plan and print its digest."""
-    doc = _load_doc(config_path)
-    g, _ = _resolve_graph(doc, dataset)
-    p = _resolve_plan(doc, g, scenario, seed, eval_edges)
+    doc = _config(config_path, seeds=[seed], **flags)
+    p = _resolve_plan(doc, _resolve_graph(doc)[0], seed)
     digest = plan_digest(p)
     if out:
         outdir = Path(out)
@@ -118,27 +118,24 @@ def plan(config_path, dataset, scenario, seed, eval_edges, out):
 @click.option("--seed", "seeds", multiple=True, type=int)
 @click.option("--eval-edges", type=click.Choice([EVAL_EDGES_INTRA, EVAL_EDGES_FULL]))
 @click.option("--out", type=click.Path(), default=".", show_default=True)
-def run(config_path, dataset, scenario, mode, methods, seeds, eval_edges, out):
+def run(config_path, out, **flags):
     """Execute methods over the session plan and write results.json."""
-    doc = _load_doc(config_path)
-    method_list = list(methods) or doc.get("methods", ["gcn"])
-    seed_list = list(seeds) or doc.get("seeds", [0])
-    validate_config({"version": 1, "methods": method_list, "seeds": seed_list})
+    doc = _config(config_path, **flags)
+    method_list, seed_list = doc.get("methods", ["gcn"]), doc.get("seeds", [0])
     for m in method_list:
         if m not in METHOD_IDS:
             raise ConfigError(f"unknown method {m!r}; valid ids: {', '.join(METHOD_IDS)}")
-    g, name = _resolve_graph(doc, dataset)
-    mode = mode or doc.get("mode", GLOBAL)
+    g, name = _resolve_graph(doc)
     grid = expand_grid(resolve_hypers(doc.get("hyperparameters")))
     outdir = Path(out)
     cache_path = str(outdir / "embeddings.cache.bin")
     results = []
     for seed in seed_list:
-        p = _resolve_plan(doc, g, scenario, seed, eval_edges)
+        p = _resolve_plan(doc, g, seed)
         for hypers in grid:
             for m in method_list:
                 res = run_method(m, p, {"cache_path": cache_path, **hypers},
-                                 mode=mode, seed=seed, dataset=name)
+                                 mode=doc.get("mode", GLOBAL), seed=seed, dataset=name)
                 doc_out = res.to_doc()
                 if len(grid) > 1:
                     doc_out["run"]["grid_point"] = {
@@ -162,11 +159,11 @@ def run(config_path, dataset, scenario, mode, methods, seeds, eval_edges, out):
 @click.option("--session", default=0, show_default=True, help="0-based session index.")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", required=True, type=click.Path(), help="Output JSONL path.")
-def prompts(config_path, dataset, scenario, session, seed, out):
+def prompts(config_path, session, seed, out, **flags):
     """Emit the instruction-tuning JSONL for one session's train nodes."""
-    doc = _load_doc(config_path)
-    g, name = _resolve_graph(doc, dataset)
-    p = _resolve_plan(doc, g, scenario, seed, None)
+    doc = _config(config_path, seeds=[seed], **flags)
+    g, name = _resolve_graph(doc)
+    p = _resolve_plan(doc, g, seed)
     hypers = resolve_hypers(doc.get("hyperparameters"))
     template = default_template(name, len(hypers["fanouts"]), hypers["max_node_text_len"])
     count = emit_instruction_jsonl(
@@ -181,16 +178,17 @@ def prompts(config_path, dataset, scenario, session, seed, out):
 @click.option("--scenario", type=click.Choice(list(PLAN_DEFAULTS)))
 @click.option("--seed", default=0, show_default=True,
               help="Seeds the plan; the heads always train at seed 0.")
-@click.option("--k-grid", default="1,2,4,8", show_default=True)
+@click.option("--k-grid", default="1,2,4,8", show_default=True, help="Distinct integers >= 0.")
 @click.option("--out", type=click.Path(), help="Optional diagnostics.json path.")
-def diagnose_leakage(config_path, dataset, scenario, seed, k_grid, out):
+def diagnose_leakage(config_path, seed, k_grid, out, **flags):
     """Task-ID leakage probe: prototype routing accuracy and routed-head AA/AF."""
-    ks = tuple(int(x) for x in k_grid.split(","))
+    ks = tuple(int(x) if x.strip().isdecimal() else -1 for x in k_grid.split(","))
+    if min(ks) < 0:
+        raise ConfigError(f"--k-grid takes integers >= 0: {k_grid}")
     if len(set(ks)) < len(ks):
         raise ConfigError(f"--k-grid repeats a value: {k_grid}")
-    doc = _load_doc(config_path)
-    g, _ = _resolve_graph(doc, dataset)
-    p = _resolve_plan(doc, g, scenario, seed, None)
+    doc = _config(config_path, seeds=[seed], **flags)
+    p = _resolve_plan(doc, _resolve_graph(doc)[0], seed)
     points = expand_grid(resolve_hypers(doc.get("hyperparameters")))
     if len(points) > 1:
         raise ConfigError(f"diagnose-leakage takes one hyperparameter point; "

@@ -56,7 +56,8 @@ DEFAULT_HYPERS = {
 
 def _or_grid(item: dict) -> dict:
     """One value, or a non-empty list of distinct values to sweep; each obeys `item`."""
-    return {"oneOf": [item, {"type": "array", "items": item, "minItems": 1, "uniqueItems": True}]}
+    return {"if": {"type": "array"},  # not a oneOf, whose error would name no expected type
+            "then": {"items": item, "minItems": 1, "uniqueItems": True}, "else": item}
 
 
 # The hyperparameters a config may sweep, each with the schema of one value.

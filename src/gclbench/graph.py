@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from .nn import spmm
+
 FEATURES_MAGIC = b"TAGF"
 FEATURES_VERSION = 1
 
@@ -37,8 +39,6 @@ class TextAttributedGraph:
     labels: np.ndarray  # (n,) int64
     class_names: tuple[str, ...]
     edges: np.ndarray  # (m, 2) int64, canonicalized
-    # [S] once gcn_normalized_adjacency has built it
-    _operator: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.features.setflags(write=False)
@@ -69,6 +69,20 @@ class TextAttributedGraph:
         indptr.setflags(write=False)
         indices.setflags(write=False)
         return indptr, indices
+
+    @cached_property
+    def _operator(self) -> sp.csr_matrix:
+        n = self.node_count
+        indptr, indices = self.neighbor_csr
+        ahat = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+        ahat = ahat + sp.identity(n, format="csr")
+        dinv_sqrt = sp.diags(1.0 / np.sqrt(degrees(self)))
+        s = (dinv_sqrt @ ahat @ dinv_sqrt).tocsr()
+        s.sum_duplicates()
+        s.sort_indices()
+        for a in (s.data, s.indices, s.indptr):
+            a.setflags(write=False)
+        return s
 
 
 @dataclass(frozen=True)
@@ -276,20 +290,7 @@ def gcn_normalized_adjacency(g: TextAttributedGraph) -> sp.csr_matrix:
     symmetric with spectral radius <= 1. Built once per graph as CSR with
     sorted indices and cached on the graph; its arrays are read-only.
     """
-    if g._operator:
-        return g._operator[0]
-    n = g.node_count
-    indptr, indices = g.neighbor_csr
-    ahat = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
-    ahat = ahat + sp.identity(n, format="csr")
-    dinv_sqrt = sp.diags(1.0 / np.sqrt(degrees(g)))
-    s = (dinv_sqrt @ ahat @ dinv_sqrt).tocsr()
-    s.sum_duplicates()
-    s.sort_indices()
-    for a in (s.data, s.indices, s.indptr):
-        a.setflags(write=False)
-    g._operator.append(s)
-    return s
+    return g._operator
 
 
 def laplacian_smooth(X: np.ndarray, g: TextAttributedGraph, k: int) -> np.ndarray:
@@ -302,10 +303,9 @@ def laplacian_smooth(X: np.ndarray, g: TextAttributedGraph, k: int) -> np.ndarra
     if k == 0:
         return X.copy()
     s = gcn_normalized_adjacency(g)
-    z = X
     for _ in range(k):
-        z = s @ z
-    return np.asarray(z)
+        X = spmm(s, X)
+    return X
 
 
 def sample_ego_graph(

@@ -19,6 +19,7 @@ for bit. Each dropout mask is drawn for its layer's rows only, in layer
 order, so the random stream depends on `rows`: a pass over every node with
 the same masks on those rows gives the same results.
 
+spmm is the one propagation call: every sparse x dense product in gclbench.
 Dense matrices are float64 numpy arrays throughout; gradients are derived by
 hand and cross-checked against central finite differences. No autodiff.
 """
@@ -117,8 +118,9 @@ def grow_output(p: ModelParams, extra_classes: int, seed: int) -> ModelParams:
     return q
 
 
-def spmm(S: sp.csr_matrix, X: np.ndarray) -> np.ndarray:
-    """Exact sparse @ dense product."""
+def spmm(S: sp.spmatrix, X: np.ndarray) -> np.ndarray:
+    """Exact sparse @ dense product: the one propagation call. The GCN layers,
+    their gradients, the Fisher diagonal and laplacian_smooth all run here."""
     X = np.asarray(X, dtype=np.float64)
     n = S.shape[1]
     if X.shape[0] != n:
@@ -272,13 +274,19 @@ def model_backward(cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
         dP = dH * (cache[f"P{i}"] > 0)
         if f"b{i}" in w:
             grads[f"b{i}"] = _full(dP, lr.hidden[i - 1], n).sum(axis=0)
-        dT = np.asarray(lr.ops[i - 1][1] @ dP) if propagate else dP
+        dT = spmm(lr.ops[i - 1][1], dP) if propagate else dP
         grads[f"W{i}"] = cache["X" if i == 1 else f"A{i}"].T @ dT
         if i > 1:
             dD = dT @ w[f"W{i}"].T
             if lr.hidden[i - 2] is not None:
                 dD = dD[lr.hidden[i - 2]]
     return grads
+
+
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Row softmax of a 2-D array (cross_entropy keeps its own form: it needs log(denom))."""
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import TextAttributedGraph, degrees, laplacian_smooth
+from .nn import softmax
 
 
 @dataclass
@@ -139,15 +140,10 @@ def teen_calibrate(
         return v / n if n > 0 else v
 
     base_mat = np.stack([unit(bank.prototypes[b]) for b in base])
-    alpha = shift_weight
     for c in novel:
         pc = unit(bank.prototypes[c])
-        sims = base_mat @ pc
-        logits = softmax_T * sims
-        w = np.exp(logits - logits.max())
-        w /= w.sum()
-        shifted = alpha * pc + (1 - alpha) * (w @ base_mat)
-        bank.prototypes[c] = unit(shifted)
+        w = softmax(softmax_T * (base_mat @ pc)[None])[0]
+        bank.prototypes[c] = unit(shift_weight * pc + (1 - shift_weight) * (w @ base_mat))
     return bank
 
 

@@ -37,6 +37,8 @@ from .nn import (
     model_backward,
     model_embed,
     model_forward,
+    softmax,
+    spmm,
 )
 from .prompts import default_template, render_prompt
 from .prototypes import (
@@ -146,7 +148,7 @@ def fisher_diagonal(
     logits, cache = model_forward(p, S, X, dropout_seed=None)
     w = p.weights
     # Gradient of -log p(y) w.r.t. each row's logits; its sign vanishes when squared.
-    v = _softmax(logits[rows])
+    v = softmax(logits[rows])
     v[np.arange(rows.size), labels] -= 1.0
     dP2 = (v @ w["W3"].T) * (cache["P2"][rows] > 0)
     u = dP2 @ w["W2"].T
@@ -156,14 +158,14 @@ def fisher_diagonal(
     fisher = {
         "b3": sq_v.sum(axis=0),
         "W3": (cache["D2"][rows] ** 2).T @ sq_v,
-        "W2": (np.asarray(S_R @ cache["D1"]) ** 2).T @ sq_dP2,
+        "W2": (spmm(S_R, cache["D1"]) ** 2).T @ sq_dP2,
         "W1": np.zeros_like(w["W1"]),
     }
     if "b2" in w:
         fisher["b2"] = sq_dP2.sum(axis=0)
     if "b1" in w:
-        fisher["b1"] = ((np.asarray(S_R @ m1) * u) ** 2).sum(axis=0)
-    SX = np.asarray(S @ cache["X"])
+        fisher["b1"] = ((spmm(S_R, m1) * u) ** 2).sum(axis=0)
+    SX = spmm(S, cache["X"])
     for i in range(rows.size):
         lo, hi = S_R.indptr[i], S_R.indptr[i + 1]
         nbrs = S_R.indices[lo:hi]
@@ -189,8 +191,8 @@ def distill_loss(
     """
     T = temperature
     cols = np.flatnonzero(old_mask)
-    po = _softmax(old_logits[:, cols] / T)
-    qn = _softmax(new_logits[:, cols] / T)
+    po = softmax(old_logits[:, cols] / T)
+    qn = softmax(new_logits[:, cols] / T)
     n = new_logits.shape[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         logratio = np.where(po > 0, np.log(po) - np.log(qn), 0.0)
@@ -199,12 +201,6 @@ def distill_loss(
     dl = np.zeros_like(new_logits)
     dl[:, cols] = weight * T * (qn - po) / n
     return loss, dl
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------

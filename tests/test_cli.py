@@ -6,7 +6,8 @@ import pytest
 from click.testing import CliRunner
 
 from gclbench.cli import main
-from gclbench.config import CONFIG_SCHEMA, DEFAULT_PLAN_FSNCIL, DEFAULT_PLAN_NCIL, PLAN_DEFAULTS
+from gclbench.config import (CONFIG_SCHEMA, DEFAULT_PLAN_FSNCIL, DEFAULT_PLAN_NCIL, PLAN_DEFAULTS,
+                             _GRID_ITEMS)
 from gclbench.graph import FEATURES_MAGIC, load_tag, save_tag
 from gclbench.sessions import FSNCIL, NCIL
 from gclbench.stub_server import StubEmbeddingServer
@@ -583,9 +584,8 @@ _NOT_INT = "is not of type 'integer'"
      f"dataset/synth/nodes_per_class: 30.0 {_NOT_INT}"),
     ("plan", {"plan": {"shots": 10.0, "test_cap": 10}}, f"plan/shots: 10.0 {_NOT_INT}"),
     ("run", {"seeds": [0.0]}, f"seeds/0: 0.0 {_NOT_INT}"),
-    # A grid key: 2.0 is neither one integer nor a list of them.
-    ("run", {"hyperparameters": {"epochs": 2.0}},
-     "hyperparameters/epochs: 2.0 is not valid under any of the given schemas"),
+    # A grid key: 2.0 is not a list, so it is held to the one-value schema.
+    ("run", {"hyperparameters": {"epochs": 2.0}}, f"hyperparameters/epochs: 2.0 {_NOT_INT}"),
     ("prompts", {"hyperparameters": {"max_node_text_len": 16.0}},
      f"hyperparameters/max_node_text_len: 16.0 {_NOT_INT}"),
     ("prompts", {"hyperparameters": {"fanouts": [5.0, 5]}},
@@ -653,3 +653,51 @@ def test_report_rejects_a_run_document_given_twice(runner, tmp_path):
     assert result.output.splitlines() == [
         f"error: {results}: record 0: the same run document as {results}: record 0"]
     assert not (tmp_path / "r.md").exists()
+
+
+@pytest.mark.parametrize("command", ["plan", "prompts", "diagnose-leakage"])
+def test_negative_seed_flag_fails_in_one_line_naming_the_key(runner, tmp_path, config_file,
+                                                             command):
+    # Before, plan, prompts and diagnose-leakage passed the seed on to the
+    # plan builder, whose error named neither the flag nor the value.
+    args = [command, "--config", str(config_file), "--seed", "-1"]
+    if command == "prompts":
+        args += ["--out", str(tmp_path / "p.jsonl")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines() == [
+        "error: config invalid at seeds/0: -1 is less than the minimum of 0"]
+
+
+@pytest.mark.parametrize("k_grid", ["1,x", "-1", "2,-1"])
+def test_bad_k_grid_fails_in_one_line_before_any_head_trains(runner, monkeypatch, config_file,
+                                                             k_grid):
+    # Before, "1,x" ended in int()'s message, and "-1" trained every head
+    # before the smoothing step rejected k.
+    import gclbench.trainers
+
+    trained = []
+    monkeypatch.setattr(gclbench.trainers, "fit_task_heads", lambda *a, **k: trained.append(a))
+    result = runner.invoke(main, ["diagnose-leakage", "--config", str(config_file),
+                                  "--k-grid", k_grid])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines() == [f"error: --k-grid takes integers >= 0: {k_grid}"]
+    assert trained == []
+
+
+@pytest.mark.parametrize("key", sorted(_GRID_ITEMS))
+def test_wrong_typed_grid_value_names_the_expected_type(runner, tmp_path, dataset_dir, key):
+    # Before, a grid key's schema was a oneOf of one value and a list, and a
+    # value of the wrong type was "not valid under any of the given schemas".
+    expected = _GRID_ITEMS[key]["type"]
+    value = 1.5 if expected == "integer" else "1.5"
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps({"version": 1, "dataset": str(dataset_dir),
+                               "hyperparameters": {key: value}}))
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines() == [
+        f"error: config invalid at hyperparameters/{key}: {value!r} is not of type '{expected}'"]

@@ -23,7 +23,7 @@ def _doc(hypers):
 
 def test_grid_keys_are_the_schema_keys_that_take_a_list():
     props = CONFIG_SCHEMA["properties"]["hyperparameters"]["properties"]
-    assert {k for k, v in props.items() if "oneOf" in v} == set(_GRID_ITEMS)
+    assert {k for k, v in props.items() if v.get("if") == {"type": "array"}} == set(_GRID_ITEMS)
     assert set(_GRID_ITEMS) <= set(DEFAULT_HYPERS)
 
 
