@@ -30,6 +30,19 @@ def _config(config_path: str | None, **flags) -> dict:
     return validate_config({**doc, **given})
 
 
+def _one_seed(command: str, config_path: str | None, seed: int | None, **flags):
+    """The config document and the one seed a plan-building command uses.
+
+    `--seed` wins; without it the config's `seeds` must list at most one (none means 0).
+    """
+    doc = _config(config_path, seeds=None if seed is None else [seed], **flags)
+    seeds = doc.get("seeds", [0])
+    if len(seeds) > 1:
+        raise ConfigError(f"{command} takes one seed; the config lists {len(seeds)} "
+                          f"(pick one with --seed)")
+    return doc, seeds[0]
+
+
 def _resolve_graph(doc: dict):
     """Graph plus a display name, from the config document's dataset."""
     spec = doc.get("dataset")
@@ -55,6 +68,9 @@ def _resolve_plan(doc: dict, g, seed: int):
                           f"its keys are {', '.join(defaults)}")
     build = plan_ncil if scenario == NCIL else plan_fsncil
     return build(g, **{**defaults, **given}, seed=seed, eval_edges=eval_edges)
+
+
+_SEED_HELP = "Default: the config's one seed, or 0 when it lists none."
 
 
 class _Cli(click.Group):
@@ -93,12 +109,12 @@ def synth(out, **settings):
 @click.option("--config", "config_path", type=click.Path(exists=True))
 @click.option("--dataset", type=click.Path())
 @click.option("--scenario", type=click.Choice(list(PLAN_DEFAULTS)))
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", type=int, help=_SEED_HELP)
 @click.option("--eval-edges", type=click.Choice([EVAL_EDGES_INTRA, EVAL_EDGES_FULL]))
 @click.option("--out", type=click.Path(), help="Directory to write plan.digest into.")
 def plan(config_path, seed, out, **flags):
     """Build a session plan and print its digest."""
-    doc = _config(config_path, seeds=[seed], **flags)
+    doc, seed = _one_seed("plan", config_path, seed, **flags)
     p = _resolve_plan(doc, _resolve_graph(doc)[0], seed)
     digest = plan_digest(p)
     if out:
@@ -157,11 +173,11 @@ def run(config_path, out, **flags):
 @click.option("--dataset", type=click.Path())
 @click.option("--scenario", type=click.Choice(list(PLAN_DEFAULTS)))
 @click.option("--session", default=0, show_default=True, help="0-based session index.")
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", type=int, help=_SEED_HELP)
 @click.option("--out", required=True, type=click.Path(), help="Output JSONL path.")
 def prompts(config_path, session, seed, out, **flags):
     """Emit the instruction-tuning JSONL for one session's train nodes."""
-    doc = _config(config_path, seeds=[seed], **flags)
+    doc, seed = _one_seed("prompts", config_path, seed, **flags)
     g, name = _resolve_graph(doc)
     p = _resolve_plan(doc, g, seed)
     hypers = resolve_hypers(doc.get("hyperparameters"))
@@ -176,8 +192,8 @@ def prompts(config_path, session, seed, out, **flags):
 @click.option("--config", "config_path", type=click.Path(exists=True))
 @click.option("--dataset", type=click.Path())
 @click.option("--scenario", type=click.Choice(list(PLAN_DEFAULTS)))
-@click.option("--seed", default=0, show_default=True,
-              help="Seeds the plan; the heads always train at seed 0.")
+@click.option("--seed", type=int,
+              help=f"Seeds the plan; the heads always train at seed 0. {_SEED_HELP}")
 @click.option("--k-grid", default="1,2,4,8", show_default=True, help="Distinct integers >= 0.")
 @click.option("--out", type=click.Path(), help="Optional diagnostics.json path.")
 def diagnose_leakage(config_path, seed, k_grid, out, **flags):
@@ -187,7 +203,7 @@ def diagnose_leakage(config_path, seed, k_grid, out, **flags):
         raise ConfigError(f"--k-grid takes integers >= 0: {k_grid}")
     if len(set(ks)) < len(ks):
         raise ConfigError(f"--k-grid repeats a value: {k_grid}")
-    doc = _config(config_path, seeds=[seed], **flags)
+    doc, seed = _one_seed("diagnose-leakage", config_path, seed, **flags)
     p = _resolve_plan(doc, _resolve_graph(doc)[0], seed)
     points = expand_grid(resolve_hypers(doc.get("hyperparameters")))
     if len(points) > 1:

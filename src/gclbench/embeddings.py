@@ -1,13 +1,17 @@
 """Node-embedding providers: a precomputed matrix, or an HTTP service behind a cache.
 
 The HTTP source speaks the common embeddings wire format: POST
-{endpoint}/embeddings with {"model": str, "input": [str, ...]} and a bearer
-token from EMBEDDINGS_API_KEY; responses carry {"data": [{"index", "embedding"}]}.
-Vectors are float32 end to end so cached and fresh results are bit-identical.
+{endpoint}/embeddings with {"model": str, "input": [str, ...], "encoding_format":
+"base64"} and a bearer token from EMBEDDINGS_API_KEY; responses carry
+{"data": [{"index", "embedding"}]}, each embedding the base64 of its
+little-endian float32 bytes, or a float list from a provider that ignores the
+encoding. Vectors are float32 end to end so cached and fresh results are
+bit-identical.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import logging
@@ -82,7 +86,7 @@ class HttpSource:
 
     endpoint: str
     model: str
-    batch_size: int = 16
+    batch_size: int = 32
     max_in_flight: int = 2
     _session: requests.Session | None = field(default=None, init=False, repr=False,
                                               compare=False)
@@ -110,9 +114,9 @@ class HttpSource:
 
     def _post_batch(self, batch: list[str]) -> np.ndarray:
         url = self.endpoint.rstrip("/") + "/embeddings"
-        body = {"model": self.model, "input": batch}
+        body = {"model": self.model, "input": batch, "encoding_format": "base64"}
         last_err = None
-        for attempt in range(HTTP_RETRIES):
+        for attempt in range(1, HTTP_RETRIES + 1):
             try:
                 resp = self._session.post(url, json=body, timeout=HTTP_TIMEOUT)
                 if 200 <= resp.status_code < 300:
@@ -122,8 +126,10 @@ class HttpSource:
                 )
             except requests.RequestException as exc:
                 last_err = EmbeddingProviderError(f"embedding request failed: {exc}")
-            if attempt + 1 < HTTP_RETRIES:
-                time.sleep(HTTP_BACKOFF * (2**attempt))
+            log.warning("embedding request attempt %d/%d failed: %s", attempt, HTTP_RETRIES,
+                        last_err)
+            if attempt < HTTP_RETRIES:
+                time.sleep(HTTP_BACKOFF * 2 ** (attempt - 1))
         raise last_err
 
     @staticmethod
@@ -135,14 +141,14 @@ class HttpSource:
         for item in data:
             try:
                 idx = int(item["index"])
-                vec = np.asarray(item["embedding"], dtype=np.float32)
+                vec = _decode(item["embedding"])
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise EmbeddingProviderError(f"malformed embedding item: {exc!r}") from exc
             if not 0 <= idx < expected:
                 raise EmbeddingProviderError(f"embedding index {idx} outside [0, {expected})")
             if rows[idx] is not None:
-                raise EmbeddingProviderError(f"embedding response missing indices: {idx} repeated")
-            if vec.ndim != 1 or not np.isfinite(vec).all():
+                raise EmbeddingProviderError(f"embedding index {idx} repeated")
+            if vec.ndim != 1 or not vec.size or not np.isfinite(vec).all():
                 raise EmbeddingProviderError(f"embedding {idx} is not a finite vector")
             rows[idx] = vec
         dims = {r.shape[0] for r in rows}
@@ -163,6 +169,16 @@ class HttpSource:
         if len(dims) != 1:
             raise EmbeddingProviderError(f"dimension drift across batches: {sorted(dims)}")
         return np.concatenate(parts, axis=0)
+
+
+def _decode(embedding) -> np.ndarray:
+    """One wire embedding as float32: base64 of little-endian float32 bytes, or a float list.
+
+    Invalid base64 and a byte count that is not a multiple of 4 raise ValueError.
+    """
+    if isinstance(embedding, str):
+        return np.frombuffer(base64.b64decode(embedding, validate=True), dtype="<f4")
+    return np.asarray(embedding, dtype=np.float32)
 
 
 # ---------------------------------------------------------------------------

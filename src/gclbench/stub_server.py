@@ -1,7 +1,9 @@
 """In-process stub of an embeddings endpoint for tests and offline runs.
 
 Returns deterministic unit vectors derived from a hash of each input text,
-so reruns and cache comparisons are exact. A drift schedule can force the
+so reruns and cache comparisons are exact. A request whose "encoding_format"
+is "base64" gets each vector as the base64 of its little-endian float32
+bytes; any other request gets float lists. A drift schedule can force the
 response dimension to change after N requests, for exercising client checks.
 It speaks HTTP/1.1, so a client may keep its connections open between
 requests; an error reply closes its connection.
@@ -9,6 +11,7 @@ requests; an error reply closes its connection.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import socket
@@ -18,19 +21,31 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 
 
-def deterministic_embedding(text: str, dim: int) -> list[float]:
+def _unit_vector(text: str, dim: int) -> np.ndarray:
+    """The float32 vector the stub serves for `text`, in either encoding."""
     digest = hashlib.sha256(text.encode()).digest()
     rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
     v = rng.standard_normal(dim)
     v /= np.linalg.norm(v)
-    return [float(x) for x in v.astype(np.float32)]
+    return v.astype("<f4")
+
+
+def deterministic_embedding(text: str, dim: int) -> list[float]:
+    return _unit_vector(text, dim).tolist()
+
+
+def _wire(v: np.ndarray, encoding_format) -> str | list[float]:
+    if encoding_format == "base64":
+        return base64.b64encode(v.tobytes()).decode("ascii")
+    return v.tolist()
 
 
 class StubEmbeddingServer:
     """Context manager: serves POST /embeddings on an ephemeral port.
 
     `request_count` counts the requests served, `connection_count` the
-    connections accepted.
+    connections accepted; `last_auth_header` and `last_encoding_format` hold
+    the Authorization header and "encoding_format" field of the latest one.
     """
 
     def __init__(self, dim: int = 8, drift_dim: int | None = None, drift_after: int = 1,
@@ -42,6 +57,7 @@ class StubEmbeddingServer:
         self.request_count = 0
         self.connection_count = 0
         self.last_auth_header: str | None = None
+        self.last_encoding_format: str | None = None
         self._lock = threading.Lock()
         self._connections: set[socket.socket] = set()
         self._httpd: ThreadingHTTPServer | None = None
@@ -81,10 +97,12 @@ class StubEmbeddingServer:
                     return
                 length = int(self.headers.get("Content-Length", "0"))
                 body = json.loads(self.rfile.read(length))
+                fmt = body.get("encoding_format")
                 with outer._lock:
                     outer.request_count += 1
                     count = outer.request_count
                     outer.last_auth_header = self.headers.get("Authorization")
+                    outer.last_encoding_format = fmt
                 if count <= outer.fail_first:
                     self.send_error(503, "transient failure")
                     return
@@ -92,7 +110,7 @@ class StubEmbeddingServer:
                 if outer.drift_dim is not None and count > outer.drift_after:
                     dim = outer.drift_dim
                 data = [
-                    {"index": i, "embedding": deterministic_embedding(t, dim)}
+                    {"index": i, "embedding": _wire(_unit_vector(t, dim), fmt)}
                     for i, t in enumerate(body.get("input", []))
                 ]
                 payload = json.dumps({"data": data}).encode()

@@ -670,6 +670,70 @@ def test_negative_seed_flag_fails_in_one_line_naming_the_key(runner, tmp_path, c
         "error: config invalid at seeds/0: -1 is less than the minimum of 0"]
 
 
+def _with_seeds(tmp_path, config_file, seeds):
+    doc = json.loads(config_file.read_text())
+    doc.pop("seeds")
+    if seeds is not None:
+        doc["seeds"] = seeds
+    cfg = tmp_path / "seeds.json"
+    cfg.write_text(json.dumps(doc))
+    return cfg
+
+
+@pytest.mark.parametrize("seeds, flags, want", [
+    ([3], [], 3), ([3], ["--seed", "5"], 5), (None, [], 0), ([0, 1], ["--seed", "1"], 1),
+], ids=["config", "flag-overrides", "none-listed", "flag-picks-one"])
+def test_plan_and_prompts_take_the_configs_one_seed(runner, tmp_path, config_file, seeds, flags,
+                                                    want):
+    # Before, --seed defaulted to 0 and overrode the config's seeds.
+    cfg = _with_seeds(tmp_path, config_file, seeds)
+    result = runner.invoke(main, ["plan", "--config", str(cfg), "--out", str(tmp_path / "p"),
+                                  *flags])
+    assert result.exit_code == 0, result.output
+    header = (tmp_path / "p" / "plan.digest").read_text().splitlines()[0]
+    assert f" seed={want} " in header
+    out = tmp_path / "s0.jsonl"
+    result = runner.invoke(main, ["prompts", "--config", str(cfg), "--out", str(out), *flags])
+    assert result.exit_code == 0, result.output
+    assert json.loads(out.with_suffix(".meta.json").read_text())["seed"] == want
+
+
+def test_diagnose_leakage_takes_the_configs_one_seed(runner, tmp_path, config_file, monkeypatch):
+    import gclbench.cli
+
+    seen = []
+
+    class _Report:
+        def table(self):
+            return "table"
+
+    def probe(plan, **kwargs):
+        seen.append(plan.seed)
+        return _Report()
+
+    monkeypatch.setattr(gclbench.cli, "leakage_diagnostic", probe)
+    cfg = _with_seeds(tmp_path, config_file, [3])
+    for flags in ([], ["--seed", "5"]):
+        result = runner.invoke(main, ["diagnose-leakage", "--config", str(cfg), *flags])
+        assert result.exit_code == 0, result.output
+    assert seen == [3, 5]
+
+
+@pytest.mark.parametrize("command", ["plan", "prompts", "diagnose-leakage"])
+def test_several_config_seeds_without_seed_flag_fail_in_one_line(runner, tmp_path, config_file,
+                                                                 command):
+    cfg = _with_seeds(tmp_path, config_file, [0, 1])
+    args = [command, "--config", str(cfg)]
+    if command == "prompts":
+        args += ["--out", str(tmp_path / "p.jsonl")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines() == [
+        f"error: {command} takes one seed; the config lists 2 (pick one with --seed)"]
+    assert not (tmp_path / "p.jsonl").exists()
+
+
 @pytest.mark.parametrize("k_grid", ["1,x", "-1", "2,-1"])
 def test_bad_k_grid_fails_in_one_line_before_any_head_trains(runner, monkeypatch, config_file,
                                                              k_grid):

@@ -1,4 +1,6 @@
+import base64
 import json
+import logging
 import socket
 import struct
 import sys
@@ -7,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -78,6 +81,7 @@ def test_http_batch_order_and_shape():
     with StubEmbeddingServer(dim=8) as srv:
         src = HttpSource(srv.endpoint, "stub", batch_size=2, max_in_flight=1)
         out = src.embed(["alpha", "beta"])
+        assert srv.last_encoding_format == "base64"
         assert out.shape == (2, 8)
         assert np.array_equal(out[0], np.array(deterministic_embedding("alpha", 8), np.float32))
         assert np.array_equal(out[1], np.array(deterministic_embedding("beta", 8), np.float32))
@@ -111,9 +115,52 @@ def test_http_provider_defaults_are_the_source_fields(testkit_plan, tmp_path):
 
     src = source()
     assert isinstance(src, HttpSource)
-    assert (src.batch_size, src.max_in_flight) == (16, 2)
+    assert (src.batch_size, src.max_in_flight) == (32, 2)
     src = source(batch_size=3, max_in_flight=5)
     assert (src.batch_size, src.max_in_flight) == (3, 5)
+
+
+def _wire(vec, form):
+    """A vector as a provider sends it: base64 of little-endian float32 bytes, or a list."""
+    vec = np.asarray(vec, dtype="<f4")
+    return base64.b64encode(vec.tobytes()).decode("ascii") if form == "base64" else vec.tolist()
+
+
+def _reply(*items, form):
+    return {"data": [{"index": i, "embedding": _wire(v, form)} for i, v in items]}
+
+
+def test_http_both_wire_forms_decode_to_the_same_array():
+    vecs = np.random.default_rng(0).standard_normal((3, 5)).astype(np.float32)
+    items = [(2, vecs[2]), (0, vecs[0]), (1, vecs[1])]
+    fromb64 = HttpSource._parse(_reply(*items, form="base64"), 3)
+    fromlist = HttpSource._parse(_reply(*items, form="list"), 3)
+    assert fromb64.dtype == fromlist.dtype == np.float32
+    assert np.array_equal(fromb64, vecs) and np.array_equal(fromlist, vecs)
+
+
+@pytest.mark.parametrize("form", ["base64", "list"])
+@pytest.mark.parametrize("items, expected, match", [
+    ([(0, [0.0, 1.0])], 2, "malformed embedding response"),
+    ([(0, [0.0, 1.0]), (0, [1.0, 0.0])], 2, "embedding index 0 repeated"),
+    ([(2, [0.0, 1.0])], 1, r"embedding index 2 outside \[0, 1\)"),
+    ([(0, [0.0, float("nan")])], 1, "embedding 0 is not a finite vector"),
+    ([(0, [0.0, 1.0]), (1, [0.0, 1.0, 2.0])], 2, "dimension drift within one response"),
+], ids=["count", "repeated", "out-of-range", "nan", "drift"])
+def test_http_malformed_reply_in_either_form_is_a_provider_error(form, items, expected, match):
+    with pytest.raises(EmbeddingProviderError, match=match):
+        HttpSource._parse(_reply(*items, form=form), expected)
+
+
+def test_stub_answers_float_lists_unless_asked_for_base64():
+    with StubEmbeddingServer(dim=4) as srv:
+        for fmt in (None, "float", "base64"):
+            body = {"model": "stub", "input": ["alpha"],
+                    **({} if fmt is None else {"encoding_format": fmt})}
+            reply = requests.post(srv.endpoint + "/embeddings", json=body, timeout=10).json()
+            assert srv.last_encoding_format == fmt
+            want = _wire(deterministic_embedding("alpha", 4), fmt)
+            assert reply["data"] == [{"index": 0, "embedding": want}]
 
 
 def test_http_multi_batch_concurrent_order():
@@ -146,6 +193,31 @@ def test_http_retries_then_succeeds(monkeypatch):
         assert srv.connection_count == 3
         src.embed(["y"])
         assert (srv.request_count, srv.connection_count) == (4, 3)
+
+
+def test_http_failed_attempts_log_one_warning_each(monkeypatch, caplog):
+    monkeypatch.setattr(embeddings, "HTTP_BACKOFF", 0.01)
+    for name in ("http_proxy", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    with caplog.at_level(logging.WARNING, logger=embeddings.log.name):
+        with StubEmbeddingServer(dim=4, fail_first=2) as srv:
+            src = HttpSource(srv.endpoint, "stub", max_in_flight=1)
+            src.embed(["x"])
+            assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+                (logging.WARNING, f"embedding request attempt {i}/3 failed: "
+                                  "embedding endpoint returned status 503") for i in (1, 2)]
+            caplog.clear()
+            src.embed(["y"])  # a clean fetch
+            assert caplog.records == []
+        with socket.socket() as sock:  # a local port that nothing listens on
+            sock.bind(("127.0.0.1", 0))
+            closed = f"http://127.0.0.1:{sock.getsockname()[1]}"
+        with pytest.raises(EmbeddingProviderError, match="request failed"):
+            HttpSource(closed, "stub").embed(["z"])
+        assert [r.getMessage().split(": ")[0] for r in caplog.records] == [
+            f"embedding request attempt {i}/3 failed" for i in (1, 2, 3)]
+        assert all("embedding request failed: " in r.getMessage() for r in caplog.records)
 
 
 def test_http_batches_reuse_pooled_connections():

@@ -142,7 +142,7 @@ def test_http_source_batch_size_guard():
 def test_http_malformed_response_payload():
     with pytest.raises(EmbeddingProviderError, match="malformed"):
         HttpSource._parse({"data": "nope"}, 1)
-    with pytest.raises(EmbeddingProviderError, match="missing indices"):
+    with pytest.raises(EmbeddingProviderError, match="index 0 repeated"):
         HttpSource._parse({"data": [{"index": 0, "embedding": [0.0]},
                                     {"index": 0, "embedding": [1.0]}]}, 2)
 
@@ -165,6 +165,11 @@ def _item(index, vec=(0.0, 1.0)):
     ([_item(0, [0.0, float("nan")])], "finite"),
     ([_item(0, [float("inf"), 1.0])], "finite"),
     ([_item(0, 3.0)], "finite vector"),
+    ([_item(0, [])], "finite vector"),  # an empty vector used to pass as dimension 0
+    ([_item(0, "")], "finite vector"),
+    ([_item(0, "AAAA*AAA")], "malformed embedding item"),  # not a base64 character
+    ([_item(0, "AAAA AAA")], "malformed embedding item"),
+    ([_item(0, "AAAAAAAA")], "malformed embedding item"),  # 6 bytes: not whole float32s
 ])
 def test_http_bad_payload_items_are_provider_errors(data, match):
     with pytest.raises(EmbeddingProviderError, match=match):
