@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+import logging
 import sys
 from pathlib import Path
 
 import click
 
-from .config import (PLAN_DEFAULTS, ConfigError, expand_grid, load_config, resolve_hypers,
-                     validate_config)
+from .config import (LEAKAGE_K_GRID, PLAN_DEFAULTS, ConfigError, expand_grid, load_config,
+                     resolve_hypers, validate_config)
 from .embeddings import EmbeddingProviderError
 from .evaluation import ResultsFormatError, leakage_diagnostic, load_results, write_report
 from .graph import load_tag, save_tag
@@ -73,15 +74,24 @@ def _resolve_plan(doc: dict, g, seed: int):
 _SEED_HELP = "Default: the config's one seed, or 0 when it lists none."
 
 
+class _WarningLines(logging.Handler):
+    def emit(self, record):  # to stderr as it stands now, so CliRunner captures the line
+        click.echo(f"warning: {record.getMessage()}", err=True)
+
+
 class _Cli(click.Group):
-    """Reports each expected error as one `error:` line and exit status 1."""
+    """A `warning:` line per gclbench WARNING; an `error:` line and exit 1 per expected error."""
 
     def invoke(self, ctx):
+        log, handler = logging.getLogger("gclbench"), _WarningLines(logging.WARNING)
+        log.addHandler(handler)
         try:
             return super().invoke(ctx)
         except _ERRORS as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
+        finally:
+            log.removeHandler(handler)
 
 
 @click.group(cls=_Cli)
@@ -182,9 +192,7 @@ def prompts(config_path, session, seed, out, **flags):
     p = _resolve_plan(doc, g, seed)
     hypers = resolve_hypers(doc.get("hyperparameters"))
     template = default_template(name, len(hypers["fanouts"]), hypers["max_node_text_len"])
-    count = emit_instruction_jsonl(
-        p, session, template, out, seed, fanouts=tuple(hypers["fanouts"])
-    )
+    count = emit_instruction_jsonl(p, session, template, out, seed, fanouts=hypers["fanouts"])
     click.echo(f"wrote {count} records to {out}")
 
 
@@ -194,7 +202,8 @@ def prompts(config_path, session, seed, out, **flags):
 @click.option("--scenario", type=click.Choice(list(PLAN_DEFAULTS)))
 @click.option("--seed", type=int,
               help=f"Seeds the plan; the heads always train at seed 0. {_SEED_HELP}")
-@click.option("--k-grid", default="1,2,4,8", show_default=True, help="Distinct integers >= 0.")
+@click.option("--k-grid", default=",".join(map(str, LEAKAGE_K_GRID)), show_default=True,
+              help="Distinct integers >= 0.")
 @click.option("--out", type=click.Path(), help="Optional diagnostics.json path.")
 def diagnose_leakage(config_path, seed, k_grid, out, **flags):
     """Task-ID leakage probe: prototype routing accuracy and routed-head AA/AF."""

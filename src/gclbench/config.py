@@ -24,8 +24,7 @@ SYNTH_SCHEMA = {
                    for f in dataclasses.fields(SynthConfig)},
 }
 
-# Desk-scale defaults; grid sweeps ([1e-5, 1e-4, 1e-3] etc.) go in as list
-# values where a sweep is wanted.
+# Desk-scale defaults.
 DEFAULT_PLAN_NCIL = {"classes_per_session": 2, "num_sessions": 3, "shots": 100, "test_cap": 500}
 DEFAULT_PLAN_FSNCIL = {
     "base_classes": 3, "ways": 2, "num_sessions": 3,
@@ -33,43 +32,6 @@ DEFAULT_PLAN_FSNCIL = {
 }
 # scenario -> its builder's shape parameters, the only plan keys it takes
 PLAN_DEFAULTS = {NCIL: DEFAULT_PLAN_NCIL, FSNCIL: DEFAULT_PLAN_FSNCIL}
-
-DEFAULT_HYPERS = {
-    "lr": 1e-2,
-    "hidden_dim": 64,
-    "epochs": 200,
-    "dropout": 0.5,
-    "strength": 100.0,
-    "lwf_lambda": 1.0,
-    "lwf_T": 2.0,
-    "tau": 1.0,
-    # sample_num intentionally has no global default: cosine/teen cap at 100,
-    # simplecil at 20, simgcl_proto at 50 unless the config pins one value.
-    "k_smooth": 8,
-    "softmax_T": 16.0,
-    "shift_weight": 0.5,
-    "fanouts": [20, 20],
-    "max_node_text_len": 128,
-    "conv_bias": False,
-}
-
-
-def _or_grid(item: dict) -> dict:
-    """One value, or a non-empty list of distinct values to sweep; each obeys `item`."""
-    return {"if": {"type": "array"},  # not a oneOf, whose error would name no expected type
-            "then": {"items": item, "minItems": 1, "uniqueItems": True}, "else": item}
-
-
-# The hyperparameters a config may sweep, each with the schema of one value.
-_GRID_ITEMS = {
-    "lr": {"type": "number", "exclusiveMinimum": 0},
-    "hidden_dim": {"type": "integer", "minimum": 1},
-    "epochs": {"type": "integer", "minimum": 1},
-    "strength": {"type": "number", "minimum": 0},
-    "lwf_lambda": {"type": "number", "minimum": 0},
-    "lwf_T": {"type": "number", "exclusiveMinimum": 0},
-    "k_smooth": {"type": "integer", "minimum": 0},
-}
 
 # provider kind -> the fields it cannot do without
 PROVIDER_FIELDS = {"file": ("matrix", "index"), "http": ("endpoint",)}
@@ -90,6 +52,41 @@ PROVIDER_SCHEMA = {
     "allOf": [{"if": {"properties": {"kind": {"const": kind}}}, "then": {"required": list(fields)}}
               for kind, fields in PROVIDER_FIELDS.items()],
 }
+
+# name -> (default or None, schema of one value, whether a list such as [1e-3, 1e-2]
+# sweeps it). sample_num has no global default: cosine/teen cap at 100, simplecil
+# at 20, simgcl_proto at 50 unless the config pins one value.
+HYPERPARAMETERS = {
+    "lr": (1e-2, {"type": "number", "exclusiveMinimum": 0}, True),
+    "hidden_dim": (64, {"type": "integer", "minimum": 1}, True),
+    "epochs": (200, {"type": "integer", "minimum": 1}, True),
+    "dropout": (0.5, {"type": "number", "minimum": 0, "exclusiveMaximum": 1}, False),
+    "strength": (100.0, {"type": "number", "minimum": 0}, True),
+    "lwf_lambda": (1.0, {"type": "number", "minimum": 0}, True),
+    "lwf_T": (2.0, {"type": "number", "exclusiveMinimum": 0}, True),
+    "tau": (1.0, {"type": "number", "exclusiveMinimum": 0}, False),
+    "sample_num": (None, {"type": "integer", "minimum": 1}, False),
+    "k_smooth": (8, {"type": "integer", "minimum": 0}, True),
+    "softmax_T": (16.0, {"type": "number"}, False),
+    "shift_weight": (0.5, {"type": "number", "minimum": 0, "maximum": 1}, False),
+    "fanouts": ([20, 20], {"type": "array", "items": {"type": "integer", "minimum": 1},
+                           "minItems": 1}, False),
+    "max_node_text_len": (128, {"type": "integer", "minimum": 1}, False),
+    "conv_bias": (False, {"type": "boolean"}, False),
+    "provider": (None, PROVIDER_SCHEMA, False),
+    "cache_path": (None, {"type": "string"}, False),
+}
+DEFAULT_HYPERS = {k: d for k, (d, _, _) in HYPERPARAMETERS.items() if d is not None}
+_GRID_ITEMS = {k: rule for k, (_, rule, grid) in HYPERPARAMETERS.items() if grid}  # sweepable
+
+LEAKAGE_K_GRID = (1, 2, 4, 8)  # the leakage probe's default smoothing depths
+
+
+def _or_grid(item: dict) -> dict:
+    """One value, or a non-empty list of distinct values to sweep; each obeys `item`."""
+    return {"if": {"type": "array"},  # not a oneOf, whose error would name no expected type
+            "then": {"items": item, "minItems": 1, "uniqueItems": True}, "else": item}
+
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -120,19 +117,8 @@ CONFIG_SCHEMA = {
         "hyperparameters": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {
-                **{k: _or_grid(item) for k, item in _GRID_ITEMS.items()},
-                "dropout": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-                "tau": {"type": "number", "exclusiveMinimum": 0},
-                "sample_num": {"type": "integer", "minimum": 1},
-                "softmax_T": {"type": "number"},
-                "shift_weight": {"type": "number", "minimum": 0, "maximum": 1},
-                "fanouts": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 1},
-                "max_node_text_len": {"type": "integer", "minimum": 1},
-                "conv_bias": {"type": "boolean"},
-                "provider": PROVIDER_SCHEMA,
-                "cache_path": {"type": "string"},
-            },
+            "properties": {k: _or_grid(rule) if grid else rule
+                           for k, (_, rule, grid) in HYPERPARAMETERS.items()},
         },
     },
 }
@@ -172,18 +158,27 @@ def load_config(path) -> dict:
 
 
 def resolve_hypers(hypers: dict | None) -> dict:
-    """DEFAULT_HYPERS overlaid with the given hyperparameters (grids kept as lists)."""
+    """DEFAULT_HYPERS overlaid with the given hyperparameters (grids kept as lists);
+    a key that HYPERPARAMETERS does not list is a ConfigError naming it."""
+    unknown = sorted(set(hypers or {}) - set(HYPERPARAMETERS))
+    if unknown:
+        raise ConfigError(f"unknown hyperparameter {', '.join(unknown)}; "
+                          f"the keys are {', '.join(HYPERPARAMETERS)}")
     return {**DEFAULT_HYPERS, **(hypers or {})}
+
+
+def resolve_point(hypers: dict | None) -> dict:
+    """resolve_hypers for one run: a list under a sweepable key is a ConfigError naming it."""
+    hypers = resolve_hypers(hypers)
+    grids = [k for k in _GRID_ITEMS if isinstance(hypers[k], list)]
+    if grids:
+        raise ConfigError(f"hyperparameter {', '.join(grids)} holds a grid; a run takes one "
+                          f"point of it (expand with gclbench.config.expand_grid)")
+    return hypers
 
 
 def expand_grid(hypers: dict) -> list[dict]:
     """Cross-product of all list-valued grid keys; scalars pass through."""
-    fixed = {k: v for k, v in hypers.items() if k not in _GRID_ITEMS or not isinstance(v, list)}
-    grids = {k: v for k, v in hypers.items() if k in _GRID_ITEMS and isinstance(v, list)}
-    keys = sorted(grids)
-    points = []
-    for combo in itertools.product(*(grids[k] for k in keys)):
-        pt = dict(fixed)
-        pt.update(dict(zip(keys, combo)))
-        points.append(pt)
-    return points
+    keys = sorted(k for k in _GRID_ITEMS if isinstance(hypers.get(k), list))
+    return [{**hypers, **dict(zip(keys, combo))}
+            for combo in itertools.product(*(hypers[k] for k in keys))]

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import LEAKAGE_K_GRID
 from .prototypes import TaskPrototypeSet, predict_task_id, routing_features
 from .sessions import GLOBAL, LOCAL, EvalTask, SessionPlan
 
@@ -131,7 +132,7 @@ class LeakageReport:
 
 def leakage_diagnostic(
     plan: SessionPlan,
-    k_grid=(1, 2, 4, 8),
+    k_grid=LEAKAGE_K_GRID,
     config: dict | None = None,
 ) -> LeakageReport:
     """Probe how easily local testing reveals session identity.
@@ -145,7 +146,7 @@ def leakage_diagnostic(
     """
     from .trainers import fit_task_heads  # circular at module level
 
-    heads = fit_task_heads(plan, config=dict(config or {}))
+    heads = fit_task_heads(plan, config)
     sessions = plan.sessions
     tests = [s.local_ids(s.test_nodes) for s in sessions]
     # head_acc[h][j]: lenient accuracy of session h's head on local task j

@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .config import DEFAULT_HYPERS
 from .graph import EgoGraph, sample_ego_graph
 from .sessions import SessionPlan
 
@@ -36,15 +37,15 @@ class PromptTemplate:
 
     dataset_name: str
     hops: int
-    max_node_text_len: int = 128
+    max_node_text_len: int
 
     def __post_init__(self):
         if self.max_node_text_len < 1:
             raise ValueError("max_node_text_len must be >= 1")
 
 
-def default_template(dataset_name: str = "Cora", hops: int = 2,
-                     max_node_text_len: int = 128) -> PromptTemplate:
+def default_template(dataset_name: str = "Cora", hops: int = len(DEFAULT_HYPERS["fanouts"]),
+                     max_node_text_len: int = DEFAULT_HYPERS["max_node_text_len"]):
     return PromptTemplate(dataset_name, hops, max_node_text_len)
 
 
@@ -94,7 +95,7 @@ def emit_instruction_jsonl(
     template: PromptTemplate,
     path,
     seed: int,
-    fanouts=(20, 20),
+    fanouts=tuple(DEFAULT_HYPERS["fanouts"]),
 ) -> int:
     """Write one {"node", "prompt", "answer"} line per train node of a session.
 

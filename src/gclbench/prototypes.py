@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import DEFAULT_HYPERS
 from .graph import TextAttributedGraph, degrees, laplacian_smooth
 from .nn import softmax
 
@@ -116,8 +117,8 @@ def teen_calibrate(
     bank: PrototypeBank,
     base_classes,
     novel_classes,
-    softmax_T: float = 16.0,
-    shift_weight: float = 0.5,
+    softmax_T: float = DEFAULT_HYPERS["softmax_T"],
+    shift_weight: float = DEFAULT_HYPERS["shift_weight"],
 ) -> PrototypeBank:
     """Shift each novel prototype toward base prototypes it resembles.
 

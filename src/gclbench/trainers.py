@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .config import PROVIDER_FIELDS, resolve_hypers
+from .config import PROVIDER_FIELDS, resolve_point
 from .embeddings import EmbeddingCache, FileSource, HttpSource, get_or_embed
 from .evaluation import (
     AccuracyMatrix,
@@ -180,26 +180,25 @@ def fisher_diagonal(
 def distill_loss(
     new_logits: np.ndarray,
     old_logits: np.ndarray,
-    old_mask: np.ndarray,
     temperature: float,
     weight: float,
 ) -> tuple[float, np.ndarray]:
-    """weight * T^2 * KL(softmax(old/T) || softmax(new/T)) over old-class columns.
+    """weight * T^2 * KL(softmax(old/T) || softmax(new/T)) over the old classes.
 
-    Returns the row-averaged loss and its gradient w.r.t. new_logits (zero at
-    non-old columns).
+    They are new_logits' first old_logits.shape[1] columns. Returns the
+    row-averaged loss and its gradient w.r.t. new_logits (zero elsewhere).
     """
     T = temperature
-    cols = np.flatnonzero(old_mask)
-    po = softmax(old_logits[:, cols] / T)
-    qn = softmax(new_logits[:, cols] / T)
+    m = old_logits.shape[1]
+    po = softmax(old_logits / T)
+    qn = softmax(new_logits[:, :m] / T)
     n = new_logits.shape[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         logratio = np.where(po > 0, np.log(po) - np.log(qn), 0.0)
     kl = float((po * logratio).sum(axis=1).mean())
     loss = weight * T * T * kl
     dl = np.zeros_like(new_logits)
-    dl[:, cols] = weight * T * (qn - po) / n
+    dl[:, :m] = weight * T * (qn - po) / n
     return loss, dl
 
 
@@ -261,9 +260,8 @@ def train_session(
                 penalty, g_ewc = ewc_penalty(p, anchor)
                 loss += penalty
             if distill is not None:
-                old_mask = np.arange(logits.shape[1]) < old_logits.shape[1]
-                dloss, dl_distill = distill_loss(logits, old_logits, old_mask,
-                                                 distill.temperature, distill.weight)
+                dloss, dl_distill = distill_loss(logits, old_logits, distill.temperature,
+                                                 distill.weight)
                 loss += dloss
                 dlogits = dlogits + dl_distill
             if not np.isfinite(loss):
@@ -324,7 +322,7 @@ def _train_columns(s: Session, head_classes) -> tuple[np.ndarray, np.ndarray]:
 
 def fit_task_heads(plan: SessionPlan, config: dict | None = None) -> list[TaskHead]:
     """One two-layer MLP per session, trained at seed 0 on that session's classes only."""
-    config = resolve_hypers(config)
+    config = resolve_point(config)
     return [_fit_head(plan, i, config, 0) for i in range(plan.num_sessions)]
 
 
@@ -336,13 +334,13 @@ def fit_task_heads(plan: SessionPlan, config: dict | None = None) -> list[TaskHe
 class _Runner:
     """A method over one plan: fit_session(i) trains on session i (1-based),
     predict(task) labels the task's eval nodes. Hyperparameters the caller
-    leaves out come from config.DEFAULT_HYPERS."""
+    leaves out come from config.DEFAULT_HYPERS; a grid list is rejected."""
 
     lenient = False
 
     def __init__(self, plan: SessionPlan, config: dict, seed: int):
         self.plan = plan
-        self.config = resolve_hypers(config)
+        self.config = resolve_point(config)
         self.seed = seed
 
 
@@ -640,7 +638,6 @@ def run_method(
         raise ValueError(f"unknown method {method!r}; valid ids: {', '.join(METHOD_IDS)}")
     if mode not in (LOCAL, GLOBAL):
         raise ValueError(f"unknown mode {mode!r}")
-    config = resolve_hypers(config)
     runner = _RUNNERS[method](plan, config, seed, dataset)
     matrix = AccuracyMatrix(mode=mode)
     times: list[float] = []
@@ -658,7 +655,7 @@ def run_method(
         eval_edges=plan.eval_edges,
         seed=seed,
         dataset=dataset,
-        config_hash=config_hash(config),
+        config_hash=config_hash(runner.config),
         session_seconds=[round(t, 6) for t in times],
         matrix=matrix,
         summary=summarize(matrix),

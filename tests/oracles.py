@@ -403,8 +403,7 @@ def train_session_all_nodes(p, S, X, labels, rows, epochs, lr, seed=0, distill=N
         logits, cache = _all_nodes_forward(p, S, X, rows, _mix(seed, epoch))
         _, dlogits = cross_entropy(logits, labels)
         if distill is not None:
-            old_mask = np.arange(logits.shape[1]) < old_logits.shape[1]
-            dlogits = dlogits + distill_loss(logits, old_logits, old_mask,
+            dlogits = dlogits + distill_loss(logits, old_logits,
                                              distill.temperature, distill.weight)[1]
         p, st = adam_step(p, _all_nodes_backward(p, S, rows, cache, dlogits), st)
     return p

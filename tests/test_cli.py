@@ -1,5 +1,7 @@
 import json
+import logging
 import re
+import socket
 import struct
 
 import pytest
@@ -164,6 +166,33 @@ def test_run_writes_http_cache_under_out(runner, tmp_path, dataset_dir, monkeypa
     assert result.exit_code == 0, result.output
     assert (tmp_path / "o" / "embeddings.cache.bin").stat().st_size > 0
     assert not (cwd / "embeddings.cache.bin").exists()
+
+
+def test_unreachable_provider_warns_once_per_attempt_then_fails(runner, tmp_path, dataset_dir,
+                                                                 monkeypatch):
+    # Each failed attempt used to reach stderr as a bare message through
+    # Python's last-resort handler.
+    from gclbench import embeddings
+
+    monkeypatch.setattr(embeddings, "HTTP_BACKOFF", 0.01)
+    for name in ("http_proxy", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    log = logging.getLogger("gclbench")
+    assert log.handlers == []  # importing the library, CLI included, installs none
+    with socket.socket() as sock:  # a local port that nothing listens on
+        sock.bind(("127.0.0.1", 0))
+        endpoint = f"http://127.0.0.1:{sock.getsockname()[1]}"
+        # 2 classes x 10 shots: one batch of 20 texts, three attempts
+        result = _run_config(runner, tmp_path, dataset_dir,
+                             {"provider": {"kind": "http", "endpoint": endpoint}}, "simplecil")
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    lines = result.stderr.splitlines()
+    assert [line.split(": embedding request failed: ")[0] for line in lines] == [
+        *(f"warning: embedding request attempt {i}/3 failed" for i in (1, 2, 3)), "error"]
+    assert result.stdout == ""
+    assert log.handlers == []
 
 
 def test_run_rejects_unknown_config_key(runner, tmp_path, dataset_dir):

@@ -6,6 +6,7 @@ import pytest
 from gclbench.config import (
     CONFIG_SCHEMA,
     DEFAULT_HYPERS,
+    HYPERPARAMETERS,
     SYNTH_SCHEMA,
     ConfigError,
     _GRID_ITEMS,
@@ -15,6 +16,7 @@ from gclbench.config import (
     validate_config,
 )
 from gclbench.synth import SynthConfig
+from gclbench.trainers import config_hash
 
 
 def _doc(hypers):
@@ -25,6 +27,22 @@ def test_grid_keys_are_the_schema_keys_that_take_a_list():
     props = CONFIG_SCHEMA["properties"]["hyperparameters"]["properties"]
     assert {k for k, v in props.items() if v.get("if") == {"type": "array"}} == set(_GRID_ITEMS)
     assert set(_GRID_ITEMS) <= set(DEFAULT_HYPERS)
+
+
+def test_the_table_is_the_schema():
+    props = CONFIG_SCHEMA["properties"]["hyperparameters"]["properties"]
+    assert list(props) == list(HYPERPARAMETERS) and len(props) == 17
+    assert set(HYPERPARAMETERS) - set(DEFAULT_HYPERS) == {"sample_num", "provider", "cache_path"}
+
+
+def test_default_config_hash_is_pinned():
+    # Guards each default's value and type: 100.0 is not 100.
+    assert config_hash(resolve_hypers(None)) == "acf2a644316b67fb"
+
+
+def test_resolve_hypers_rejects_a_key_outside_the_table():
+    with pytest.raises(ConfigError, match="unknown hyperparameter epoch, lrr; the keys are lr, "):
+        resolve_hypers({"lrr": 0.1, "epoch": 2})
 
 
 @pytest.mark.parametrize("key", sorted(_GRID_ITEMS))

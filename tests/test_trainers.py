@@ -402,7 +402,7 @@ def test_ewc_negative_fisher_rejected():
 
 def test_lwf_zero_at_identical_logits():
     logits = np.array([[1.0, -0.5], [0.2, 0.4]])
-    loss, dl = distill_loss(logits, logits.copy(), np.array([True, True]), 2.0, 1.0)
+    loss, dl = distill_loss(logits, logits.copy(), 2.0, 1.0)
     assert loss == 0.0
     assert np.allclose(dl, 0.0, atol=1e-15)
 
@@ -410,14 +410,14 @@ def test_lwf_zero_at_identical_logits():
 def test_lwf_worked_example():
     old = np.array([[1.0, 0.0]])
     new = np.array([[0.0, 1.0]])
-    loss, _ = distill_loss(new, old, np.array([True, True]), 1.0, 1.0)
+    loss, _ = distill_loss(new, old, 1.0, 1.0)
     assert abs(loss - 0.4621) < 5e-5
 
 
 def test_lwf_zero_weight():
     old = np.array([[1.0, 0.0]])
     new = np.array([[0.0, 5.0]])
-    loss, dl = distill_loss(new, old, np.array([True, True]), 1.0, 0.0)
+    loss, dl = distill_loss(new, old, 1.0, 0.0)
     assert loss == 0.0
     assert np.allclose(dl, 0.0)
 
@@ -428,9 +428,8 @@ def test_lwf_nonnegative_random():
         n, c = int(rng.integers(1, 6)), int(rng.integers(2, 5))
         old = rng.standard_normal((n, c))
         new = rng.standard_normal((n, c))
-        mask = np.zeros(c, bool)
-        mask[: int(rng.integers(1, c + 1))] = True
-        loss, _ = distill_loss(new, old, mask, float(rng.uniform(0.2, 3)), 1.0)
+        m = int(rng.integers(1, c + 1))
+        loss, _ = distill_loss(new, old[:, :m], float(rng.uniform(0.2, 3)), 1.0)
         assert loss >= -1e-12
 
 
@@ -438,9 +437,9 @@ def test_lwf_gradient_matches_finite_differences():
     rng = np.random.default_rng(8)
     old = rng.standard_normal((3, 4))
     new = rng.standard_normal((3, 4))
-    mask = np.array([True, True, True, False])
+    old = old[:, :3]  # the old classes are the first three columns
     T, w = 2.0, 0.7
-    _, dl = distill_loss(new, old, mask, T, w)
+    _, dl = distill_loss(new, old, T, w)
     h = 1e-6
     for i in range(3):
         for j in range(4):
@@ -448,7 +447,7 @@ def test_lwf_gradient_matches_finite_differences():
             up[i, j] += h
             down = new.copy()
             down[i, j] -= h
-            num = (distill_loss(up, old, mask, T, w)[0] - distill_loss(down, old, mask, T, w)[0]) / (2 * h)
+            num = (distill_loss(up, old, T, w)[0] - distill_loss(down, old, T, w)[0]) / (2 * h)
             assert abs(num - dl[i, j]) < 1e-6
 
 
@@ -459,9 +458,9 @@ def test_lwf_distill_via_frozen_model(testkit_plan, monkeypatch):
 
     calls = []
 
-    def recording(new_logits, old_logits, old_mask, temperature, weight):
-        calls.append((old_logits.copy(), old_mask.copy(), temperature, weight))
-        return distill_loss(new_logits, old_logits, old_mask, temperature, weight)
+    def recording(new_logits, old_logits, temperature, weight):
+        calls.append((old_logits.copy(), new_logits.shape[1], temperature, weight))
+        return distill_loss(new_logits, old_logits, temperature, weight)
 
     monkeypatch.setattr(trainers, "distill_loss", recording)
     cfg = dict(CFG, epochs=4, lwf_T=3.0, lwf_lambda=0.5)
@@ -478,9 +477,9 @@ def test_lwf_distill_via_frozen_model(testkit_plan, monkeypatch):
     expect = ol[rows]
     assert expect.shape[1] == 2
     assert len(calls) == 4
-    for old_logits, mask, temperature, weight in calls:
+    for old_logits, width, temperature, weight in calls:
         assert np.array_equal(old_logits, expect)
-        assert list(mask) == [True, True, False, False]
+        assert width == 4  # the two old columns come first
         assert (temperature, weight) == (3.0, 0.5)
 
 
@@ -565,6 +564,22 @@ def test_config_hash_covers_the_resolved_hyperparameters(testkit_plan, monkeypat
     monkeypatch.setitem(config.DEFAULT_HYPERS, "hidden_dim", 16)
     moved = run_method("gcn", testkit_plan, {"epochs": 3}, mode="local")
     assert moved.config_hash != partial.config_hash
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"epoch": 2}, "unknown hyperparameter epoch; the keys are lr, "),
+    ({"lr": [0.01, 0.1]}, "hyperparameter lr holds a grid; .*config.expand_grid"),
+], ids=["misspelled", "grid"])
+def test_library_runs_take_one_point_of_the_table(testkit_plan, config, message):
+    # A misspelled key used to run the defaults under another config_hash, and a
+    # grid list ended in a bare TypeError from float().
+    from gclbench.config import ConfigError
+    from gclbench.evaluation import leakage_diagnostic
+
+    with pytest.raises(ConfigError, match=message):
+        run_method("gcn", testkit_plan, config, mode="local")
+    with pytest.raises(ConfigError, match=message):
+        leakage_diagnostic(testkit_plan, config=config)
 
 
 def test_run_method_reproducible(testkit_plan):
