@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+import weakref
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -440,12 +441,22 @@ class _Prototypes(_Runner):
     `_embed(graph, rows, node_sources, class_ids, stage_seed)`: the embedding
     rows of `rows` (ids local to `graph`), given each local id's original id,
     the class ids a prompt may name and a seed for this stage.
+
+    The embedder is frozen by the time predict runs: a frozen GCN trains in
+    fit_session(1) only, and a provider vector is a pure function of its
+    prompt, which the task's graph, eval nodes, class ids and stage seed fix.
+    So predict embeds each task object once and keeps its rows while the
+    task lives; a later call re-classifies them against the grown bank. An
+    entry is found by identity through a weak reference: another task (one
+    with the same session index, or one that reuses a dead task's id())
+    never hits, and a task the caller drops takes its rows with it.
     """
 
     def __init__(self, plan: SessionPlan, config: dict, seed: int, sample_num: int):
         super().__init__(plan, config, seed)
         self.bank = PrototypeBank(temperature=float(self.config["tau"]))
         self.sample_num = int(self.config.get("sample_num", sample_num))
+        self._embedded: dict[int, tuple[weakref.ref, np.ndarray]] = {}  # id(task) -> rows
 
     def fit_session(self, i: int) -> None:
         s = self.plan.sessions[i - 1]
@@ -458,8 +469,13 @@ class _Prototypes(_Runner):
         )
 
     def predict(self, task: EvalTask) -> np.ndarray:
-        emb = self._embed(task.graph, task.eval_nodes, task.node_sources,
-                          task.class_ids, _mix(self.seed, 23, task.session_index))
+        key = id(task)
+        ref, emb = self._embedded.get(key, (None, None))
+        if ref is None or ref() is not task:
+            emb = self._embed(task.graph, task.eval_nodes, task.node_sources,
+                              task.class_ids, _mix(self.seed, 23, task.session_index))
+            embedded = self._embedded  # the callback must not keep the runner alive
+            self._embedded[key] = (weakref.ref(task, lambda _: embedded.pop(key, None)), emb)
         return classify_batch(self.bank.subset(task.class_ids), emb)
 
 
@@ -632,7 +648,10 @@ def run_method(
 
     After each session i the method is evaluated on the cumulative union task
     (global mode) or on every past local task j <= i (local mode, one triangle
-    row). Deterministic for fixed (plan, config, seed).
+    row). Each eval task is built once per run: local task j after session j,
+    then re-scored as the same object after every later session, which a
+    prototype runner embeds only once; a global task is scored once and
+    dropped. Deterministic for fixed (plan, config, seed).
     """
     if method not in METHOD_IDS:
         raise ValueError(f"unknown method {method!r}; valid ids: {', '.join(METHOD_IDS)}")
@@ -641,11 +660,13 @@ def run_method(
     runner = _RUNNERS[method](plan, config, seed, dataset)
     matrix = AccuracyMatrix(mode=mode)
     times: list[float] = []
+    tasks: list[EvalTask] = []
     for i in range(1, plan.num_sessions + 1):
         t0 = time.perf_counter()
         runner.fit_session(i)
-        tasks = (i,) if mode == GLOBAL else range(1, i + 1)
-        matrix.add_row([_score(runner, build_eval_task(plan, j, mode)) for j in tasks])
+        task = build_eval_task(plan, i, mode)
+        tasks = [task] if mode == GLOBAL else tasks + [task]
+        matrix.add_row([_score(runner, t) for t in tasks])
         times.append(time.perf_counter() - t0)
 
     return RunResult(

@@ -997,3 +997,84 @@ def test_file_provider_reads_rows_by_node_id_and_writes_no_cache(testkit_graph, 
     res = run_method("simplecil", plan, dict(CFG, provider=provider), mode="local", seed=0)
     assert res.matrix.rows == [[1.0], [1.0, 1.0], [1.0, 1.0, 1.0]]
     assert not list(tmp_path.rglob("*.cache.bin"))
+
+
+# ------------------------------------------------------- eval tasks built once
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls trainers makes to one of the names it imported."""
+    from gclbench import trainers
+
+    calls = []
+    fn = getattr(trainers, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(trainers, name, counted)
+    return calls
+
+
+def test_local_simgcl_proto_samples_each_ego_graph_once(testkit_plan, tmp_path, monkeypatch):
+    # The train nodes are embedded in fit_session, the test nodes of session j
+    # once, after session j; later triangle rows re-score the same embeddings.
+    from gclbench.stub_server import StubEmbeddingServer
+
+    samples = _count_calls(monkeypatch, "sample_ego_graph")
+    with StubEmbeddingServer(dim=8) as srv:
+        cfg = dict(CFG, cache_path=str(tmp_path / "c.bin"), fanouts=[3, 3],
+                   provider={"kind": "http", "endpoint": srv.endpoint, "model": "stub"})
+        res = run_method("simgcl_proto", testkit_plan, cfg, mode="local", seed=0)
+    assert [len(r) for r in res.matrix.rows] == [1, 2, 3]
+    assert len(samples) == sum(len(s.train_nodes) + len(s.test_nodes)
+                               for s in testkit_plan.sessions)
+
+
+def test_local_cosine_embeds_each_session_twice(testkit_plan, monkeypatch):
+    # Once for the prototypes of session i, once for its local task.
+    embeds = _count_calls(monkeypatch, "model_embed")
+    run_method("cosine", testkit_plan, dict(CFG, epochs=5), mode="local", seed=0)
+    assert len(embeds) == 2 * testkit_plan.num_sessions
+
+
+@pytest.mark.parametrize("mode", ["local", "global"])
+def test_run_method_builds_each_eval_task_once(testkit_plan, monkeypatch, mode):
+    built = _count_calls(monkeypatch, "build_eval_task")
+    run_method("cosine", testkit_plan, dict(CFG, epochs=5), mode=mode, seed=0)
+    assert [i for _, i, _ in built] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("method", ["cosine", "simgcl_proto"])
+def test_prototype_runner_never_reuses_another_tasks_embedding(testkit_graph, testkit_plan,
+                                                               tmp_path, method):
+    # A runner that has scored local task 1 must label a different task with
+    # session index 1 (other eval nodes of the same subgraph, or task 1 of a
+    # second plan) exactly as a fresh runner does.
+    from gclbench.sessions import EvalTask
+    from gclbench.stub_server import StubEmbeddingServer
+    from gclbench.trainers import _RUNNERS
+
+    s = testkit_plan.sessions[0]
+    others = [
+        EvalTask(1, s.subgraph, s.local_ids(s.train_nodes), s.node_map,
+                 testkit_plan.cumulative_classes(1)),
+        build_eval_task(plan_ncil(testkit_graph, 2, 3, 30, test_cap=500, seed=8), 1, "local"),
+    ]
+    with StubEmbeddingServer(dim=8) as srv:
+        cfg = dict(CFG, epochs=20, cache_path=str(tmp_path / "c.bin"), fanouts=[3, 3],
+                   provider={"kind": "http", "endpoint": srv.endpoint, "model": "stub"})
+        runners = [_RUNNERS[method](testkit_plan, cfg, 0, "synth") for _ in range(3)]
+        for runner in runners:
+            for i in range(1, testkit_plan.num_sessions + 1):
+                runner.fit_session(i)
+        primed = runners[0]
+        task = build_eval_task(testkit_plan, 1, "local")
+        first = primed.predict(task)
+        assert np.array_equal(primed.predict(task), first)
+        for other, fresh in zip(others, runners[1:]):
+            assert np.array_equal(primed.predict(other), fresh.predict(other))
+    # A task the caller drops takes its embedding rows with it.
+    del task, others, other
+    assert primed._embedded == {}
