@@ -15,8 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import LEAKAGE_K_GRID
-from .prototypes import TaskPrototypeSet, predict_task_id, routing_features
+from .config import LEAKAGE_K_GRID, ConfigError
 from .sessions import GLOBAL, LOCAL, EvalTask, SessionPlan
 
 
@@ -80,9 +79,7 @@ def lenient_accuracy(preds: np.ndarray, truth: np.ndarray) -> float:
     Used for routed task-specific heads, whose misrouted predictions may
     fall outside a local task's class set by construction.
     """
-    preds = np.asarray(preds)
-    truth = np.asarray(truth)
-    return float(np.mean(preds == truth))
+    return float(np.mean(np.asarray(preds) == np.asarray(truth)))
 
 
 def summarize(m: AccuracyMatrix) -> dict:
@@ -137,48 +134,29 @@ def leakage_diagnostic(
 ) -> LeakageReport:
     """Probe how easily local testing reveals session identity.
 
-    For each smoothing depth and each weighting, predicts the session of
-    every test-node pool from stored train-pool prototypes, then scores
-    session-specific MLP heads, trained at seed 0, routed by that prediction
-    (AA / AF over the full local triangle). Cell A[i][j] routes task j's test
-    pool among the prototypes of sessions 1..i; a head's accuracy on a task
-    does not depend on the routing, so each head scores each task once.
+    Each entry is the seed-0 local run of tpp_heads (laplacian weighting) or
+    meanpool_tpp (plain-mean) at k_smooth=k, all in one walk on one shared
+    list of session heads: that run's AA / AF, and its task-ID accuracy, the
+    share of local tasks j routed to session j after the last session. A k
+    that is not an int >= 0, or repeats, is a ConfigError before any training.
     """
-    from .trainers import fit_task_heads  # circular at module level
+    from .trainers import _RoutedHeads, walk  # circular at module level
 
-    heads = fit_task_heads(plan, config)
-    sessions = plan.sessions
-    tests = [s.local_ids(s.test_nodes) for s in sessions]
-    # head_acc[h][j]: lenient accuracy of session h's head on local task j
-    head_acc = [[lenient_accuracy(head.predict(s.subgraph.features[t]), s.subgraph.labels[t])
-                 for s, t in zip(sessions, tests)] for head in heads]
+    k_grid = tuple(k_grid)
+    if not k_grid or len(set(k_grid)) < len(k_grid) or any(
+            type(k) is not int or k < 0 for k in k_grid):  # a bool is no int here
+        raise ConfigError(f"k_grid takes one or more distinct integers >= 0, got {k_grid!r}")
+    heads: list = []
+    runners = [_RoutedHeads(plan, {**(config or {}), "k_smooth": k}, 0, weighting, heads)
+               for weighting in ("laplacian", "plain-mean") for k in k_grid]
+    matrices, _, tasks = walk(runners, LOCAL)
     report = LeakageReport()
-    for weighting in ("laplacian", "plain-mean"):
-        for k in k_grid:
-            protos = TaskPrototypeSet()
-            queries = []
-            for s, t in zip(sessions, tests):
-                feats = routing_features(s.subgraph, s.subgraph.features, k, weighting)
-                protos.add(feats[s.local_ids(s.train_nodes)].mean(axis=0))
-                queries.append(feats[t].mean(axis=0))
-            hits = [predict_task_id(q, protos) == j for j, q in enumerate(queries)]
-            task_id_acc = float(np.mean(hits))
-
-            matrix = AccuracyMatrix(mode=LOCAL)
-            for i in range(1, plan.num_sessions + 1):
-                seen = TaskPrototypeSet(protos.vectors[:i])
-                matrix.add_row([head_acc[predict_task_id(queries[j], seen)][j]
-                                for j in range(i)])
-            summ = summarize(matrix)
-            report.entries.append(
-                {
-                    "weighting": weighting,
-                    "k": int(k),
-                    "task_id_accuracy": task_id_acc,
-                    "aa": summ["aa"],
-                    "af": summ["af"],
-                }
-            )
+    for runner, matrix in zip(runners, matrices):
+        hits = [runner.route(task) == j for j, task in enumerate(tasks)]
+        summ = summarize(matrix)
+        report.entries.append({"weighting": runner.weighting, "k": runner.k,
+                               "task_id_accuracy": float(np.mean(hits)),
+                               "aa": summ["aa"], "af": summ["af"]})
     return report
 
 

@@ -165,8 +165,10 @@ def load_tag(directory) -> TextAttributedGraph:
                 continue
             try:
                 rec = json.loads(line)
-                node_id, text, label = int(rec["id"]), str(rec["text"]), int(rec["label"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                node_id, text, label = rec["id"], rec["text"], rec["label"]
+                if not (type(node_id) is int and type(text) is str and type(label) is int):
+                    raise TypeError("id and label must be integers, text a string")
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise TagFormatError(f"nodes.jsonl: malformed record {i}: {exc}") from exc
             if node_id != len(texts):
                 raise TagFormatError(f"nodes.jsonl: non-contiguous id at record {i}")
@@ -198,13 +200,16 @@ def load_tag(directory) -> TextAttributedGraph:
         raise TagFormatError(f"class_names.json: not a JSON file ({exc})") from exc
     if not isinstance(class_names, list) or not all(isinstance(c, str) for c in class_names):
         raise TagFormatError("class_names.json: expected an array of strings")
+    for i, name in enumerate(class_names):
+        if name in class_names[:i]:
+            raise TagFormatError(f"class_names.json: repeated class name {name!r} at record {i}")
 
     features = read_features_bin(d / "features.bin", expected_rows=n)
     return make_graph(features, texts, np.array(labels, np.int64), class_names, edges)
 
 
 def read_features_bin(path, expected_rows: int) -> np.ndarray:
-    """Parse a TAGF matrix file, checking header and row count."""
+    """Parse a TAGF matrix file, checking header, row count and that every value is finite."""
     path = Path(path)
     data = path.read_bytes()
     header = struct.calcsize("<4sIQQ")
@@ -220,8 +225,11 @@ def read_features_bin(path, expected_rows: int) -> np.ndarray:
     expected_len = header + rows * cols * 4
     if len(data) != expected_len:
         raise TagFormatError(f"{path}: payload length {len(data)} != expected {expected_len}")
-    flat = np.frombuffer(data, dtype="<f4", offset=header)
-    return flat.reshape(rows, cols).astype(np.float32)
+    matrix = np.frombuffer(data, dtype="<f4", offset=header).reshape(rows, cols).astype(np.float32)
+    bad = ~np.isfinite(matrix).all(axis=1)
+    if bad.any():
+        raise TagFormatError(f"{path}: non-finite value in row {int(np.argmax(bad))}")
+    return matrix
 
 
 def save_tag(g: TextAttributedGraph, directory) -> None:

@@ -48,10 +48,10 @@ from .prototypes import (
     build_prototypes,
     classify_batch,
     predict_task_id,
-    task_prototype,
+    routing_features,
     teen_calibrate,
 )
-from .sessions import GLOBAL, LOCAL, EvalTask, Session, SessionPlan, build_eval_task
+from .sessions import GLOBAL, EvalTask, Session, SessionPlan, build_eval_task
 
 
 class TrainingError(RuntimeError):
@@ -65,6 +65,18 @@ def _mix(*parts: int) -> int:
     """
     words = [int(p) & 0xFFFFFFFFFFFFFFFF for p in parts]
     return int(np.random.SeedSequence(words).generate_state(1)[0])
+
+
+def _once(memo: dict, obj, compute):
+    """compute(obj), computed once while obj lives. memo maps id(obj) to (weak reference,
+    value): another object never hits, even one that reuses a dead object's id(), and an
+    object the caller drops takes its entry with it."""
+    key = id(obj)
+    ref, value = memo.get(key, (None, None))
+    if ref is None or ref() is not obj:
+        value = compute(obj)
+        memo[key] = (weakref.ref(obj, lambda _: memo.pop(key, None)), value)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +297,14 @@ def train_session(
 class TaskHead:
     params: ModelParams
     class_ids: np.ndarray  # head column -> original class id
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def predict(self, feats: np.ndarray) -> np.ndarray:
-        """Original class id of the top-scoring head column, one per row of feats."""
+    def predict(self, task: EvalTask) -> np.ndarray:
+        """Original class id of the top-scoring head column, one per eval node (once per task)."""
+        return _once(self._memo, task, self._predict)
+
+    def _predict(self, task: EvalTask) -> np.ndarray:
+        feats = task.graph.features[task.eval_nodes]
         logits, _ = model_forward(self.params, None, feats, dropout_seed=None)
         return self.class_ids[np.argmax(logits, axis=1)]
 
@@ -297,20 +314,11 @@ def _fit_head(plan: SessionPlan, session_idx: int, config: dict, seed: int) -> T
     feats = s.subgraph.features
     class_ids = np.array(sorted(s.class_ids), dtype=np.int64)
     rows, labels = _train_columns(s, class_ids)
-    p = init_params(
-        ARCH_MLP,
-        in_dim=feats.shape[1],
-        hidden_dim=int(config["hidden_dim"]),
-        num_classes=len(class_ids),
-        seed=_mix(seed, 7, session_idx),
-        dropout_rate=float(config["dropout"]),
-    )
-    p = train_session(
-        p, None, feats, labels, rows,
-        epochs=int(config["epochs"]),
-        lr=float(config["lr"]),
-        seed=_mix(seed, 11, session_idx),
-    )
+    p = init_params(ARCH_MLP, in_dim=feats.shape[1], hidden_dim=int(config["hidden_dim"]),
+                    num_classes=len(class_ids), seed=_mix(seed, 7, session_idx),
+                    dropout_rate=float(config["dropout"]))
+    p = train_session(p, None, feats, labels, rows, epochs=int(config["epochs"]),
+                      lr=float(config["lr"]), seed=_mix(seed, 11, session_idx))
     return TaskHead(params=p, class_ids=class_ids)
 
 
@@ -319,12 +327,6 @@ def _train_columns(s: Session, head_classes) -> tuple[np.ndarray, np.ndarray]:
     col_of = {int(c): j for j, c in enumerate(head_classes)}
     rows = s.local_ids(s.train_nodes)
     return rows, np.array([col_of[int(s.subgraph.labels[r])] for r in rows], dtype=np.int64)
-
-
-def fit_task_heads(plan: SessionPlan, config: dict | None = None) -> list[TaskHead]:
-    """One two-layer MLP per session, trained at seed 0 on that session's classes only."""
-    config = resolve_point(config)
-    return [_fit_head(plan, i, config, 0) for i in range(plan.num_sessions)]
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +345,7 @@ class _Runner:
         self.plan = plan
         self.config = resolve_point(config)
         self.seed = seed
+        self._memo: dict = {}  # per-task work, through _once
 
 
 class _GcnFamily(_Runner):
@@ -445,18 +448,14 @@ class _Prototypes(_Runner):
     The embedder is frozen by the time predict runs: a frozen GCN trains in
     fit_session(1) only, and a provider vector is a pure function of its
     prompt, which the task's graph, eval nodes, class ids and stage seed fix.
-    So predict embeds each task object once and keeps its rows while the
-    task lives; a later call re-classifies them against the grown bank. An
-    entry is found by identity through a weak reference: another task (one
-    with the same session index, or one that reuses a dead task's id())
-    never hits, and a task the caller drops takes its rows with it.
+    So predict embeds each task object once (_once) and keeps its rows while
+    the task lives; a later call re-classifies them against the grown bank.
     """
 
     def __init__(self, plan: SessionPlan, config: dict, seed: int, sample_num: int):
         super().__init__(plan, config, seed)
         self.bank = PrototypeBank(temperature=float(self.config["tau"]))
         self.sample_num = int(self.config.get("sample_num", sample_num))
-        self._embedded: dict[int, tuple[weakref.ref, np.ndarray]] = {}  # id(task) -> rows
 
     def fit_session(self, i: int) -> None:
         s = self.plan.sessions[i - 1]
@@ -469,13 +468,9 @@ class _Prototypes(_Runner):
         )
 
     def predict(self, task: EvalTask) -> np.ndarray:
-        key = id(task)
-        ref, emb = self._embedded.get(key, (None, None))
-        if ref is None or ref() is not task:
-            emb = self._embed(task.graph, task.eval_nodes, task.node_sources,
-                              task.class_ids, _mix(self.seed, 23, task.session_index))
-            embedded = self._embedded  # the callback must not keep the runner alive
-            self._embedded[key] = (weakref.ref(task, lambda _: embedded.pop(key, None)), emb)
+        emb = _once(self._memo, task, lambda t: self._embed(
+            t.graph, t.eval_nodes, t.node_sources, t.class_ids,
+            _mix(self.seed, 23, t.session_index)))
         return classify_batch(self.bank.subset(task.class_ids), emb)
 
 
@@ -541,30 +536,43 @@ class _RoutedHeads(_Runner):
     A query node set goes to the session whose stored train prototype is
     nearest its own; that session's head then predicts among its own classes
     only (the class-incremental -> task-incremental collapse this measures).
+    Runners given one `heads` list share it (the first to fit session i trains
+    head i), so they must agree on all but k_smooth. A task's query prototype
+    is computed once; a local task, scored right after its session, reads the
+    routing features that the last fit kept instead of smoothing again.
     """
 
     lenient = True  # misrouted predictions fall outside local class sets
 
-    def __init__(self, plan: SessionPlan, config: dict, seed: int, weighting: str):
+    def __init__(self, plan: SessionPlan, config: dict, seed: int, weighting: str,
+                 heads: list[TaskHead] | None = None):
         super().__init__(plan, config, seed)
         self.k = int(self.config["k_smooth"])
         self.weighting = weighting
-        self.heads: list[TaskHead] = []
+        self.heads = [] if heads is None else heads
         self.protos = TaskPrototypeSet()
+        self._last = (None, None)
 
     def fit_session(self, i: int) -> None:
         s = self.plan.sessions[i - 1]
-        self.heads.append(_fit_head(self.plan, i - 1, self.config, self.seed))
-        self.protos.add(
-            task_prototype(s.subgraph, s.local_ids(s.train_nodes), s.subgraph.features,
-                           self.k, self.weighting)
-        )
+        if len(self.heads) < i:
+            self.heads.append(_fit_head(self.plan, i - 1, self.config, self.seed))
+        feats = routing_features(s.subgraph, s.subgraph.features, self.k, self.weighting)
+        self._last = (s.subgraph, feats)
+        self.protos.add(feats[s.local_ids(s.train_nodes)].mean(axis=0))
+
+    def _query(self, task: EvalTask) -> np.ndarray:
+        graph, feats = self._last
+        if task.graph is not graph:
+            feats = routing_features(task.graph, task.graph.features, self.k, self.weighting)
+        return feats[task.eval_nodes].mean(axis=0)
+
+    def route(self, task: EvalTask) -> int:
+        """0-based session whose train prototype is nearest the task's query prototype."""
+        return predict_task_id(_once(self._memo, task, self._query), self.protos)
 
     def predict(self, task: EvalTask) -> np.ndarray:
-        feats = task.graph.features
-        query = task_prototype(task.graph, task.eval_nodes, feats, self.k, self.weighting)
-        tid = predict_task_id(query, self.protos)
-        return self.heads[tid].predict(feats[task.eval_nodes])
+        return self.heads[self.route(task)].predict(task)
 
 
 # ---------------------------------------------------------------------------
@@ -644,31 +652,11 @@ def run_method(
     seed: int = 0,
     dataset: str = "dataset",
 ) -> RunResult:
-    """Walk the session sequence with one method and record its accuracy matrix.
-
-    After each session i the method is evaluated on the cumulative union task
-    (global mode) or on every past local task j <= i (local mode, one triangle
-    row). Each eval task is built once per run: local task j after session j,
-    then re-scored as the same object after every later session, which a
-    prototype runner embeds only once; a global task is scored once and
-    dropped. Deterministic for fixed (plan, config, seed).
-    """
+    """One method's walk([runner], mode); deterministic for fixed (plan, config, seed)."""
     if method not in METHOD_IDS:
         raise ValueError(f"unknown method {method!r}; valid ids: {', '.join(METHOD_IDS)}")
-    if mode not in (LOCAL, GLOBAL):
-        raise ValueError(f"unknown mode {mode!r}")
     runner = _RUNNERS[method](plan, config, seed, dataset)
-    matrix = AccuracyMatrix(mode=mode)
-    times: list[float] = []
-    tasks: list[EvalTask] = []
-    for i in range(1, plan.num_sessions + 1):
-        t0 = time.perf_counter()
-        runner.fit_session(i)
-        task = build_eval_task(plan, i, mode)
-        tasks = [task] if mode == GLOBAL else tasks + [task]
-        matrix.add_row([_score(runner, t) for t in tasks])
-        times.append(time.perf_counter() - t0)
-
+    (matrix,), (times,), _ = walk([runner], mode)
     return RunResult(
         method=method,
         scenario=plan.scenario,
@@ -683,8 +671,34 @@ def run_method(
     )
 
 
+def walk(runners: list[_Runner], mode: str):
+    """Walk the sessions of the runners' one plan, scoring them all on the same tasks.
+
+    At session i each runner fits session i and is scored on the cumulative
+    union task (global mode) or on every past local task j <= i (local mode,
+    one triangle row). Each task is built once, at its session, and scored as
+    the same object by every runner; a local task is re-scored after every
+    later session, so per-task work kept through _once is done once. Returns
+    per runner its accuracy matrix and per-session seconds (the task build,
+    its fit and its scoring), and the tasks of the last row.
+    """
+    plan = runners[0].plan
+    matrices = [AccuracyMatrix(mode=mode) for _ in runners]
+    seconds: list[list[float]] = [[] for _ in runners]
+    tasks: list[EvalTask] = []
+    for i in range(1, plan.num_sessions + 1):
+        t0 = time.perf_counter()
+        tasks = ([] if mode == GLOBAL else tasks) + [build_eval_task(plan, i, mode)]
+        build = time.perf_counter() - t0
+        for runner, matrix, secs in zip(runners, matrices, seconds):
+            t0 = time.perf_counter()
+            runner.fit_session(i)
+            matrix.add_row([_score(runner, t) for t in tasks])
+            secs.append(build + time.perf_counter() - t0)
+    return matrices, seconds, tasks
+
+
 def _score(runner, task: EvalTask) -> float:
     if runner.lenient:
-        preds = runner.predict(task)
-        return lenient_accuracy(preds, task.graph.labels[task.eval_nodes])
+        return lenient_accuracy(runner.predict(task), task.graph.labels[task.eval_nodes])
     return evaluate(runner.predict, task)

@@ -454,6 +454,16 @@ def test_class_names_not_json_fails_in_one_line_naming_the_file(runner, dataset_
     assert len(lines) == 1 and lines[0].startswith("error: class_names.json: not a JSON file (")
 
 
+def test_repeated_class_name_fails_in_one_line_naming_the_file(runner, dataset_dir):
+    names = ["a", "b", "c", "d", "b", "f"]
+    (dataset_dir / "class_names.json").write_text(json.dumps(names), encoding="utf-8")
+    result = runner.invoke(main, ["plan", "--dataset", str(dataset_dir)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines() == [
+        "error: class_names.json: repeated class name 'b' at record 4"]
+
+
 def test_report_command(runner, config_file, tmp_path):
     out = tmp_path / "runout"
     runner.invoke(main, ["run", "--config", str(config_file), "--out", str(out)])
@@ -771,7 +781,7 @@ def test_bad_k_grid_fails_in_one_line_before_any_head_trains(runner, monkeypatch
     import gclbench.trainers
 
     trained = []
-    monkeypatch.setattr(gclbench.trainers, "fit_task_heads", lambda *a, **k: trained.append(a))
+    monkeypatch.setattr(gclbench.trainers, "_fit_head", lambda *a, **k: trained.append(a))
     result = runner.invoke(main, ["diagnose-leakage", "--config", str(config_file),
                                   "--k-grid", k_grid])
     assert result.exit_code == 1

@@ -53,6 +53,44 @@ def test_class_names_must_be_strings(saved_dir):
         load_tag(saved_dir)
 
 
+@pytest.mark.parametrize("file, content, message", [
+    ("nodes.jsonl", '{"id": 0, "text": null, "label": 0}', "malformed record 0: id and label"),
+    ("nodes.jsonl", '{"id": 0, "text": 5, "label": 0}', "malformed record 0: id and label"),
+    ("nodes.jsonl", '{"id": 0, "text": "a", "label": true}', "malformed record 0: id and label"),
+    ("nodes.jsonl", '{"id": 0, "text": "a", "label": "1"}', "malformed record 0: id and label"),
+    ("nodes.jsonl", '{"id": 0, "text": "a", "label": 1.7}', "malformed record 0: id and label"),
+    ("nodes.jsonl", '{"id": 0.4, "text": "a", "label": 0}', "malformed record 0: id and label"),
+    ("nodes.jsonl", '[0, "a", 0]', "malformed record 0"),
+    ("class_names.json", '["a", "a", "b", "c"]', "repeated class name 'a' at record 1"),
+], ids=["text-null", "text-int", "label-bool", "label-str", "label-float", "id-float",
+        "record-list", "class-repeated"])
+def test_loader_takes_each_field_as_its_json_type(saved_dir, file, content, message):
+    # Each used to load: null text as "None", 5 as "5", labels true/"1"/1.7
+    # and id 0.4 through int(), and a class list that names one class twice.
+    (saved_dir / file).write_text(content + "\n")
+    with pytest.raises(TagFormatError, match=f"^{file}: {message}"):
+        load_tag(saved_dir)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_features_must_be_finite(saved_dir, value):
+    # A NaN used to load, and the run failed later on non-finite logits
+    # without naming the file. The precomputed-embedding provider reads the
+    # same format and gets the same check.
+    from gclbench.embeddings import FileSource
+
+    path = saved_dir / "features.bin"
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<f", raw, struct.calcsize("<4sIQQ") + 4 * 3, value)  # row 1, column 1
+    path.write_bytes(bytes(raw))
+    message = f"^{path}: non-finite value in row 1$"
+    with pytest.raises(TagFormatError, match=message):
+        load_tag(saved_dir)
+    (saved_dir / "index.json").write_text("[0, 1, 2]")
+    with pytest.raises(TagFormatError, match=message):
+        FileSource(matrix_path=str(path), index_path=str(saved_dir / "index.json"))
+
+
 def test_features_unsupported_version(saved_dir):
     raw = bytearray((saved_dir / "features.bin").read_bytes())
     struct.pack_into("<I", raw, 4, 9)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gclbench.config import resolve_point
 from gclbench.evaluation import (
     AccuracyMatrix,
     _fractional_ranks,
@@ -18,7 +19,7 @@ from gclbench.evaluation import (
 from gclbench.prototypes import task_prototype
 from gclbench.sessions import build_eval_task, plan_ncil
 from gclbench.synth import SynthConfig, synth_tag
-from gclbench.trainers import fit_task_heads, run_method
+from gclbench.trainers import _fit_head, run_method
 
 from oracles import fractional_ranks_loop, routed_head_triangle, summarize_direct
 
@@ -246,7 +247,7 @@ def test_leakage_aa_af_match_per_cell_routing_oracle():
         g = synth_tag(SynthConfig(num_classes=6, nodes_per_class=20 + 5 * seed, feature_dim=8,
                                   class_sep=0.0, intra_p=0.3, inter_p=0.3, seed=3000 + seed))
         plan = plan_ncil(g, 2, 3, 7, seed=seed)
-        heads = fit_task_heads(plan, config=cfg)
+        heads = [_fit_head(plan, i, resolve_point(cfg), 0) for i in range(plan.num_sessions)]
         report = leakage_diagnostic(plan, k_grid=(0, 1, 4), config=cfg)
         for e in report.entries:
             rows = routed_head_triangle(plan, heads, task_prototype, e["k"], e["weighting"])

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gclbench.config import resolve_point
 from gclbench.graph import gcn_normalized_adjacency, make_graph
 from gclbench.nn import (
     ARCH_GCN,
@@ -22,10 +23,10 @@ from gclbench.trainers import (
     distill_loss,
     ewc_penalty,
     fisher_diagonal,
-    fit_task_heads,
     run_method,
     _GcnFamily,
     _RoutedHeads,
+    _fit_head,
     _mix,
     train_session,
 )
@@ -846,7 +847,6 @@ def test_head_weights_never_read_non_train_features(testkit_plan, finite):
     # other node of the subgraph cannot move its weights. NaN features show
     # the rows are never read at all (a full-batch pass would raise on them).
     from gclbench.config import resolve_hypers
-    from gclbench.trainers import _fit_head
 
     config = resolve_hypers(dict(CFG, epochs=30))
     poisoned = _poison_non_train(testkit_plan, seed=17, finite=finite)
@@ -859,9 +859,8 @@ def test_head_weights_never_read_non_train_features(testkit_plan, finite):
             assert np.array_equal(w, dirty.params.weights[k]), (i, k)
 
 
-def test_fit_task_heads_and_perfect_routing(testkit_plan):
-    heads = fit_task_heads(testkit_plan, config=CFG)
-    assert len(heads) == 3
+def test_routed_heads_are_the_per_session_heads_and_route_perfectly(testkit_plan):
+    heads = [_fit_head(testkit_plan, i, resolve_point(CFG), 0) for i in range(3)]
     runner = _RoutedHeads(testkit_plan, CFG, seed=0, weighting="laplacian")
     for i in range(1, 4):
         runner.fit_session(i)
@@ -871,16 +870,16 @@ def test_fit_task_heads_and_perfect_routing(testkit_plan):
     for j, s in enumerate(testkit_plan.sessions, start=1):
         task = build_eval_task(testkit_plan, j, "local")
         preds = runner.predict(task)
+        assert runner.route(task) == j - 1
         # Session class sets are disjoint: in-set predictions mean task j went to head j.
         assert set(int(p) for p in preds) <= set(s.class_ids)
-        X = np.asarray(task.graph.features, np.float64)[task.eval_nodes]
-        assert np.array_equal(preds, heads[j - 1].predict(X))
+        assert np.array_equal(preds, heads[j - 1].predict(task))
 
 
 def test_single_session_routing_equals_plain_head(testkit_graph):
     plan1 = plan_ncil(testkit_graph, 2, 1, 30, seed=9)
     res = run_method("tpp_heads", plan1, CFG, mode="local", seed=0)
-    head = fit_task_heads(plan1, config=CFG)[0]
+    head = _fit_head(plan1, 0, resolve_point(CFG), 0)
     s = plan1.sessions[0]
     rows = s.local_ids(s.test_nodes)
     X = np.asarray(s.subgraph.features, np.float64)
@@ -1046,12 +1045,13 @@ def test_run_method_builds_each_eval_task_once(testkit_plan, monkeypatch, mode):
     assert [i for _, i, _ in built] == [1, 2, 3]
 
 
-@pytest.mark.parametrize("method", ["cosine", "simgcl_proto"])
+@pytest.mark.parametrize("method", ["cosine", "simgcl_proto", "tpp_heads"])
 def test_prototype_runner_never_reuses_another_tasks_embedding(testkit_graph, testkit_plan,
                                                                tmp_path, method):
     # A runner that has scored local task 1 must label a different task with
     # session index 1 (other eval nodes of the same subgraph, or task 1 of a
-    # second plan) exactly as a fresh runner does.
+    # second plan) exactly as a fresh runner does. For routed heads the memos
+    # hold each task's query prototype and each head's predictions.
     from gclbench.sessions import EvalTask
     from gclbench.stub_server import StubEmbeddingServer
     from gclbench.trainers import _RUNNERS
@@ -1075,6 +1075,55 @@ def test_prototype_runner_never_reuses_another_tasks_embedding(testkit_graph, te
         assert np.array_equal(primed.predict(task), first)
         for other, fresh in zip(others, runners[1:]):
             assert np.array_equal(primed.predict(other), fresh.predict(other))
-    # A task the caller drops takes its embedding rows with it.
+    # A task the caller drops takes its embedding rows (or query prototype and
+    # head predictions) with it.
     del task, others, other
-    assert primed._embedded == {}
+    assert primed._memo == {}
+    assert all(head._memo == {} for head in getattr(primed, "heads", []))
+
+
+def test_local_routed_run_smooths_each_session_once(testkit_plan, monkeypatch):
+    # Local task j's query reads the routing features of session j's fit, and
+    # later rows reuse the query; it used to be derived again for every row.
+    passes = _count_calls(monkeypatch, "routing_features")
+    run_method("tpp_heads", testkit_plan, dict(CFG, epochs=5), mode="local", seed=0)
+    assert len(passes) == testkit_plan.num_sessions
+
+
+def test_leakage_probe_trains_each_head_once_and_scores_each_task_once(testkit_plan,
+                                                                      monkeypatch):
+    from gclbench import trainers
+    from gclbench.evaluation import leakage_diagnostic
+
+    trained = _count_calls(monkeypatch, "train_session")
+    passes = _count_calls(monkeypatch, "routing_features")
+    forwards = []
+    forward = trainers.model_forward
+
+    def counted(p, S, X, dropout_seed, **kwargs):
+        if dropout_seed is None:  # a head scoring one task's eval nodes
+            forwards.append((id(p), X.tobytes()))
+        return forward(p, S, X, dropout_seed=dropout_seed, **kwargs)
+
+    monkeypatch.setattr(trainers, "model_forward", counted)
+    report = leakage_diagnostic(testkit_plan, k_grid=(1, 2), config=dict(CFG, epochs=5))
+    n = testkit_plan.num_sessions
+    assert [(e["weighting"], e["k"]) for e in report.entries] == [
+        ("laplacian", 1), ("laplacian", 2), ("plain-mean", 1), ("plain-mean", 2)]
+    assert len(trained) == n
+    assert len(passes) == 2 * 2 * n
+    assert 0 < len(forwards) == len(set(forwards)) <= n * n
+
+
+@pytest.mark.parametrize("k_grid", [(-1,), (1.5,), (1, 1), (True,), ()],
+                         ids=["negative", "float", "repeated", "bool", "empty"])
+def test_bad_library_k_grid_fails_before_any_head_trains(testkit_plan, monkeypatch, k_grid):
+    # Before, -1 trained every head and then failed in the smoothing step,
+    # 1.5 ended in a bare TypeError and (1, 1) returned each entry twice.
+    from gclbench.config import ConfigError
+    from gclbench.evaluation import leakage_diagnostic
+
+    trained = _count_calls(monkeypatch, "_fit_head")
+    with pytest.raises(ConfigError, match="k_grid takes one or more distinct integers >= 0"):
+        leakage_diagnostic(testkit_plan, k_grid=k_grid, config=CFG)
+    assert trained == []
