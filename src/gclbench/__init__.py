@@ -21,7 +21,6 @@ from .prototypes import (
     TaskPrototypeSet,
     build_prototypes,
     predict_task_id,
-    task_prototype,
     teen_calibrate,
 )
 from .sessions import (
@@ -67,7 +66,6 @@ __all__ = [
     "save_tag",
     "summarize",
     "synth_tag",
-    "task_prototype",
     "teen_calibrate",
     "write_report",
     "__version__",

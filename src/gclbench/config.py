@@ -7,8 +7,10 @@ search); scalar values pin a single point. Unknown keys are rejected.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
+import math
 from pathlib import Path
 
 from .sessions import EVAL_EDGES_FULL, EVAL_EDGES_INTRA, FSNCIL, GLOBAL, LOCAL, NCIL
@@ -127,20 +129,29 @@ class ConfigError(ValueError):
     pass
 
 
-def validate_config(doc: dict) -> dict:
+@functools.cache
+def _validator():
+    """CONFIG_SCHEMA's validator, built once: a JSON integer is a Python int (30.0 and
+    true are not), and a JSON number a finite int or float (true is not)."""
     # Imported here: the runners read DEFAULT_HYPERS, and a library import of
     # gclbench should not load the schema validator.
     import jsonschema
 
-    # A JSON integer is a Python int: 30.0 and true are not.
     base = jsonschema.Draft202012Validator
-    ints = base.TYPE_CHECKER.redefine("integer", lambda _, x: type(x) is int)
-    strict = jsonschema.validators.extend(base, type_checker=ints)
-    try:
-        jsonschema.validate(doc, CONFIG_SCHEMA, cls=strict)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {where}: {exc.message}") from exc
+    checker = base.TYPE_CHECKER.redefine_many({
+        "integer": lambda _, x: type(x) is int,
+        "number": lambda _, x: type(x) is int or (isinstance(x, float) and math.isfinite(x)),
+    })
+    return jsonschema.validators.extend(base, type_checker=checker)(CONFIG_SCHEMA)
+
+
+def validate_config(doc: dict) -> dict:
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_validator().iter_errors(doc))
+    if error is not None:
+        where = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"config invalid at {where}: {error.message}") from error
     return doc
 
 
@@ -168,12 +179,15 @@ def resolve_hypers(hypers: dict | None) -> dict:
 
 
 def resolve_point(hypers: dict | None) -> dict:
-    """resolve_hypers for one run: a list under a sweepable key is a ConfigError naming it."""
+    """resolve_hypers for one run, each value checked by its HYPERPARAMETERS rule as
+    validate_config checks it; a list under a sweepable key is a ConfigError naming it."""
     hypers = resolve_hypers(hypers)
-    grids = [k for k in _GRID_ITEMS if isinstance(hypers[k], list)]
-    if grids:
-        raise ConfigError(f"hyperparameter {', '.join(grids)} holds a grid; a run takes one "
-                          f"point of it (expand with gclbench.config.expand_grid)")
+    validate_config({"version": 1, "hyperparameters": hypers})
+    for k in _GRID_ITEMS:
+        if isinstance(hypers[k], list):
+            raise ConfigError(f"config invalid at hyperparameters/{k}: {hypers[k]!r} is a grid; "
+                              f"a run takes one point of it (expand with "
+                              f"gclbench.config.expand_grid)")
     return hypers
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import LEAKAGE_K_GRID, ConfigError
+from .config import LEAKAGE_K_GRID, ConfigError, resolve_point
 from .sessions import GLOBAL, LOCAL, EvalTask, SessionPlan
 
 
@@ -137,17 +137,18 @@ def leakage_diagnostic(
     Each entry is the seed-0 local run of tpp_heads (laplacian weighting) or
     meanpool_tpp (plain-mean) at k_smooth=k, all in one walk on one shared
     list of session heads: that run's AA / AF, and its task-ID accuracy, the
-    share of local tasks j routed to session j after the last session. A k
-    that is not an int >= 0, or repeats, is a ConfigError before any training.
+    share of local tasks j routed to session j after the last session. An
+    empty or repeating k_grid, a config value, or a k that breaks its rule
+    is a ConfigError before any training.
     """
     from .trainers import _RoutedHeads, walk  # circular at module level
 
     k_grid = tuple(k_grid)
-    if not k_grid or len(set(k_grid)) < len(k_grid) or any(
-            type(k) is not int or k < 0 for k in k_grid):  # a bool is no int here
+    if not k_grid or any(k in k_grid[:i] for i, k in enumerate(k_grid)):
         raise ConfigError(f"k_grid takes one or more distinct integers >= 0, got {k_grid!r}")
+    config = resolve_point(config)  # each k replaces its k_smooth, which is checked here
     heads: list = []
-    runners = [_RoutedHeads(plan, {**(config or {}), "k_smooth": k}, 0, weighting, heads)
+    runners = [_RoutedHeads(plan, {**config, "k_smooth": k}, 0, weighting, heads)
                for weighting in ("laplacian", "plain-mean") for k in k_grid]
     matrices, _, tasks = walk(runners, LOCAL)
     report = LeakageReport()

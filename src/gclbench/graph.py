@@ -158,17 +158,17 @@ def load_tag(directory) -> TextAttributedGraph:
 
     texts: list[str] = []
     labels: list[int] = []
-    with open(d / "nodes.jsonl", encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
+    with open(d / "nodes.jsonl", "rb") as fh:  # each line decoded in its record's try
+        for i, raw in enumerate(fh):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 rec = json.loads(line)
                 node_id, text, label = rec["id"], rec["text"], rec["label"]
                 if not (type(node_id) is int and type(text) is str and type(label) is int):
                     raise TypeError("id and label must be integers, text a string")
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise TagFormatError(f"nodes.jsonl: malformed record {i}: {exc}") from exc
             if node_id != len(texts):
                 raise TagFormatError(f"nodes.jsonl: non-contiguous id at record {i}")
@@ -177,18 +177,15 @@ def load_tag(directory) -> TextAttributedGraph:
     n = len(texts)
 
     raw_edges = []
-    with open(d / "edges.tsv", encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise TagFormatError(f"edges.tsv: malformed record {i}")
+    with open(d / "edges.tsv", "rb") as fh:
+        for i, raw in enumerate(fh):
             try:
-                a, b = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise TagFormatError(f"edges.tsv: malformed record {i}") from exc
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                a, b = map(int, line.split("\t"))
+            except ValueError as exc:  # not UTF-8, not two fields, or not integers
+                raise TagFormatError(f"edges.tsv: malformed record {i}: {exc}") from exc
             if not (0 <= a < n and 0 <= b < n):
                 raise TagFormatError(f"edges.tsv: edge endpoint out of range at record {i}")
             raw_edges.append((a, b))

@@ -182,20 +182,6 @@ def routing_features(
     return z * (1.0 / np.sqrt(degrees(g)))[:, None]
 
 
-def task_prototype(
-    g: TextAttributedGraph,
-    nodes,
-    X: np.ndarray,
-    k: int,
-    weighting: str = "laplacian",
-) -> np.ndarray:
-    """Aggregate vector for a node set: the mean of its routing_features rows."""
-    nodes = np.asarray(list(nodes), dtype=np.int64)
-    if nodes.size == 0:
-        raise ValueError("empty node set")
-    return routing_features(g, X, k, weighting)[nodes].mean(axis=0)
-
-
 def predict_task_id(query: np.ndarray, prototypes: TaskPrototypeSet) -> int:
     """0-based index of the nearest task prototype (Euclidean, ties -> lowest)."""
     if len(prototypes) == 0:

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .config import PROVIDER_FIELDS, resolve_point
+from .config import resolve_point
 from .embeddings import EmbeddingCache, FileSource, HttpSource, get_or_embed
 from .evaluation import (
     AccuracyMatrix,
@@ -314,11 +314,11 @@ def _fit_head(plan: SessionPlan, session_idx: int, config: dict, seed: int) -> T
     feats = s.subgraph.features
     class_ids = np.array(sorted(s.class_ids), dtype=np.int64)
     rows, labels = _train_columns(s, class_ids)
-    p = init_params(ARCH_MLP, in_dim=feats.shape[1], hidden_dim=int(config["hidden_dim"]),
+    p = init_params(ARCH_MLP, in_dim=feats.shape[1], hidden_dim=config["hidden_dim"],
                     num_classes=len(class_ids), seed=_mix(seed, 7, session_idx),
-                    dropout_rate=float(config["dropout"]))
-    p = train_session(p, None, feats, labels, rows, epochs=int(config["epochs"]),
-                      lr=float(config["lr"]), seed=_mix(seed, 11, session_idx))
+                    dropout_rate=config["dropout"])
+    p = train_session(p, None, feats, labels, rows, epochs=config["epochs"],
+                      lr=config["lr"], seed=_mix(seed, 11, session_idx))
     return TaskHead(params=p, class_ids=class_ids)
 
 
@@ -337,7 +337,8 @@ def _train_columns(s: Session, head_classes) -> tuple[np.ndarray, np.ndarray]:
 class _Runner:
     """A method over one plan: fit_session(i) trains on session i (1-based),
     predict(task) labels the task's eval nodes. Hyperparameters the caller
-    leaves out come from config.DEFAULT_HYPERS; a grid list is rejected."""
+    leaves out come from config.DEFAULT_HYPERS; resolve_point checks each value
+    by its config rule, so a runner reads them as they are."""
 
     lenient = False
 
@@ -357,14 +358,9 @@ class _GcnFamily(_Runner):
         self.params: ModelParams | None = None
         self.head_classes: list[int] = []
         self.anchor: EwcAnchor | None = None
-        strength = float(self.config["strength"])
-        lwf_weight = float(self.config["lwf_lambda"])
-        self.lwf_T = float(self.config["lwf_T"])
-        # A negative or NaN weight would otherwise switch its term off without a word.
-        if not (strength >= 0 and lwf_weight >= 0 and self.lwf_T > 0):
-            raise TrainingError("strength and lwf_lambda must be >= 0, lwf_T > 0")
-        self.strength = strength if use_ewc else 0.0
-        self.lwf_weight = lwf_weight if use_lwf else 0.0
+        self.strength = self.config["strength"] if use_ewc else 0.0
+        self.lwf_weight = self.config["lwf_lambda"] if use_lwf else 0.0
+        self.lwf_T = self.config["lwf_T"]
 
     def fit_session(self, i: int) -> None:
         s = self.plan.sessions[i - 1]
@@ -379,11 +375,11 @@ class _GcnFamily(_Runner):
             self.params = init_params(
                 ARCH_GCN,
                 in_dim=X.shape[1],
-                hidden_dim=int(self.config["hidden_dim"]),
+                hidden_dim=self.config["hidden_dim"],
                 num_classes=len(self.head_classes),
                 seed=_mix(self.seed, 1),
-                dropout_rate=float(self.config["dropout"]),
-                conv_bias=bool(self.config["conv_bias"]),
+                dropout_rate=self.config["dropout"],
+                conv_bias=self.config["conv_bias"],
             )
         else:
             self.params = grow_output(self.params, len(new_classes), seed=_mix(self.seed, 2, i))
@@ -400,8 +396,8 @@ class _GcnFamily(_Runner):
 
         self.params = train_session(
             self.params, S, X, labels, rows,
-            epochs=int(self.config["epochs"]),
-            lr=float(self.config["lr"]),
+            epochs=self.config["epochs"],
+            lr=self.config["lr"],
             anchor=self.anchor,  # set only when strength > 0
             distill=source,
             seed=_mix(self.seed, 3, i),
@@ -454,8 +450,8 @@ class _Prototypes(_Runner):
 
     def __init__(self, plan: SessionPlan, config: dict, seed: int, sample_num: int):
         super().__init__(plan, config, seed)
-        self.bank = PrototypeBank(temperature=float(self.config["tau"]))
-        self.sample_num = int(self.config.get("sample_num", sample_num))
+        self.bank = PrototypeBank(temperature=self.config["tau"])
+        self.sample_num = self.config.get("sample_num", sample_num)
 
     def fit_session(self, i: int) -> None:
         s = self.plan.sessions[i - 1]
@@ -497,8 +493,8 @@ class _FrozenGnnPrototypes(_Prototypes):
                 self.bank,
                 base_classes=self.plan.sessions[0].class_ids,
                 novel_classes=self.plan.sessions[i - 1].class_ids,
-                softmax_T=float(self.config["softmax_T"]),
-                shift_weight=float(self.config["shift_weight"]),
+                softmax_T=self.config["softmax_T"],
+                shift_weight=self.config["shift_weight"],
             )
 
 
@@ -514,7 +510,7 @@ class _ProviderPrototypes(_Prototypes):
         self.cache = (None if isinstance(self.source, FileSource)
                       else EmbeddingCache(self.config.get("cache_path", "embeddings.cache.bin")))
         self.template = default_template(dataset_name, len(self.fanouts),
-                                         int(self.config["max_node_text_len"]))
+                                         self.config["max_node_text_len"])
 
     def _embed(self, graph, rows, node_sources, class_ids, stage_seed):
         if isinstance(self.source, FileSource):
@@ -547,7 +543,7 @@ class _RoutedHeads(_Runner):
     def __init__(self, plan: SessionPlan, config: dict, seed: int, weighting: str,
                  heads: list[TaskHead] | None = None):
         super().__init__(plan, config, seed)
-        self.k = int(self.config["k_smooth"])
+        self.k = self.config["k_smooth"]
         self.weighting = weighting
         self.heads = [] if heads is None else heads
         self.protos = TaskPrototypeSet()
@@ -581,17 +577,12 @@ class _RoutedHeads(_Runner):
 
 
 def make_embedding_source(cfg: dict | None):
-    if not cfg:
+    """The source a provider config names; the config's `provider` rule has checked it."""
+    if cfg is None:
         raise TrainingError("embedding-based method needs a provider config")
-    kind = cfg.get("kind")
-    if kind not in PROVIDER_FIELDS:
-        raise TrainingError(f"unknown provider kind {kind!r}")
-    missing = [k for k in PROVIDER_FIELDS[kind] if k not in cfg]
-    if missing:
-        raise TrainingError(f"provider kind {kind!r} needs {', '.join(missing)}")
-    if kind == "file":
+    if cfg["kind"] == "file":
         return FileSource(matrix_path=cfg["matrix"], index_path=cfg["index"])
-    sizes = {k: int(cfg[k]) for k in ("batch_size", "max_in_flight") if k in cfg}
+    sizes = {k: cfg[k] for k in ("batch_size", "max_in_flight") if k in cfg}
     return HttpSource(endpoint=cfg["endpoint"], model=cfg.get("model", "stub"), **sizes)
 
 

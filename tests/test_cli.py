@@ -464,6 +464,19 @@ def test_repeated_class_name_fails_in_one_line_naming_the_file(runner, dataset_d
         "error: class_names.json: repeated class name 'b' at record 4"]
 
 
+@pytest.mark.parametrize("file", ["nodes.jsonl", "edges.tsv"])
+def test_non_utf8_dataset_line_fails_in_one_line_naming_the_file(runner, dataset_dir, file):
+    path = dataset_dir / file
+    records = len(path.read_bytes().splitlines())
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    result = runner.invoke(main, ["plan", "--dataset", str(dataset_dir)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    lines = result.output.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {file}: malformed record {records}: 'utf-8' codec")
+
+
 def test_report_command(runner, config_file, tmp_path):
     out = tmp_path / "runout"
     runner.invoke(main, ["run", "--config", str(config_file), "--out", str(out)])
@@ -576,6 +589,22 @@ def test_non_finite_strength_fails_in_one_line(runner, tmp_path, dataset_dir, va
     literal = json.dumps(value)
     assert result.output.splitlines() == [
         f"error: cannot read config {tmp_path / 'hypers.json'}: {literal} is not a JSON number"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_overflowing_strength_fails_in_one_line(runner, tmp_path, dataset_dir, recwarn):
+    # 1e999 is a JSON number that Python reads as inf: it used to pass the
+    # schema and print numpy overflow warnings before its error line.
+    doc = {"version": 1, "dataset": str(dataset_dir), "methods": ["ewc"],
+           "plan": {"classes_per_session": 2, "num_sessions": 2, "shots": 10, "test_cap": 50}}
+    cfg = tmp_path / "hypers.json"
+    cfg.write_text(json.dumps(doc)[:-1] + ', "hyperparameters": {"strength": 1e999}}')
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines() == [
+        "error: config invalid at hyperparameters/strength: inf is not of type 'number'"]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not (tmp_path / "o").exists()
 
 

@@ -1,7 +1,11 @@
 import itertools
 from dataclasses import fields
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from jsonschema import Draft202012Validator
 
 from gclbench.config import (
     CONFIG_SCHEMA,
@@ -13,6 +17,7 @@ from gclbench.config import (
     expand_grid,
     load_config,
     resolve_hypers,
+    resolve_point,
     validate_config,
 )
 from gclbench.synth import SynthConfig
@@ -88,3 +93,60 @@ def test_an_integer_setting_takes_only_a_json_integer(value):
     # A float with an integral value used to pass as an integer.
     with pytest.raises(ConfigError, match="max_node_text_len: .* is not of type 'integer'"):
         validate_config(_doc({"max_node_text_len": value}))
+
+
+def test_the_config_schema_is_a_valid_draft_2020_12_schema():
+    # validate_config builds its validator once and does not re-check the schema.
+    Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
+
+@pytest.mark.parametrize("value, ok", [
+    (1, True), (0.5, True), (np.float64(0.5), True), (10 ** 30, True),
+    (True, False), (float("nan"), False), (float("inf"), False), (-float("inf"), False),
+    (np.float64("inf"), False), ("1", False),
+])
+def test_a_number_is_a_finite_int_or_float(value, ok):
+    # An inf used to pass every bound: "strength": 1e999 ran ewc into a non-finite loss.
+    doc = _doc({"strength": value})
+    if ok:
+        assert validate_config(doc) is doc
+    else:
+        with pytest.raises(ConfigError, match="hyperparameters/strength: .* is not of type 'number'"):
+            validate_config(doc)
+
+
+# One value of each JSON kind; small lists and provider-like objects can be valid.
+_ONE_OF_EACH_KIND = st.tuples(
+    st.none(),
+    st.booleans(),
+    st.integers(max_value=0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.lists(st.integers(-1, 3) | st.floats(0.1, 0.9), max_size=3),
+    st.dictionaries(st.sampled_from(["kind", "endpoint", "matrix", "index", "model", "typo"]),
+                    st.sampled_from(["http", "file", ""]) | st.integers(0, 2), max_size=4),
+)
+
+
+@pytest.mark.parametrize("key", list(HYPERPARAMETERS))
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(values=_ONE_OF_EACH_KIND)
+def test_resolve_point_applies_each_rule_of_the_table(key, values):
+    # A library run takes a value as it is or fails naming its key, and decides
+    # as the CLI's validate_config does; only a grid list is refused in addition.
+    for value in values:
+        try:
+            point = resolve_point({key: value})
+        except ConfigError as exc:
+            assert f"hyperparameters/{key}" in str(exc)
+            taken = False
+        else:
+            assert point[key] is value
+            taken = True
+        if not isinstance(value, list):
+            try:
+                validate_config(_doc({key: value}))
+                valid = True
+            except ConfigError:
+                valid = False
+            assert taken == valid, (key, value)

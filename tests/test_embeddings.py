@@ -89,8 +89,9 @@ def test_http_batch_order_and_shape():
 
 @pytest.mark.parametrize("max_in_flight", [0, -3])
 def test_http_concurrency_below_one_rejected(testkit_plan, tmp_path, max_in_flight):
-    # The library API skips the config schema: the source itself refuses a
-    # width that would run one batch at a time, before any request is sent.
+    # The source itself refuses a width that would run one batch at a time,
+    # and a library run fails by the config's provider rule before any request.
+    from gclbench.config import ConfigError
     from gclbench.trainers import run_method
 
     with StubEmbeddingServer(dim=8) as srv:
@@ -99,7 +100,7 @@ def test_http_concurrency_below_one_rejected(testkit_plan, tmp_path, max_in_flig
         provider = {"kind": "http", "endpoint": srv.endpoint, "model": "stub",
                     "max_in_flight": max_in_flight}
         cfg = {"epochs": 1, "cache_path": str(tmp_path / "c.bin"), "provider": provider}
-        with pytest.raises(ValueError, match="max_in_flight must be >= 1"):
+        with pytest.raises(ConfigError, match="hyperparameters/provider/max_in_flight"):
             run_method("simplecil", testkit_plan, cfg, mode="local", seed=0)
         assert srv.request_count == 0
     assert not (tmp_path / "c.bin").exists()

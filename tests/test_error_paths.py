@@ -15,7 +15,7 @@ from gclbench.graph import (
     save_tag,
 )
 from gclbench.nn import ARCH_GCN, ARCH_MLP, init_params, model_forward
-from gclbench.prototypes import PrototypeBank, build_prototypes, classify_batch, task_prototype
+from gclbench.prototypes import PrototypeBank, build_prototypes, classify_batch, routing_features
 from gclbench.sessions import build_eval_task, filter_classes
 
 
@@ -44,6 +44,15 @@ def test_nodes_jsonl_non_contiguous_ids(saved_dir):
 def test_edges_tsv_malformed_record(saved_dir):
     (saved_dir / "edges.tsv").write_text("0\t1\n0 1 2\n")
     with pytest.raises(TagFormatError, match="malformed record 1"):
+        load_tag(saved_dir)
+
+
+@pytest.mark.parametrize("file, record", [("nodes.jsonl", 3), ("edges.tsv", 1)])
+def test_a_line_that_is_not_utf8_is_a_malformed_record(saved_dir, file, record):
+    # A bare UnicodeDecodeError used to escape, naming neither file nor record.
+    path = saved_dir / file
+    path.write_bytes(path.read_bytes() + b"\xff")
+    with pytest.raises(TagFormatError, match=f"^{file}: malformed record {record}: 'utf-8' codec"):
         load_tag(saved_dir)
 
 
@@ -154,7 +163,7 @@ def test_classify_batch_empty_bank():
 
 def test_task_prototype_unknown_weighting(two_node_graph):
     with pytest.raises(ValueError, match="unknown weighting"):
-        task_prototype(two_node_graph, [0], np.zeros((2, 1)), 1, "median")
+        routing_features(two_node_graph, np.zeros((2, 1)), 1, "median")
 
 
 def test_temperature_must_be_positive():

@@ -16,7 +16,7 @@ from gclbench.evaluation import (
     summarize,
     write_report,
 )
-from gclbench.prototypes import task_prototype
+from gclbench.prototypes import routing_features
 from gclbench.sessions import build_eval_task, plan_ncil
 from gclbench.synth import SynthConfig, synth_tag
 from gclbench.trainers import _fit_head, run_method
@@ -239,6 +239,10 @@ def test_leakage_identical_distributions_plain_mean_near_chance():
     assert 1 / 6 <= mean_rate <= 4 / 6  # ~1/3 under the null
 
 
+def _task_prototype(g, nodes, X, k, weighting):
+    return routing_features(g, X, k, weighting)[nodes].mean(axis=0)
+
+
 def test_leakage_aa_af_match_per_cell_routing_oracle():
     # indistinguishable sessions, so plain-mean routing errs
     cfg = {"epochs": 20, "lr": 1e-2, "hidden_dim": 8}
@@ -250,7 +254,7 @@ def test_leakage_aa_af_match_per_cell_routing_oracle():
         heads = [_fit_head(plan, i, resolve_point(cfg), 0) for i in range(plan.num_sessions)]
         report = leakage_diagnostic(plan, k_grid=(0, 1, 4), config=cfg)
         for e in report.entries:
-            rows = routed_head_triangle(plan, heads, task_prototype, e["k"], e["weighting"])
+            rows = routed_head_triangle(plan, heads, _task_prototype, e["k"], e["weighting"])
             want = summarize_direct(rows)
             assert e["aa"] == pytest.approx(want["aa"], abs=1e-12)
             assert e["af"] == pytest.approx(want["af"], abs=1e-12)

@@ -10,7 +10,7 @@ from gclbench.prototypes import (
     build_prototypes,
     classify_batch,
     predict_task_id,
-    task_prototype,
+    routing_features,
     teen_calibrate,
 )
 from gclbench.synth import SynthConfig, synth_tag
@@ -228,13 +228,13 @@ def test_teen_errors():
         teen_calibrate(bank, [0], [7])
 
 
-# -------------------------------------------------------------- task_prototype
+# ------------------------------------------------ task prototypes (routing_features)
 
 
 def test_task_prototype_plain_mean():
     g = synth_tag(SynthConfig(num_classes=2, nodes_per_class=2, feature_dim=2, seed=0))
     X = np.array([[2.0, 0.0], [0.0, 2.0], [5.0, 5.0], [7.0, 7.0]])
-    p = task_prototype(g, [0, 1], X, k=3, weighting="plain-mean")
+    p = routing_features(g, X, k=3, weighting="plain-mean")[[0, 1]].mean(axis=0)
     assert np.allclose(p, [1.0, 1.0])
 
 
@@ -244,13 +244,13 @@ def test_task_prototype_laplacian_k0_regular_graph():
     g = make_graph(feats, list("abcd"), np.zeros(4, np.int64), ["c"],
                    np.array([[0, 1], [1, 2], [2, 3], [0, 3]]))
     X = np.asarray(feats, np.float64)
-    p = task_prototype(g, [0, 1, 2, 3], X, k=0, weighting="laplacian")
+    p = routing_features(g, X, k=0, weighting="laplacian").mean(axis=0)
     assert np.allclose(p, X.mean(axis=0) / np.sqrt(3.0), atol=1e-12)
 
 
 def test_task_prototype_isolated_node_k0(isolated_node_graph):
     X = np.array([[2.0, 3.0]])
-    p = task_prototype(isolated_node_graph, [0], X, k=0)
+    p = routing_features(isolated_node_graph, X, k=0)[[0]].mean(axis=0)
     assert np.allclose(p, [2.0, 3.0])  # degree 1 after self-loop
 
 
@@ -259,14 +259,9 @@ def test_task_prototype_matches_dense_oracle(testkit_graph):
     rng = np.random.default_rng(2)
     nodes = rng.choice(testkit_graph.node_count, 40, replace=False)
     for weighting in ("laplacian", "plain-mean"):
-        mine = task_prototype(testkit_graph, nodes, X, k=4, weighting=weighting)
+        mine = routing_features(testkit_graph, X, k=4, weighting=weighting)[nodes].mean(axis=0)
         oracle = task_prototype_dense(testkit_graph, nodes, X, 4, weighting)
         assert np.allclose(mine, oracle, atol=1e-10)
-
-
-def test_task_prototype_empty_set(testkit_graph):
-    with pytest.raises(ValueError, match="empty node set"):
-        task_prototype(testkit_graph, [], testkit_graph.features, 1)
 
 
 # ------------------------------------------------------------- predict_task_id

@@ -1,10 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gclbench.config import resolve_point
+from gclbench.config import ConfigError, resolve_point
 from gclbench.graph import gcn_normalized_adjacency, make_graph
 from gclbench.nn import (
     ARCH_GCN,
@@ -12,7 +14,7 @@ from gclbench.nn import (
     init_params,
     model_forward,
 )
-from gclbench.prototypes import PrototypeBank, TaskPrototypeSet, task_prototype
+from gclbench.prototypes import PrototypeBank, TaskPrototypeSet, routing_features
 from gclbench.sessions import build_eval_task, plan_ncil
 from gclbench.synth import SynthConfig, synth_tag
 from gclbench.trainers import (
@@ -97,7 +99,7 @@ def test_train_session_rejects_negative_epochs(testkit_plan):
     p = init_params(ARCH_GCN, X.shape[1], 8, 2, seed=1)
     with pytest.raises(ValueError, match="epochs must be non-negative"):
         train_session(p, S, X, g.labels, np.arange(g.node_count), epochs=-1, lr=1e-2)
-    with pytest.raises(ValueError, match="epochs must be non-negative"):
+    with pytest.raises(ConfigError, match="hyperparameters/epochs"):
         run_method("gcn", testkit_plan, {"epochs": -5}, mode="local")
 
 
@@ -569,18 +571,43 @@ def test_config_hash_covers_the_resolved_hyperparameters(testkit_plan, monkeypat
 
 @pytest.mark.parametrize("config, message", [
     ({"epoch": 2}, "unknown hyperparameter epoch; the keys are lr, "),
-    ({"lr": [0.01, 0.1]}, "hyperparameter lr holds a grid; .*config.expand_grid"),
+    ({"lr": [0.01, 0.1]}, "hyperparameters/lr: .* is a grid; .*config.expand_grid"),
 ], ids=["misspelled", "grid"])
 def test_library_runs_take_one_point_of_the_table(testkit_plan, config, message):
     # A misspelled key used to run the defaults under another config_hash, and a
     # grid list ended in a bare TypeError from float().
-    from gclbench.config import ConfigError
     from gclbench.evaluation import leakage_diagnostic
 
     with pytest.raises(ConfigError, match=message):
         run_method("gcn", testkit_plan, config, mode="local")
     with pytest.raises(ConfigError, match=message):
         leakage_diagnostic(testkit_plan, config=config)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("conv_bias", "false"), ("hidden_dim", 1.5), ("hidden_dim", True), ("epochs", 2.7),
+    ("epochs", 0), ("k_smooth", True), ("k_smooth", 2.5), ("shift_weight", 5.0),
+    ("lr", "0.01"), ("sample_num", 2.5), ("fanouts", 3), ("fanouts", (20, 20)),
+    ("strength", float("inf")), ("cache_path", Path("c.bin")),
+    ("provider", {"kind": "http", "endpoint": "http://127.0.0.1:9", "typo": 1}),
+])
+def test_a_bad_value_fails_by_its_rule_before_any_training(testkit_plan, monkeypatch, key,
+                                                           value):
+    # Each used to run: "false" trained conv biases, 1.5 and True a width of 1,
+    # 2.7 two epochs and 0 none, k_smooth True and 2.5 k = 1 and 2, and so on.
+    # The probe takes a k_smooth value from its config or from its k_grid.
+    from gclbench.evaluation import leakage_diagnostic
+
+    trained = _count_calls(monkeypatch, "train_session")
+    config = dict(CFG, **{key: value})
+    with pytest.raises(ConfigError, match=f"^config invalid at hyperparameters/{key}"):
+        run_method("gcn", testkit_plan, config, mode="local")
+    with pytest.raises(ConfigError, match=f"^config invalid at hyperparameters/{key}"):
+        leakage_diagnostic(testkit_plan, k_grid=(1,), config=config)
+    if key == "k_smooth":
+        with pytest.raises(ConfigError, match=f"^config invalid at hyperparameters/{key}"):
+            leakage_diagnostic(testkit_plan, k_grid=(value,), config=CFG)
+    assert trained == []
 
 
 def test_run_method_reproducible(testkit_plan):
@@ -660,7 +687,7 @@ def test_embedding_method_requires_provider(testkit_plan):
 
     with pytest.raises(TrainingError, match="provider"):
         run_method("simplecil", testkit_plan, CFG, mode="global", seed=0)
-    with pytest.raises(TrainingError, match="unknown provider kind"):
+    with pytest.raises(ConfigError, match="hyperparameters/provider/kind"):
         run_method("simgcl_proto", testkit_plan,
                    dict(CFG, provider={"kind": "carrier-pigeon"}), mode="global", seed=0)
 
@@ -671,9 +698,8 @@ def test_embedding_method_requires_provider(testkit_plan):
     ("ewc", {"strength": np.nan}), ("lwf", {"lwf_lambda": np.nan}), ("gcn", {"lwf_T": np.nan}),
 ])
 def test_run_method_rejects_out_of_range_regularizers(testkit_plan, method, bad):
-    from gclbench.trainers import TrainingError
-
-    with pytest.raises(TrainingError, match="strength and lwf_lambda must be >= 0, lwf_T > 0"):
+    (key,) = bad
+    with pytest.raises(ConfigError, match=f"hyperparameters/{key}"):
         run_method(method, testkit_plan, dict(CFG, **bad), seed=0)
 
 
@@ -682,8 +708,11 @@ def test_run_method_rejects_out_of_range_regularizers(testkit_plan, method, bad)
 def test_run_method_rejects_out_of_range_dropout(testkit_plan, method, dropout):
     # Both architectures: -0.5 would scale every training activation by 1/1.5,
     # 1.0 would end in non-finite logits.
-    with pytest.raises(ValueError, match=r"dropout_rate must be in \[0, 1\)"):
+    with pytest.raises(ConfigError, match="hyperparameters/dropout"):
         run_method(method, testkit_plan, dict(CFG, epochs=2, dropout=dropout), seed=0)
+    arch = ARCH_GCN if method == "gcn" else ARCH_MLP
+    with pytest.raises(ValueError, match=r"dropout_rate must be in \[0, 1\)"):
+        init_params(arch, 4, 8, 2, seed=0, dropout_rate=dropout)
 
 
 def test_ewc_lwf_terms_reach_the_weights(testkit_plan):
@@ -730,16 +759,16 @@ def test_each_regularizer_runs_only_for_its_method(testkit_plan, monkeypatch, me
 
 
 @pytest.mark.parametrize("provider, missing", [
-    ({"kind": "file"}, "matrix, index"),
+    ({"kind": "file"}, "matrix"),
     ({"kind": "file", "matrix": "m.bin"}, "index"),
     ({"kind": "http"}, "endpoint"),
 ], ids=["file-bare", "file-no-index", "http-no-endpoint"])
 def test_provider_missing_field_raises_training_error(testkit_plan, provider, missing):
-    from gclbench.trainers import TrainingError
-
-    with pytest.raises(TrainingError) as err:
+    # The provider rule of the config, as the CLI applies it, names the first missing field.
+    with pytest.raises(ConfigError) as err:
         run_method("simplecil", testkit_plan, dict(CFG, provider=provider), seed=0)
-    assert str(err.value) == f"provider kind {provider['kind']!r} needs {missing}"
+    assert str(err.value) == (f"config invalid at hyperparameters/provider: "
+                              f"{missing!r} is a required property")
 
 
 @pytest.mark.parametrize("method", ["cosine", "teen"])
@@ -905,10 +934,9 @@ def test_adversarial_identical_distributions_task_id_half():
         queries = []
         for s in plan.sessions:
             X = np.asarray(s.subgraph.features, np.float64)
-            protos.add(task_prototype(s.subgraph, s.local_ids(s.train_nodes), X, 2,
-                                      "plain-mean"))
-            queries.append(task_prototype(s.subgraph, s.local_ids(s.test_nodes), X, 2,
-                                          "plain-mean"))
+            feats = routing_features(s.subgraph, X, 2, "plain-mean")
+            protos.add(feats[s.local_ids(s.train_nodes)].mean(axis=0))
+            queries.append(feats[s.local_ids(s.test_nodes)].mean(axis=0))
         hits.extend(predict_task_id(q, protos) == j for j, q in enumerate(queries))
     rate = float(np.mean(hits))
     assert 0.25 <= rate <= 0.75
@@ -1115,15 +1143,20 @@ def test_leakage_probe_trains_each_head_once_and_scores_each_task_once(testkit_p
     assert 0 < len(forwards) == len(set(forwards)) <= n * n
 
 
-@pytest.mark.parametrize("k_grid", [(-1,), (1.5,), (1, 1), (True,), ()],
-                         ids=["negative", "float", "repeated", "bool", "empty"])
-def test_bad_library_k_grid_fails_before_any_head_trains(testkit_plan, monkeypatch, k_grid):
+_K_RULE, _K_GRID = "hyperparameters/k_smooth", "k_grid takes one or more distinct integers >= 0"
+
+
+@pytest.mark.parametrize("k_grid, message", [
+    ((-1,), _K_RULE), ((1.5,), _K_RULE), ((1, 1), _K_GRID), ((True,), _K_RULE), ((), _K_GRID),
+], ids=["negative", "float", "repeated", "bool", "empty"])
+def test_bad_library_k_grid_fails_before_any_head_trains(testkit_plan, monkeypatch, k_grid,
+                                                         message):
     # Before, -1 trained every head and then failed in the smoothing step,
-    # 1.5 ended in a bare TypeError and (1, 1) returned each entry twice.
-    from gclbench.config import ConfigError
+    # 1.5 ended in a bare TypeError and (1, 1) returned each entry twice. A k
+    # fails by the k_smooth rule as its runner is built.
     from gclbench.evaluation import leakage_diagnostic
 
     trained = _count_calls(monkeypatch, "_fit_head")
-    with pytest.raises(ConfigError, match="k_grid takes one or more distinct integers >= 0"):
+    with pytest.raises(ConfigError, match=message):
         leakage_diagnostic(testkit_plan, k_grid=k_grid, config=CFG)
     assert trained == []
