@@ -18,7 +18,7 @@ from .prompts import default_template, emit_instruction_jsonl
 from .sessions import (EVAL_EDGES_FULL, EVAL_EDGES_INTRA, GLOBAL, LOCAL, NCIL, plan_digest,
                        plan_fsncil, plan_ncil)
 from .synth import SynthConfig, synth_tag
-from .trainers import METHOD_IDS, TrainingError, run_method
+from .trainers import METHOD_IDS, TrainingError, run_methods
 
 _ERRORS = (TrainingError, EmbeddingProviderError, ValueError, OSError, IndexError,
            FloatingPointError)
@@ -147,21 +147,17 @@ def plan(config_path, seed, out, **flags):
 def run(config_path, out, **flags):
     """Execute methods over the session plan and write results.json."""
     doc = _config(config_path, **flags)
-    method_list, seed_list = doc.get("methods", ["gcn"]), doc.get("seeds", [0])
-    for m in method_list:
-        if m not in METHOD_IDS:
-            raise ConfigError(f"unknown method {m!r}; valid ids: {', '.join(METHOD_IDS)}")
     g, name = _resolve_graph(doc)
     grid = expand_grid(resolve_hypers(doc.get("hyperparameters")))
     outdir = Path(out)
     cache_path = str(outdir / "embeddings.cache.bin")
     results = []
-    for seed in seed_list:
+    for seed in doc.get("seeds", [0]):
         p = _resolve_plan(doc, g, seed)
-        for hypers in grid:
-            for m in method_list:
-                res = run_method(m, p, {"cache_path": cache_path, **hypers},
-                                 mode=doc.get("mode", GLOBAL), seed=seed, dataset=name)
+        for hypers in grid:  # one walk of all the methods per (seed, grid point)
+            for res in run_methods(doc.get("methods", ["gcn"]), p,
+                                   {"cache_path": cache_path, **hypers},
+                                   mode=doc.get("mode", GLOBAL), seed=seed, dataset=name):
                 doc_out = res.to_doc()
                 if len(grid) > 1:
                     doc_out["run"]["grid_point"] = {
@@ -170,9 +166,8 @@ def run(config_path, out, **flags):
                     }
                 results.append(doc_out)
                 s = res.summary
-                click.echo(
-                    f"{m} seed={seed} mean_acc={s['mean_acc']:.4f} final_acc={s['final_acc']:.4f}"
-                )
+                click.echo(f"{res.method} seed={seed} mean_acc={s['mean_acc']:.4f} "
+                           f"final_acc={s['final_acc']:.4f}")
     outdir.mkdir(parents=True, exist_ok=True)
     write_report(results, outdir / "results.json", "json")
     click.echo(f"wrote {outdir / 'results.json'}")

@@ -140,7 +140,9 @@ class HttpSource:
         rows: list[np.ndarray | None] = [None] * expected
         for item in data:
             try:
-                idx = int(item["index"])
+                idx = item["index"]
+                if type(idx) is not int:
+                    raise TypeError(f"index {idx!r} is not a JSON integer")
                 vec = _decode(item["embedding"])
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise EmbeddingProviderError(f"malformed embedding item: {exc!r}") from exc
@@ -172,12 +174,15 @@ class HttpSource:
 
 
 def _decode(embedding) -> np.ndarray:
-    """One wire embedding as float32: base64 of little-endian float32 bytes, or a float list.
+    """One wire embedding as float32: base64 of little-endian float32 bytes, or a number list.
 
-    Invalid base64 and a byte count that is not a multiple of 4 raise ValueError.
+    Invalid base64, a byte count that is not a multiple of 4 and a list entry that is not
+    a JSON number (a string, a bool, a list) raise ValueError.
     """
     if isinstance(embedding, str):
         return np.frombuffer(base64.b64decode(embedding, validate=True), dtype="<f4")
+    if isinstance(embedding, list) and not all(type(x) in (int, float) for x in embedding):
+        raise ValueError("a list embedding takes JSON numbers only")
     return np.asarray(embedding, dtype=np.float32)
 
 

@@ -198,13 +198,15 @@ def _check_run_doc(doc) -> None:
     if not (isinstance(run.get("method"), str) and isinstance(run.get("dataset"), str)
             and isinstance(run.get("grid_point", {}), dict)):
         raise ValueError("'run' needs string method and dataset, and an object grid_point if any")
-    if matrix.get("mode") not in (LOCAL, GLOBAL) or not isinstance(matrix.get("rows"), list):
-        raise ValueError("'matrix' needs mode local or global and a list of rows")
-    summarize(AccuracyMatrix.from_dict(matrix))  # raises on a malformed or empty matrix
-    if not (all(isinstance(summary.get(k), (int, float)) for k in ("mean_acc", "final_acc"))
-            and all(isinstance(summary.get(k), (int, float, type(None))) for k in ("aa", "af"))):
-        raise ValueError("'summary' needs numeric mean_acc and final_acc, "
-                         "and numeric or null aa and af")
+    rows = matrix.get("rows")
+    if (matrix.get("mode") not in (LOCAL, GLOBAL) or not isinstance(rows, list)
+            or not all(isinstance(r, list) and all(type(x) in (int, float) for x in r)
+                       for r in rows)):
+        raise ValueError("'matrix' needs mode local or global and rows that are lists of numbers")
+    # summarize raises on a malformed or empty matrix; true == 1.0, so a bool is refused apart
+    want = summarize(AccuracyMatrix.from_dict(matrix))
+    if summary != want or any(type(v) is bool for v in summary.values()):
+        raise ValueError("'summary' is not the summary of its matrix")
 
 
 def write_report(results: list[dict], path, format: str = "json") -> None:

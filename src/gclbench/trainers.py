@@ -635,31 +635,31 @@ def config_hash(config: dict) -> str:
     ).hexdigest()[:16]
 
 
-def run_method(
-    method: str,
-    plan: SessionPlan,
-    config: dict | None = None,
-    mode: str = GLOBAL,
-    seed: int = 0,
-    dataset: str = "dataset",
-) -> RunResult:
-    """One method's walk([runner], mode); deterministic for fixed (plan, config, seed)."""
-    if method not in METHOD_IDS:
-        raise ValueError(f"unknown method {method!r}; valid ids: {', '.join(METHOD_IDS)}")
-    runner = _RUNNERS[method](plan, config, seed, dataset)
-    (matrix,), (times,), _ = walk([runner], mode)
-    return RunResult(
-        method=method,
-        scenario=plan.scenario,
-        mode=mode,
-        eval_edges=plan.eval_edges,
-        seed=seed,
-        dataset=dataset,
-        config_hash=config_hash(runner.config),
-        session_seconds=[round(t, 6) for t in times],
-        matrix=matrix,
-        summary=summarize(matrix),
-    )
+def run_method(method: str, plan: SessionPlan, config: dict | None = None, mode: str = GLOBAL,
+               seed: int = 0, dataset: str = "dataset") -> RunResult:
+    """One method's run: run_methods([method], ...)[0]."""
+    return run_methods([method], plan, config, mode, seed, dataset)[0]
+
+
+def run_methods(methods: list[str], plan: SessionPlan, config: dict | None = None,
+                mode: str = GLOBAL, seed: int = 0, dataset: str = "dataset") -> list[RunResult]:
+    """One RunResult per method, in the order given, from one walk(runners, mode).
+
+    Every method id is checked and every runner built before the first fit, so a
+    runner that cannot be built fails before any training. Each result equals the
+    method's run on its own; deterministic for fixed (plan, config, seed).
+    """
+    for method in methods:
+        if method not in METHOD_IDS:
+            raise ValueError(f"unknown method {method!r}; valid ids: {', '.join(METHOD_IDS)}")
+    runners = [_RUNNERS[m](plan, config, seed, dataset) for m in methods]
+    matrices, seconds, _ = walk(runners, mode)
+    return [RunResult(method=method, scenario=plan.scenario, mode=mode,
+                      eval_edges=plan.eval_edges, seed=seed, dataset=dataset,
+                      config_hash=config_hash(runner.config),
+                      session_seconds=[round(t, 6) for t in times],
+                      matrix=matrix, summary=summarize(matrix))
+            for method, runner, matrix, times in zip(methods, runners, matrices, seconds)]
 
 
 def walk(runners: list[_Runner], mode: str):

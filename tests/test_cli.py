@@ -134,6 +134,36 @@ def test_run_unknown_method_lists_valid_ids(runner, config_file, tmp_path):
     assert "cosine" in result.output and "gcn" in result.output
 
 
+def test_run_of_several_methods_fails_before_any_fit_when_a_runner_cannot_be_built(
+        runner, tmp_path, dataset_dir, monkeypatch):
+    # simplecil has no provider. Each method used to run its own walk, so gcn
+    # and ewc trained both sessions (4 train_session calls) before the error.
+    from gclbench import trainers
+
+    trained = []
+    fit = trainers.train_session
+    monkeypatch.setattr(trainers, "train_session",
+                        lambda *a, **k: trained.append(a) or fit(*a, **k))
+    result = _run_config(runner, tmp_path, dataset_dir, {"epochs": 2},
+                         extra=["--method", "gcn", "--method", "ewc", "--method", "simplecil"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines() == [
+        "error: embedding-based method needs a provider config"]
+    assert trained == []
+    assert not (tmp_path / "o" / "results.json").exists()
+
+
+def test_run_writes_and_echoes_the_methods_in_flag_order(runner, tmp_path, dataset_dir):
+    methods = ["tpp_heads", "gcn", "cosine"]
+    result = _run_config(runner, tmp_path, dataset_dir, {"epochs": 2},
+                         extra=[a for m in methods for a in ("--method", m)])
+    assert result.exit_code == 0, result.output
+    docs = json.loads((tmp_path / "o" / "results.json").read_text())
+    assert [d["run"]["method"] for d in docs] == methods
+    assert [line.split(" ")[0] for line in result.output.splitlines()[:-1]] == methods
+
+
 def test_run_provider_error_fails_cleanly(runner, tmp_path, dataset_dir):
     matrix = tmp_path / "emb.bin"
     matrix.write_bytes(struct.pack("<4sIQQ", FEATURES_MAGIC, 1, 1, 2) + bytes(8))
@@ -518,6 +548,8 @@ def test_report_keeps_local_and_global_runs_apart(runner, tmp_path, dataset_dir)
 _GOOD_DOC = {"run": {"method": "gcn", "dataset": "d"},
              "matrix": {"mode": "global", "rows": [[0.5]]},
              "summary": {"mean_acc": 0.5, "final_acc": 0.5, "aa": None, "af": None}}
+_BAD_ROWS = "record 0: 'matrix' needs mode local or global and rows that are lists of numbers"
+_BAD_SUMMARY = "record 0: 'summary' is not the summary of its matrix"
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -525,7 +557,20 @@ _GOOD_DOC = {"run": {"method": "gcn", "dataset": "d"},
     ({"run": {}}, "expected a JSON list of run documents"),
     ([_GOOD_DOC, {**_GOOD_DOC, "matrix": {"mode": "global", "rows": [[1.5]]}}],
      "record 1: accuracy entries must lie in [0, 1]"),
-], ids=["empty-record", "json-object", "matrix-entry-out-of-range"])
+    # Each of these used to load: a string row or entry as its float, a bool as
+    # 0 or 1, and a summary that disagrees with its matrix as it stood.
+    ([{**_GOOD_DOC, "matrix": {"mode": "global", "rows": ["1"]}}], _BAD_ROWS),
+    ([{**_GOOD_DOC, "matrix": {"mode": "global", "rows": [["0.5"]]}}], _BAD_ROWS),
+    ([{**_GOOD_DOC, "matrix": {"mode": "global", "rows": [[True]]}}], _BAD_ROWS),
+    ([{**_GOOD_DOC, "matrix": {"mode": "global", "rows": [[0.75]]},
+      "summary": {**_GOOD_DOC["summary"], "mean_acc": True, "final_acc": 0.75}}], _BAD_SUMMARY),
+    ([{**_GOOD_DOC, "matrix": {"mode": "global", "rows": [[1.0]]},
+      "summary": {"mean_acc": True, "final_acc": 1.0, "aa": None, "af": None}}], _BAD_SUMMARY),
+    ([{**_GOOD_DOC, "summary": {**_GOOD_DOC["summary"], "final_acc": 0.6}}], _BAD_SUMMARY),
+    ([{**_GOOD_DOC, "summary": {**_GOOD_DOC["summary"], "aa": 0.5}}], _BAD_SUMMARY),
+], ids=["empty-record", "json-object", "matrix-entry-out-of-range", "string-row",
+        "string-entry", "bool-entry", "bool-mean-acc", "bool-equal-to-one",
+        "summary-disagrees", "global-summary-with-aa"])
 @pytest.mark.parametrize("fmt", ["md", "csv"])
 def test_report_malformed_results_fail_in_one_line(runner, tmp_path, doc, message, fmt):
     bad = tmp_path / "bad.json"

@@ -217,6 +217,14 @@ def _item(index, vec=(0.0, 1.0)):
     ([_item(0, "AAAA*AAA")], "malformed embedding item"),  # not a base64 character
     ([_item(0, "AAAA AAA")], "malformed embedding item"),
     ([_item(0, "AAAAAAAA")], "malformed embedding item"),  # 6 bytes: not whole float32s
+    # Each of these used to load: the index through int(), the list through numpy,
+    # so ["1.5", true, 2, 3] read as [1.5, 1, 2, 3].
+    ([_item("0")], "malformed embedding item"),
+    ([_item(0.7)], "malformed embedding item"),
+    ([_item(False)], "malformed embedding item"),
+    ([_item(0, ["1.5", True, 2, 3])], "malformed embedding item"),
+    ([_item(0, [1.0, True])], "malformed embedding item"),
+    ([_item(0, [1.0, None])], "malformed embedding item"),
 ])
 def test_http_bad_payload_items_are_provider_errors(data, match):
     with pytest.raises(EmbeddingProviderError, match=match):

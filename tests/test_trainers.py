@@ -26,6 +26,7 @@ from gclbench.trainers import (
     ewc_penalty,
     fisher_diagonal,
     run_method,
+    run_methods,
     _GcnFamily,
     _RoutedHeads,
     _fit_head,
@@ -1071,6 +1072,48 @@ def test_run_method_builds_each_eval_task_once(testkit_plan, monkeypatch, mode):
     built = _count_calls(monkeypatch, "build_eval_task")
     run_method("cosine", testkit_plan, dict(CFG, epochs=5), mode=mode, seed=0)
     assert [i for _, i, _ in built] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("mode", ["local", "global"])
+def test_one_walk_of_all_methods_equals_their_separate_runs(testkit_plan, tmp_path, mode):
+    # Every runner fits and scores on the same task objects, yet no runner's
+    # numbers may depend on the others in the walk.
+    from gclbench.stub_server import StubEmbeddingServer
+
+    with StubEmbeddingServer(dim=8) as srv:
+        cfg = dict(CFG, epochs=5, fanouts=[3, 3], cache_path=str(tmp_path / "c.bin"),
+                   provider={"kind": "http", "endpoint": srv.endpoint, "model": "stub"})
+        walked = run_methods(METHOD_IDS, testkit_plan, cfg, mode=mode, seed=2, dataset="synth")
+        alone = [run_method(m, testkit_plan, cfg, mode=mode, seed=2, dataset="synth")
+                 for m in METHOD_IDS]
+    assert [r.method for r in walked] == list(METHOD_IDS)
+    for w, a in zip(walked, alone):
+        assert (w.method, w.mode, w.seed, w.dataset) == (a.method, mode, 2, "synth")
+        assert w.matrix.rows == a.matrix.rows, w.method
+        assert w.summary == a.summary
+        assert w.config_hash == a.config_hash
+
+
+@pytest.mark.parametrize("mode", ["local", "global"])
+def test_one_walk_builds_each_eval_task_once(testkit_plan, monkeypatch, mode):
+    # A run of several methods used to build every task once per method.
+    built = _count_calls(monkeypatch, "build_eval_task")
+    results = run_methods(["gcn", "cosine", "tpp_heads"], testkit_plan, dict(CFG, epochs=5),
+                          mode=mode)
+    assert [i for _, i, _ in built] == list(range(1, testkit_plan.num_sessions + 1))
+    assert [r.method for r in results] == ["gcn", "cosine", "tpp_heads"]
+
+
+@pytest.mark.parametrize("methods, error, message", [
+    (["gcn", "nope"], ValueError, "unknown method 'nope'; valid ids: gcn, "),
+    (["gcn", "ewc", "simplecil"], TrainingError, "embedding-based method needs a provider"),
+], ids=["unknown-id", "no-provider"])
+def test_run_methods_builds_every_runner_before_any_fit(testkit_plan, monkeypatch, methods,
+                                                        error, message):
+    trained = _count_calls(monkeypatch, "train_session")
+    with pytest.raises(error, match=message):
+        run_methods(methods, testkit_plan, dict(CFG, epochs=2))
+    assert trained == []
 
 
 @pytest.mark.parametrize("method", ["cosine", "simgcl_proto", "tpp_heads"])
