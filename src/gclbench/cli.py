@@ -20,8 +20,13 @@ from .sessions import (EVAL_EDGES_FULL, EVAL_EDGES_INTRA, GLOBAL, LOCAL, NCIL, p
 from .synth import SynthConfig, synth_tag
 from .trainers import METHOD_IDS, TrainingError, run_methods
 
+
+class _RunStopped(RuntimeError):
+    """`run` stopped by an error after it had written some finished runs."""
+
+
 _ERRORS = (TrainingError, EmbeddingProviderError, ValueError, OSError, IndexError,
-           FloatingPointError)
+           FloatingPointError, _RunStopped)
 
 
 def _config(config_path: str | None, **flags) -> dict:
@@ -145,32 +150,39 @@ def plan(config_path, seed, out, **flags):
 @click.option("--eval-edges", type=click.Choice([EVAL_EDGES_INTRA, EVAL_EDGES_FULL]))
 @click.option("--out", type=click.Path(), default=".", show_default=True)
 def run(config_path, out, **flags):
-    """Execute methods over the session plan and write results.json."""
+    """Execute methods over the session plan and write results.json.
+
+    results.json is rewritten after each walk, so an error keeps the finished runs."""
     doc = _config(config_path, **flags)
     g, name = _resolve_graph(doc)
     grid = expand_grid(resolve_hypers(doc.get("hyperparameters")))
     outdir = Path(out)
+    path = outdir / "results.json"
     cache_path = str(outdir / "embeddings.cache.bin")
     results = []
-    for seed in doc.get("seeds", [0]):
-        p = _resolve_plan(doc, g, seed)
-        for hypers in grid:  # one walk of all the methods per (seed, grid point)
-            for res in run_methods(doc.get("methods", ["gcn"]), p,
-                                   {"cache_path": cache_path, **hypers},
-                                   mode=doc.get("mode", GLOBAL), seed=seed, dataset=name):
-                doc_out = res.to_doc()
-                if len(grid) > 1:
-                    doc_out["run"]["grid_point"] = {
-                        k: hypers[k] for k in sorted(hypers)
-                        if not isinstance(hypers[k], (dict, list))
-                    }
-                results.append(doc_out)
-                s = res.summary
-                click.echo(f"{res.method} seed={seed} mean_acc={s['mean_acc']:.4f} "
-                           f"final_acc={s['final_acc']:.4f}")
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_report(results, outdir / "results.json", "json")
-    click.echo(f"wrote {outdir / 'results.json'}")
+    try:
+        for seed in doc.get("seeds", [0]):
+            p = _resolve_plan(doc, g, seed)
+            for hypers in grid:  # one walk of all the methods per (seed, grid point)
+                for res in run_methods(doc.get("methods", ["gcn"]), p,
+                                       {"cache_path": cache_path, **hypers},
+                                       mode=doc.get("mode", GLOBAL), seed=seed, dataset=name):
+                    doc_out = res.to_doc()
+                    if len(grid) > 1:
+                        doc_out["run"]["grid_point"] = {
+                            k: hypers[k] for k in sorted(hypers)
+                            if not isinstance(hypers[k], (dict, list))
+                        }
+                    results.append(doc_out)
+                    s = res.summary
+                    click.echo(f"{res.method} seed={seed} mean_acc={s['mean_acc']:.4f} "
+                               f"final_acc={s['final_acc']:.4f}")
+                write_report(results, path, "json")
+    except _ERRORS as exc:
+        if not results:
+            raise
+        raise _RunStopped(f"{exc}; kept {len(results)} finished run(s) in {path}") from exc
+    click.echo(f"wrote {path}")
 
 
 @main.command()

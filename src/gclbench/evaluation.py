@@ -9,13 +9,15 @@ not n-1.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .config import LEAKAGE_K_GRID, ConfigError, resolve_point
+from .config import LEAKAGE_K_GRID, ConfigError, _reject_constant, resolve_point
 from .sessions import GLOBAL, LOCAL, EvalTask, SessionPlan
 
 
@@ -171,19 +173,20 @@ class ResultsFormatError(ValueError):
 
 
 def load_results(path) -> list[dict]:
-    """Run documents of one results file; raises ResultsFormatError, naming the
-    file and the record, where a field that a report reads is missing or malformed."""
+    """Run documents of one results file, read as strict JSON (no NaN or Infinity
+    literal); raises ResultsFormatError, naming the file and the record, where a
+    field that a report reads is missing or malformed."""
     path = Path(path)
     try:
-        docs = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
+        docs = json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise ResultsFormatError(f"{path}: not a JSON file ({exc})") from exc
     if not isinstance(docs, list):
         raise ResultsFormatError(f"{path}: expected a JSON list of run documents")
     for i, doc in enumerate(docs):
         try:
             _check_run_doc(doc)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # an integer too large for a float
             raise ResultsFormatError(f"{path}: record {i}: {exc}") from exc
     return docs
 
@@ -222,13 +225,14 @@ def write_report(results: list[dict], path, format: str = "json") -> None:
           that differ only in their seed share a cell: mean ± population std
           (n=runs); each mode, scenario, eval-edge policy and grid point of a
           method gets its own row.
+
+    The file is replaced in one step (a temporary file beside it, then
+    os.replace), so a reader sees the old file or the new one, never part.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     if format == "json":
-        path.write_text(json.dumps(results, indent=1, sort_keys=True), encoding="utf-8")
+        text = json.dumps(results, indent=1, sort_keys=True)
     elif format == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with io.StringIO(newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["method", "dataset", "scenario", "mode", "eval_edges", "seed",
                         "grid_point", "session", "metric", "value"])
@@ -244,10 +248,19 @@ def write_report(results: list[dict], path, format: str = "json") -> None:
                 for key in ("mean_acc", "final_acc", "aa", "af"):
                     val = doc["summary"].get(key)
                     w.writerow(ident + ["", key, "" if val is None else f"{val:.6f}"])
+            text = fh.getvalue()
     elif format == "md":
-        path.write_text(_markdown_table(results), encoding="utf-8")
+        text = _markdown_table(results)
     else:
         raise ValueError(f"unknown report format {format!r}")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8", newline="")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _fractional_ranks(values: list[float]) -> np.ndarray:

@@ -290,7 +290,7 @@ def degrees(g: TextAttributedGraph) -> np.ndarray:
 def gcn_normalized_adjacency(g: TextAttributedGraph) -> sp.csr_matrix:
     """S = D^{-1/2} (A + I) D^{-1/2} = I - D^{-1/2} L D^{-1/2}, degrees from A + I.
 
-    The one propagation operator: the GCN layers and laplacian_smooth both
+    The one propagation operator: GCN layers, laplacian_smooth and task prototypes
     multiply by it. Self-loops keep isolated nodes well-defined; S is
     symmetric with spectral radius <= 1. Built once per graph as CSR with
     sorted indices and cached on the graph; its arrays are read-only.

@@ -26,6 +26,7 @@ hand and cross-checked against central finite differences. No autodiff.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -68,8 +69,10 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    """First and second moments, each one flat vector over the weights in dict order."""
+
+    m: np.ndarray
+    v: np.ndarray
     lr: float
     step: int = 0
 
@@ -119,8 +122,8 @@ def grow_output(p: ModelParams, extra_classes: int, seed: int) -> ModelParams:
 
 
 def spmm(S: sp.spmatrix, X: np.ndarray) -> np.ndarray:
-    """Exact sparse @ dense product: the one propagation call. The GCN layers,
-    their gradients, the Fisher diagonal and laplacian_smooth all run here."""
+    """Exact sparse @ dense product: the one propagation call, for the GCN layers,
+    their gradients, the Fisher diagonal, laplacian_smooth and task_prototype."""
     X = np.asarray(X, dtype=np.float64)
     n = S.shape[1]
     if X.shape[0] != n:
@@ -318,31 +321,42 @@ def adam_step(
     """One bias-corrected Adam update; errors on non-finite gradients, second
     moments or weights. A squared gradient that overflows to inf in the
     second moment would otherwise round every later update of its weights to
-    zero; a first moment that overflows makes the weights non-finite."""
+    zero; a first moment that overflows makes the weights non-finite.
+
+    Each elementwise operation makes one pass over the flat vector of all the
+    weights, so the result is the per-weight update bit for bit; the weights
+    come back as views of the new flat vector. A non-finite value is reported
+    for the first key in `grads` order that holds one, checking its gradient,
+    then its second moment, then its weights.
+    """
     if set(grads) != set(p.weights):
         raise ValueError("gradient keys do not match parameters")
-    st.step += 1
-    t = st.step
     for k, g in grads.items():
         if g.shape != p.weights[k].shape:
             raise ValueError(f"shape mismatch for {k}")
-        if not np.isfinite(g).all():
-            raise FloatingPointError(f"non-finite gradient for {k}")
-        st.m[k] = ADAM_BETA1 * st.m[k] + (1 - ADAM_BETA1) * g
-        st.v[k] = ADAM_BETA2 * st.v[k] + (1 - ADAM_BETA2) * g * g
-        if not np.isfinite(st.v[k]).all():
-            raise FloatingPointError(f"non-finite second moment for {k}")
-        mhat = st.m[k] / (1 - ADAM_BETA1**t)
-        vhat = st.v[k] / (1 - ADAM_BETA2**t)
-        p.weights[k] = p.weights[k] - st.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
-        if not np.isfinite(p.weights[k]).all():
-            raise FloatingPointError(f"non-finite weights for {k} after the update")
+    ends = itertools.accumulate(w.size for w in p.weights.values())
+    spans = {k: slice(end - w.size, end) for (k, w), end in zip(p.weights.items(), ends)}
+    g = np.concatenate([grads[k].ravel() for k in spans])
+    t = st.step + 1
+    m = ADAM_BETA1 * st.m + (1 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * st.v + (1 - ADAM_BETA2) * g * g
+    mhat = m / (1 - ADAM_BETA1**t)
+    vhat = v / (1 - ADAM_BETA2**t)
+    w = np.concatenate([p.weights[k].ravel() for k in spans])
+    w = w - st.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    # A non-finite gradient makes its second moment non-finite, so two checks cover all three.
+    if not (np.isfinite(v).all() and np.isfinite(w).all()):
+        for k in grads:
+            for x, msg in ((g, "non-finite gradient for {}"),
+                           (v, "non-finite second moment for {}"),
+                           (w, "non-finite weights for {} after the update")):
+                if not np.isfinite(x[spans[k]]).all():
+                    raise FloatingPointError(msg.format(k))
+    p.weights.update({k: w[at].reshape(p.weights[k].shape) for k, at in spans.items()})
+    st.m, st.v, st.step = m, v, t
     return p, st
 
 
 def init_adam(p: ModelParams, lr: float) -> AdamState:
-    return AdamState(
-        m={k: np.zeros_like(v) for k, v in p.weights.items()},
-        v={k: np.zeros_like(v) for k, v in p.weights.items()},
-        lr=lr,
-    )
+    size = sum(w.size for w in p.weights.values())
+    return AdamState(m=np.zeros(size), v=np.zeros(size), lr=lr)

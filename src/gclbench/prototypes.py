@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_HYPERS
-from .graph import TextAttributedGraph, degrees, laplacian_smooth
-from .nn import softmax
+from .graph import TextAttributedGraph, degrees, gcn_normalized_adjacency
+from .nn import softmax, spmm
 
 
 @dataclass
@@ -164,22 +164,26 @@ class TaskPrototypeSet:
         return len(self.vectors)
 
 
-def routing_features(
-    g: TextAttributedGraph, X: np.ndarray, k: int, weighting: str = "laplacian"
-) -> np.ndarray:
-    """Per-node rows whose mean over a node set is that set's task prototype.
-
-    laplacian:  S^k X with row j scaled by d_j^{-1/2} (degrees from the
-                self-loop-augmented graph).
-    plain-mean: raw features; k is ignored.
-    """
+def task_prototype(g: TextAttributedGraph, nodes, X: np.ndarray, k: int,
+                   weighting: str = "laplacian") -> np.ndarray:
+    """Mean of a node set's rows of D^{-1/2} S^k X (laplacian; degrees with self-loops)
+    or of X (plain-mean). The mean is linear in X and S is symmetric, so the laplacian
+    one is (S^k w) @ X with w = d^{-1/2} / |nodes| on `nodes`: one column propagated."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    if nodes.size == 0:
+        raise ValueError("empty node set")
     X = np.asarray(X, dtype=np.float64)
     if weighting == "plain-mean":
-        return X
+        return X[nodes].mean(axis=0)
     if weighting != "laplacian":
         raise ValueError(f"unknown weighting {weighting!r}")
-    z = laplacian_smooth(X, g, k)
-    return z * (1.0 / np.sqrt(degrees(g)))[:, None]
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    w = np.zeros(g.node_count)
+    np.add.at(w, nodes, 1.0 / (np.sqrt(degrees(g)[nodes]) * nodes.size))
+    for _ in range(k):
+        w = spmm(gcn_normalized_adjacency(g), w)
+    return w @ X
 
 
 def predict_task_id(query: np.ndarray, prototypes: TaskPrototypeSet) -> int:

@@ -48,7 +48,7 @@ from .prototypes import (
     build_prototypes,
     classify_batch,
     predict_task_id,
-    routing_features,
+    task_prototype,
     teen_calibrate,
 )
 from .sessions import GLOBAL, EvalTask, Session, SessionPlan, build_eval_task
@@ -533,9 +533,9 @@ class _RoutedHeads(_Runner):
     nearest its own; that session's head then predicts among its own classes
     only (the class-incremental -> task-incremental collapse this measures).
     Runners given one `heads` list share it (the first to fit session i trains
-    head i), so they must agree on all but k_smooth. A task's query prototype
-    is computed once; a local task, scored right after its session, reads the
-    routing features that the last fit kept instead of smoothing again.
+    head i), so they must agree on all but k_smooth. A session's prototype is
+    the task_prototype of its train nodes, a task's query that of its eval
+    nodes, computed once per task.
     """
 
     lenient = True  # misrouted predictions fall outside local class sets
@@ -547,25 +547,19 @@ class _RoutedHeads(_Runner):
         self.weighting = weighting
         self.heads = [] if heads is None else heads
         self.protos = TaskPrototypeSet()
-        self._last = (None, None)
 
     def fit_session(self, i: int) -> None:
         s = self.plan.sessions[i - 1]
         if len(self.heads) < i:
             self.heads.append(_fit_head(self.plan, i - 1, self.config, self.seed))
-        feats = routing_features(s.subgraph, s.subgraph.features, self.k, self.weighting)
-        self._last = (s.subgraph, feats)
-        self.protos.add(feats[s.local_ids(s.train_nodes)].mean(axis=0))
-
-    def _query(self, task: EvalTask) -> np.ndarray:
-        graph, feats = self._last
-        if task.graph is not graph:
-            feats = routing_features(task.graph, task.graph.features, self.k, self.weighting)
-        return feats[task.eval_nodes].mean(axis=0)
+        self.protos.add(task_prototype(s.subgraph, s.local_ids(s.train_nodes),
+                                       s.subgraph.features, self.k, self.weighting))
 
     def route(self, task: EvalTask) -> int:
         """0-based session whose train prototype is nearest the task's query prototype."""
-        return predict_task_id(_once(self._memo, task, self._query), self.protos)
+        query = _once(self._memo, task, lambda t: task_prototype(
+            t.graph, t.eval_nodes, t.graph.features, self.k, self.weighting))
+        return predict_task_id(query, self.protos)
 
     def predict(self, task: EvalTask) -> np.ndarray:
         return self.heads[self.route(task)].predict(task)

@@ -7,6 +7,7 @@ checks.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -390,7 +391,7 @@ def train_session_all_nodes(p, S, X, labels, rows, epochs, lr, seed=0, distill=N
     over every node, under dropout_masks, and only the output layer on
     `rows`. The reference that train_session's weights must equal bit for
     bit."""
-    from gclbench.nn import adam_step, cross_entropy, init_adam
+    from gclbench.nn import cross_entropy
     from gclbench.trainers import _mix, distill_loss
 
     p = p.copy()
@@ -398,15 +399,58 @@ def train_session_all_nodes(p, S, X, labels, rows, epochs, lr, seed=0, distill=N
     X = np.asarray(X, dtype=np.float64)
     if distill is not None:
         old_logits, _ = _all_nodes_forward(distill.frozen, S, X, rows, None)
-    st = init_adam(p, lr)
+    st = PerKeyAdam.start(p, lr)
     for epoch in range(epochs):
         logits, cache = _all_nodes_forward(p, S, X, rows, _mix(seed, epoch))
         _, dlogits = cross_entropy(logits, labels)
         if distill is not None:
             dlogits = dlogits + distill_loss(logits, old_logits,
                                              distill.temperature, distill.weight)[1]
-        p, st = adam_step(p, _all_nodes_backward(p, S, rows, cache, dlogits), st)
+        p, st = adam_step_per_key(p, _all_nodes_backward(p, S, rows, cache, dlogits), st)
     return p
+
+
+@dataclass
+class PerKeyAdam:
+    """Adam moments kept per weight key, each an array of its weight's shape."""
+
+    m: dict
+    v: dict
+    lr: float
+    step: int = 0
+
+    @classmethod
+    def start(cls, p, lr: float) -> "PerKeyAdam":
+        return cls({k: np.zeros_like(w) for k, w in p.weights.items()},
+                   {k: np.zeros_like(w) for k, w in p.weights.items()}, lr)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def adam_step_per_key(p, grads, st: PerKeyAdam):
+    """nn.adam_step one weight key at a time, in `grads` order: for each key the
+    gradient check, its moments, the second-moment check, its update and the
+    weights check. The reference that the flat-vector step must equal bit for
+    bit, and whose first error message it must raise."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    if set(grads) != set(p.weights):
+        raise ValueError("gradient keys do not match parameters")
+    st.step += 1
+    t = st.step
+    for k, g in grads.items():
+        if g.shape != p.weights[k].shape:
+            raise ValueError(f"shape mismatch for {k}")
+        if not np.isfinite(g).all():
+            raise FloatingPointError(f"non-finite gradient for {k}")
+        st.m[k] = beta1 * st.m[k] + (1 - beta1) * g
+        st.v[k] = beta2 * st.v[k] + (1 - beta2) * g * g
+        if not np.isfinite(st.v[k]).all():
+            raise FloatingPointError(f"non-finite second moment for {k}")
+        mhat = st.m[k] / (1 - beta1**t)
+        vhat = st.v[k] / (1 - beta2**t)
+        p.weights[k] = p.weights[k] - st.lr * mhat / (np.sqrt(vhat) + eps)
+        if not np.isfinite(p.weights[k]).all():
+            raise FloatingPointError(f"non-finite weights for {k} after the update")
+    return p, st
 
 
 def _hidden(p) -> tuple[tuple[int, ...], bool]:
@@ -526,3 +570,53 @@ def finite_diff_check(
         coords_checked=checked,
         per_param=per_param,
     )
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def results_strict(data: bytes):
+    """The run documents of a results file's bytes, or None where a rule breaks.
+
+    The file is UTF-8, strict JSON (no NaN or Infinity literal) and a list of
+    objects. Each has object fields run, matrix and summary; run a string method
+    and dataset, and an object grid_point if any; matrix a mode, local or
+    global, and one or more rows of JSON numbers (int or float, never bool) in
+    [0, 1], row i holding i + 1 entries (local) or one (global); summary
+    exactly {mean_acc, final_acc, aa, af} of that matrix, with no bool value.
+    """
+    try:
+        docs = json.loads(data.decode("utf-8"), parse_constant=_no_constant)
+    except ValueError:
+        return None
+    if not isinstance(docs, list):
+        return None
+    for doc in docs:
+        if not (isinstance(doc, dict)
+                and all(isinstance(doc.get(k), dict) for k in ("run", "matrix", "summary"))):
+            return None
+        run, matrix, summary = doc["run"], doc["matrix"], doc["summary"]
+        if not (isinstance(run.get("method"), str) and isinstance(run.get("dataset"), str)):
+            return None
+        if "grid_point" in run and not isinstance(run["grid_point"], dict):
+            return None
+        mode, rows = matrix.get("mode"), matrix.get("rows")
+        if mode not in ("local", "global") or not isinstance(rows, list) or not rows:
+            return None
+        for i, row in enumerate(rows):
+            if not (isinstance(row, list) and len(row) == (i + 1 if mode == "local" else 1)
+                    and all(type(x) in (int, float) and 0 <= x <= 1 for x in row)):
+                return None
+        rows = [[float(x) for x in row] for row in rows]
+        n = len(rows)
+        if mode == "local":
+            stages = [float(np.mean(row)) for row in rows]
+            aa = float(np.sum(rows[-1]) / n)
+            af = float(sum(rows[-1][j] - rows[j][j] for j in range(n - 1)) / n)
+        else:
+            stages, aa, af = [row[0] for row in rows], None, None
+        want = {"mean_acc": float(np.mean(stages)), "final_acc": stages[-1], "aa": aa, "af": af}
+        if summary != want or any(isinstance(v, bool) for v in summary.values()):
+            return None
+    return docs

@@ -29,7 +29,7 @@ from gclbench.prototypes import (
     build_prototypes,
     classify_batch,
     predict_task_id,
-    routing_features,
+    task_prototype,
 )
 from gclbench.sessions import plan_ncil
 from gclbench.stub_server import StubEmbeddingServer
@@ -162,7 +162,7 @@ def test_criterion_4_prototype_oracle_equivalence():
         X = np.asarray(g.features, np.float64)
         k = int(rng.integers(0, 4))
         for weighting in ("laplacian", "plain-mean"):
-            mine = routing_features(g, X, k, weighting)[nodes].mean(axis=0)
+            mine = task_prototype(g, nodes, X, k, weighting)
             ref = task_prototype_dense(g, nodes, X, k, weighting)
             assert np.allclose(mine, ref, atol=1e-10)
 
@@ -172,7 +172,7 @@ def test_criterion_4_prototype_oracle_equivalence():
             protos.add(v)
         q = rng.standard_normal(d)
         assert predict_task_id(q, protos) == nearest_task(q, vecs)  # exact argmin
-    _report(4, "build_prototypes/classify_batch/routing_features/predict_task_id match "
+    _report(4, "build_prototypes/classify_batch/task_prototype/predict_task_id match "
                "brute force on 100 instances (means, cosine argmaxes and argmins exact)")
 
 
@@ -274,8 +274,8 @@ def test_criterion_8_smoothing_convergence(testkit_graph):
         te = s.local_ids(s.test_nodes)
         dists = []
         for k in ks:
-            feats = routing_features(s.subgraph, X, k)
-            ps, pq = feats[tr].mean(axis=0), feats[te].mean(axis=0)
+            ps = task_prototype(s.subgraph, tr, X, k)
+            pq = task_prototype(s.subgraph, te, X, k)
             dists.append(float(np.linalg.norm(ps - pq)))
         for a, b in zip(dists, dists[1:]):
             assert b <= a + 1e-15  # non-increasing in k

@@ -164,6 +164,40 @@ def test_run_writes_and_echoes_the_methods_in_flag_order(runner, tmp_path, datas
     assert [line.split(" ")[0] for line in result.output.splitlines()[:-1]] == methods
 
 
+def test_a_failed_walk_keeps_the_runs_of_the_walks_before_it(runner, tmp_path, dataset_dir,
+                                                           monkeypatch):
+    # Before, results.json was written once, after the last walk, so an error
+    # in the second seed's walk left nothing on disk.
+    from gclbench import cli
+    from gclbench.evaluation import load_results
+    from gclbench.trainers import TrainingError
+
+    walks, real = [], cli.run_methods
+
+    def second_walk_fails(*args, **kwargs):
+        walks.append(kwargs["seed"])
+        if len(walks) == 2:
+            raise TrainingError("provider gone")
+        return real(*args, **kwargs)
+
+    args = ["--method", "gcn", "--method", "cosine", "--seed", "0", "--seed", "1"]
+    (tmp_path / "whole").mkdir()
+    whole = _run_config(runner, tmp_path / "whole", dataset_dir, {"epochs": 2}, extra=args)
+    assert whole.exit_code == 0, whole.output
+    monkeypatch.setattr(cli, "run_methods", second_walk_fails)
+    result = _run_config(runner, tmp_path, dataset_dir, {"epochs": 2}, extra=args)
+    path = tmp_path / "o" / "results.json"
+    assert result.exit_code == 1 and walks == [0, 1]
+    assert result.output.splitlines()[2:] == [
+        f"error: provider gone; kept 2 finished run(s) in {path}"]
+    kept = load_results(path)
+    first_walk = load_results(tmp_path / "whole" / "o" / "results.json")[:2]
+    for doc in kept + first_walk:
+        del doc["run"]["session_seconds"]
+    assert kept == first_walk
+    assert [p.name for p in path.parent.iterdir()] == ["results.json"]  # no temporary file
+
+
 def test_run_provider_error_fails_cleanly(runner, tmp_path, dataset_dir):
     matrix = tmp_path / "emb.bin"
     matrix.write_bytes(struct.pack("<4sIQQ", FEATURES_MAGIC, 1, 1, 2) + bytes(8))
@@ -568,9 +602,15 @@ _BAD_SUMMARY = "record 0: 'summary' is not the summary of its matrix"
       "summary": {"mean_acc": True, "final_acc": 1.0, "aa": None, "af": None}}], _BAD_SUMMARY),
     ([{**_GOOD_DOC, "summary": {**_GOOD_DOC["summary"], "final_acc": 0.6}}], _BAD_SUMMARY),
     ([{**_GOOD_DOC, "summary": {**_GOOD_DOC["summary"], "aa": 0.5}}], _BAD_SUMMARY),
+    # An integer entry too large for a float ended in an OverflowError traceback,
+    # and a NaN literal loaded where the report does not read it.
+    ([{**_GOOD_DOC, "matrix": {"mode": "global", "rows": [[10**400]]}}],
+     "record 0: int too large to convert to float"),
+    ([{**_GOOD_DOC, "run": {**_GOOD_DOC["run"], "seed": float("nan")}}],
+     "not a JSON file (NaN is not a JSON number)"),
 ], ids=["empty-record", "json-object", "matrix-entry-out-of-range", "string-row",
         "string-entry", "bool-entry", "bool-mean-acc", "bool-equal-to-one",
-        "summary-disagrees", "global-summary-with-aa"])
+        "summary-disagrees", "global-summary-with-aa", "huge-integer-entry", "nan-seed"])
 @pytest.mark.parametrize("fmt", ["md", "csv"])
 def test_report_malformed_results_fail_in_one_line(runner, tmp_path, doc, message, fmt):
     bad = tmp_path / "bad.json"
@@ -581,6 +621,16 @@ def test_report_malformed_results_fail_in_one_line(runner, tmp_path, doc, messag
     assert isinstance(result.exception, SystemExit)
     assert result.output.splitlines() == [f"error: {bad}: {message}"]
     assert not (tmp_path / "r.out").exists()
+
+
+def test_report_of_a_too_deeply_nested_results_file_fails_in_one_line(runner, tmp_path):
+    # The JSON decoder's RecursionError used to escape as a traceback.
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100_000 + "]" * 100_000)
+    result = runner.invoke(main, ["report", "--results", str(bad), "--out", str(tmp_path / "r")])
+    assert result.exit_code == 1
+    (line,) = result.output.splitlines()
+    assert line.startswith(f"error: {bad}: not a JSON file (maximum recursion depth exceeded")
 
 
 def test_unknown_subcommand(runner):

@@ -15,7 +15,7 @@ from gclbench.graph import (
     save_tag,
 )
 from gclbench.nn import ARCH_GCN, ARCH_MLP, init_params, model_forward
-from gclbench.prototypes import PrototypeBank, build_prototypes, classify_batch, routing_features
+from gclbench.prototypes import PrototypeBank, build_prototypes, classify_batch, task_prototype
 from gclbench.sessions import build_eval_task, filter_classes
 
 
@@ -163,7 +163,7 @@ def test_classify_batch_empty_bank():
 
 def test_task_prototype_unknown_weighting(two_node_graph):
     with pytest.raises(ValueError, match="unknown weighting"):
-        routing_features(two_node_graph, np.zeros((2, 1)), 1, "median")
+        task_prototype(two_node_graph, [0], np.zeros((2, 1)), 1, "median")
 
 
 def test_temperature_must_be_positive():

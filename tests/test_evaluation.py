@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from gclbench.evaluation import (
     summarize,
     write_report,
 )
-from gclbench.prototypes import routing_features
+from gclbench.prototypes import task_prototype
 from gclbench.sessions import build_eval_task, plan_ncil
 from gclbench.synth import SynthConfig, synth_tag
 from gclbench.trainers import _fit_head, run_method
@@ -239,10 +240,6 @@ def test_leakage_identical_distributions_plain_mean_near_chance():
     assert 1 / 6 <= mean_rate <= 4 / 6  # ~1/3 under the null
 
 
-def _task_prototype(g, nodes, X, k, weighting):
-    return routing_features(g, X, k, weighting)[nodes].mean(axis=0)
-
-
 def test_leakage_aa_af_match_per_cell_routing_oracle():
     # indistinguishable sessions, so plain-mean routing errs
     cfg = {"epochs": 20, "lr": 1e-2, "hidden_dim": 8}
@@ -254,7 +251,7 @@ def test_leakage_aa_af_match_per_cell_routing_oracle():
         heads = [_fit_head(plan, i, resolve_point(cfg), 0) for i in range(plan.num_sessions)]
         report = leakage_diagnostic(plan, k_grid=(0, 1, 4), config=cfg)
         for e in report.entries:
-            rows = routed_head_triangle(plan, heads, _task_prototype, e["k"], e["weighting"])
+            rows = routed_head_triangle(plan, heads, task_prototype, e["k"], e["weighting"])
             want = summarize_direct(rows)
             assert e["aa"] == pytest.approx(want["aa"], abs=1e-12)
             assert e["af"] == pytest.approx(want["af"], abs=1e-12)
@@ -498,3 +495,95 @@ def test_report_md_cells_and_ranks_match_numpy_in_any_order(tmp_path_factory, ru
                 expect += [f"{100 * a:.1f} ± {100 * b:.1f} (n={len(v)})" for a, b in zip(mu, sd)]
         expect.append(f"{np.mean(ranks[r]):.1f}")
         assert line == "| " + " | ".join(expect) + " |"
+
+
+# ------------------------------------------------- results files: one mutation
+
+
+# Half of the values are near a rule's edge: NaN and infinities (not strict
+# JSON), an integer too large for a float, a bool or string for a number.
+_JSON = st.sampled_from([math.nan, math.inf, -math.inf, 10**400, True, False, None, "0.5", 0,
+                         1, 0.5, -0.0, [], {}]) | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=4)
+
+
+def _valid_results(data) -> list[dict]:
+    """One to three run documents that differ in method and seed, so that no
+    one mutation makes two of them equal."""
+    docs = []
+    for i in range(data.draw(st.integers(1, 3))):
+        mode = data.draw(st.sampled_from(["local", "global"]))
+        m = AccuracyMatrix(mode=mode)
+        for r in range(data.draw(st.integers(1, 3))):
+            n = r + 1 if mode == "local" else 1
+            m.add_row(data.draw(st.lists(st.floats(0, 1), min_size=n, max_size=n)))
+        doc = _dummy_result(f"m{i}", "ds")
+        doc["run"]["seed"] = i
+        if data.draw(st.booleans()):
+            doc["run"]["grid_point"] = {"lr": 0.01, "epochs": 5}
+        doc["matrix"], doc["summary"] = m.to_dict(), summarize(m)
+        docs.append(doc)
+    return docs
+
+
+def _paths(value, at=()):
+    """Every path of keys and indexes into a JSON value, the value's own first."""
+    yield at
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _paths(child, at + (key,))
+
+
+def _mutated(docs, data) -> bytes:
+    """The file of `docs` with one byte replaced, deleted or inserted, or one
+    value replaced or deleted; the place is drawn uniformly."""
+    rng = data.draw(st.randoms(use_true_random=False))
+    how = data.draw(st.sampled_from(["value", "delete", "byte"]))
+    if how == "byte":
+        text = json.dumps(docs, indent=1, sort_keys=True).encode()
+        at, new = rng.randrange(len(text)), bytes([rng.randrange(256)])
+        return text[:at] + rng.choice([new, b"", new + text[at:at + 1]]) + text[at + 1:]
+    path = rng.choice([p for p in _paths(docs) if p])
+    parent = docs
+    for key in path[:-1]:
+        parent = parent[key]
+    if how == "delete" and isinstance(parent, dict):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(_JSON)
+    return json.dumps(docs, indent=1, sort_keys=True).encode()  # NaN and inf as literals
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_mutated_results_file_loads_as_the_strict_parser_reads_it_or_fails_in_one_line(
+        tmp_path_factory, data):
+    # One field or byte of a valid results file changed: load_results returns
+    # what the strict reference parser returns, or raises ResultsFormatError
+    # where that parser rejects the file; `gclbench report` then gives one
+    # `error:` line and exit status 1, and a file it accepts is reported.
+    from click.testing import CliRunner
+
+    from gclbench.cli import main
+    from gclbench.evaluation import ResultsFormatError, load_results
+    from oracles import results_strict
+
+    blob = _mutated(_valid_results(data), data)
+    out = tmp_path_factory.mktemp("results")
+    path = out / "results.json"
+    path.write_bytes(blob)
+    try:
+        got = load_results(path)
+    except ResultsFormatError:
+        got = None
+    assert got == results_strict(blob)
+    result = CliRunner().invoke(main, ["report", "--results", str(path),
+                                       "--out", str(out / "report.md")])
+    if got is None:
+        assert result.exit_code == 1
+        assert len(result.output.splitlines()) == 1 and result.output.startswith("error: ")
+    else:
+        assert result.exit_code == 0, result.output

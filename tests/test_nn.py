@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gclbench.graph import gcn_normalized_adjacency
 from gclbench.nn import (
@@ -19,6 +22,8 @@ from gclbench.graph import make_graph
 from gclbench.synth import SynthConfig, synth_tag
 
 from oracles import (
+    PerKeyAdam,
+    adam_step_per_key,
     dropout_masks,
     finite_diff_check,
     full_batch_epoch,
@@ -369,6 +374,73 @@ def test_adam_nonfinite_gradient_rejected():
     grads["W1"][0, 0] = np.nan
     with pytest.raises(FloatingPointError):
         adam_step(p, grads, st)
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
+
+
+def _step_both(flat, oracle, grads):
+    """One flat and one per-key step on copies of one state: (flat, oracle) results,
+    each the new (params, state) or the message of the FloatingPointError raised."""
+    out = []
+    for step, (p, state) in ((adam_step, flat), (adam_step_per_key, oracle)):
+        try:
+            out.append(step(p, {k: g.copy() for k, g in grads.items()}, state))
+        except FloatingPointError as exc:
+            out.append(str(exc))
+    return out
+
+
+_POISONS = ("nan gradient", "inf gradient", "overflowing square", "overflowing weight")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_flat_adam_step_is_the_per_key_step_bit_for_bit(data):
+    # Drawn shapes, gradients and step counts: the flat step's weights and
+    # moments equal the per-key oracle's bit for bit, its weights are views of
+    # one vector, and a poisoned last step raises the oracle's first message
+    # (first key in gradient order; gradient, then second moment, then weights).
+    shapes = data.draw(st.lists(st.lists(st.integers(1, 4), min_size=1, max_size=2),
+                                min_size=1, max_size=4))
+    keys = [f"w{i}" for i in range(len(shapes))]
+    order = data.draw(st.permutations(keys))
+    lr = data.draw(st.sampled_from([1e-3, 3e-2, 0.5, 7.0]))
+    values = st.floats(-1e4, 1e4, allow_nan=False)
+    init = {k: data.draw(hnp.arrays(np.float64, tuple(s), elements=values))
+            for k, s in zip(keys, shapes)}
+    p = init_params(ARCH_MLP, 1, 1, 1, seed=0)
+    p.weights = init
+    flat = (p.copy(), init_adam(p, lr))
+    oracle = (p.copy(), PerKeyAdam.start(p, lr))
+
+    for _ in range(data.draw(st.integers(1, 6))):
+        grads = {k: data.draw(hnp.arrays(np.float64, init[k].shape, elements=values))
+                 for k in order}
+        flat, oracle = _step_both(flat, oracle, grads)
+        (pf, sf), (po, so) = flat, oracle
+        assert sf.step == so.step
+        for k in keys:
+            assert _bits(pf.weights[k]) == _bits(po.weights[k])
+            assert pf.weights[k].base is not None
+            assert pf.weights[k].base is pf.weights[keys[0]].base
+        assert _bits(sf.m) == b"".join(_bits(so.m[k]) for k in keys)
+        assert _bits(sf.v) == b"".join(_bits(so.v[k]) for k in keys)
+
+    poison = data.draw(st.sampled_from(_POISONS))
+    k = data.draw(st.sampled_from(keys))
+    at = data.draw(st.integers(0, init[k].size - 1))
+    grads = {j: np.ones(init[j].shape) for j in order}
+    grads[k].flat[at] = {"nan gradient": np.nan, "inf gradient": -np.inf,
+                         "overflowing square": 1e200}.get(poison, 1.0)
+    if poison == "overflowing weight":
+        for params, state in (flat, oracle):
+            params.weights[k].flat[at] = -1.7e308
+            state.lr = 1e308
+    got, want = _step_both(flat, oracle, grads)
+    assert isinstance(want, str)
+    assert got == want
 
 
 # --------------------------------------------------------------- finite diff

@@ -10,9 +10,10 @@ from gclbench.prototypes import (
     build_prototypes,
     classify_batch,
     predict_task_id,
-    routing_features,
+    task_prototype,
     teen_calibrate,
 )
+from gclbench.sessions import EVAL_EDGES_FULL, EVAL_EDGES_INTRA, build_eval_task, plan_ncil
 from gclbench.synth import SynthConfig, synth_tag
 
 from oracles import (
@@ -228,13 +229,13 @@ def test_teen_errors():
         teen_calibrate(bank, [0], [7])
 
 
-# ------------------------------------------------ task prototypes (routing_features)
+# -------------------------------------------------------------- task_prototype
 
 
 def test_task_prototype_plain_mean():
     g = synth_tag(SynthConfig(num_classes=2, nodes_per_class=2, feature_dim=2, seed=0))
     X = np.array([[2.0, 0.0], [0.0, 2.0], [5.0, 5.0], [7.0, 7.0]])
-    p = routing_features(g, X, k=3, weighting="plain-mean")[[0, 1]].mean(axis=0)
+    p = task_prototype(g, [0, 1], X, k=3, weighting="plain-mean")
     assert np.allclose(p, [1.0, 1.0])
 
 
@@ -244,13 +245,13 @@ def test_task_prototype_laplacian_k0_regular_graph():
     g = make_graph(feats, list("abcd"), np.zeros(4, np.int64), ["c"],
                    np.array([[0, 1], [1, 2], [2, 3], [0, 3]]))
     X = np.asarray(feats, np.float64)
-    p = routing_features(g, X, k=0, weighting="laplacian").mean(axis=0)
+    p = task_prototype(g, [0, 1, 2, 3], X, k=0, weighting="laplacian")
     assert np.allclose(p, X.mean(axis=0) / np.sqrt(3.0), atol=1e-12)
 
 
 def test_task_prototype_isolated_node_k0(isolated_node_graph):
     X = np.array([[2.0, 3.0]])
-    p = routing_features(isolated_node_graph, X, k=0)[[0]].mean(axis=0)
+    p = task_prototype(isolated_node_graph, [0], X, k=0)
     assert np.allclose(p, [2.0, 3.0])  # degree 1 after self-loop
 
 
@@ -259,9 +260,48 @@ def test_task_prototype_matches_dense_oracle(testkit_graph):
     rng = np.random.default_rng(2)
     nodes = rng.choice(testkit_graph.node_count, 40, replace=False)
     for weighting in ("laplacian", "plain-mean"):
-        mine = routing_features(testkit_graph, X, k=4, weighting=weighting)[nodes].mean(axis=0)
+        mine = task_prototype(testkit_graph, nodes, X, k=4, weighting=weighting)
         oracle = task_prototype_dense(testkit_graph, nodes, X, 4, weighting)
         assert np.allclose(mine, oracle, atol=1e-10)
+
+
+def test_task_prototype_empty_set(testkit_graph):
+    with pytest.raises(ValueError, match="empty node set"):
+        task_prototype(testkit_graph, [], testkit_graph.features, 1)
+
+
+def _random_graph(rng, n: int):
+    # About one edge per node, so some nodes are isolated.
+    edges = rng.integers(0, n, size=(n, 2))
+    edges = np.unique(np.sort(edges[edges[:, 0] != edges[:, 1]], axis=1), axis=0)
+    feats = rng.standard_normal((n, 3)).astype(np.float32)
+    return make_graph(feats, [str(i) for i in range(n)], np.zeros(n, np.int64), ["c"],
+                      edges.reshape(-1, 2))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(source=st.sampled_from(["random", "session", EVAL_EDGES_INTRA, EVAL_EDGES_FULL]),
+       seed=st.integers(0, 2**16), k=st.integers(0, 8),
+       weighting=st.sampled_from(["laplacian", "plain-mean"]), data=st.data())
+def test_task_prototype_matches_dense_oracle_on_drawn_graphs(source, seed, k, weighting, data):
+    # A prototype from one propagated column equals the mean of the node
+    # set's rows of D^{-1/2} S^k X, on graphs with isolated nodes, session
+    # subgraphs and the global union graphs of both eval-edge policies.
+    rng = np.random.default_rng(seed)
+    if source == "random":
+        g = _random_graph(rng, int(rng.integers(1, 30)))
+    else:
+        base = synth_tag(SynthConfig(num_classes=6, nodes_per_class=8, feature_dim=6,
+                                     intra_p=0.15, inter_p=0.05, seed=seed))
+        eval_edges = EVAL_EDGES_INTRA if source == "session" else source
+        plan = plan_ncil(base, 2, 3, 3, seed=seed, eval_edges=eval_edges)
+        i = data.draw(st.integers(1, 3))
+        g = (plan.sessions[i - 1].subgraph if source == "session"
+             else build_eval_task(plan, i, "global").graph)
+    nodes = data.draw(st.lists(st.integers(0, g.node_count - 1), min_size=1, unique=True))
+    X = np.asarray(g.features, np.float64)
+    mine = task_prototype(g, nodes, X, k, weighting)
+    assert np.allclose(mine, task_prototype_dense(g, nodes, X, k, weighting), rtol=0, atol=1e-10)
 
 
 # ------------------------------------------------------------- predict_task_id

@@ -14,7 +14,7 @@ from gclbench.nn import (
     init_params,
     model_forward,
 )
-from gclbench.prototypes import PrototypeBank, TaskPrototypeSet, routing_features
+from gclbench.prototypes import PrototypeBank, TaskPrototypeSet, task_prototype
 from gclbench.sessions import build_eval_task, plan_ncil
 from gclbench.synth import SynthConfig, synth_tag
 from gclbench.trainers import (
@@ -935,9 +935,10 @@ def test_adversarial_identical_distributions_task_id_half():
         queries = []
         for s in plan.sessions:
             X = np.asarray(s.subgraph.features, np.float64)
-            feats = routing_features(s.subgraph, X, 2, "plain-mean")
-            protos.add(feats[s.local_ids(s.train_nodes)].mean(axis=0))
-            queries.append(feats[s.local_ids(s.test_nodes)].mean(axis=0))
+            protos.add(task_prototype(s.subgraph, s.local_ids(s.train_nodes), X, 2,
+                                      "plain-mean"))
+            queries.append(task_prototype(s.subgraph, s.local_ids(s.test_nodes), X, 2,
+                                          "plain-mean"))
         hits.extend(predict_task_id(q, protos) == j for j, q in enumerate(queries))
     rate = float(np.mean(hits))
     assert 0.25 <= rate <= 0.75
@@ -1154,11 +1155,17 @@ def test_prototype_runner_never_reuses_another_tasks_embedding(testkit_graph, te
 
 
 def test_local_routed_run_smooths_each_session_once(testkit_plan, monkeypatch):
-    # Local task j's query reads the routing features of session j's fit, and
-    # later rows reuse the query; it used to be derived again for every row.
-    passes = _count_calls(monkeypatch, "routing_features")
+    # One task prototype per fit (the session's train nodes) and one per task
+    # (its eval nodes); later rows reuse a task's query, which used to be
+    # derived again for every row.
+    passes = _count_calls(monkeypatch, "task_prototype")
     run_method("tpp_heads", testkit_plan, dict(CFG, epochs=5), mode="local", seed=0)
-    assert len(passes) == testkit_plan.num_sessions
+    n = testkit_plan.num_sessions
+    assert len(passes) == 2 * n
+    for j, (fit, query) in enumerate(zip(passes[0::2], passes[1::2])):  # fit j, then task j
+        s = testkit_plan.sessions[j]
+        assert fit[0] is s.subgraph and np.array_equal(fit[1], s.local_ids(s.train_nodes))
+        assert query[0] is s.subgraph and np.array_equal(query[1], s.local_ids(s.test_nodes))
 
 
 def test_leakage_probe_trains_each_head_once_and_scores_each_task_once(testkit_plan,
@@ -1167,7 +1174,7 @@ def test_leakage_probe_trains_each_head_once_and_scores_each_task_once(testkit_p
     from gclbench.evaluation import leakage_diagnostic
 
     trained = _count_calls(monkeypatch, "train_session")
-    passes = _count_calls(monkeypatch, "routing_features")
+    passes = _count_calls(monkeypatch, "task_prototype")
     forwards = []
     forward = trainers.model_forward
 
@@ -1182,7 +1189,7 @@ def test_leakage_probe_trains_each_head_once_and_scores_each_task_once(testkit_p
     assert [(e["weighting"], e["k"]) for e in report.entries] == [
         ("laplacian", 1), ("laplacian", 2), ("plain-mean", 1), ("plain-mean", 2)]
     assert len(trained) == n
-    assert len(passes) == 2 * 2 * n
+    assert len(passes) == 2 * 2 * 2 * n  # per runner: one per fit, one per task
     assert 0 < len(forwards) == len(set(forwards)) <= n * n
 
 
