@@ -163,7 +163,7 @@ def load_config(path) -> dict:
     """The validated config at `path`, read as strict JSON: no NaN or Infinity literal."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_reject_constant)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return validate_config(doc)
 

@@ -53,7 +53,7 @@ class FileSource:
     def __post_init__(self):
         try:
             index = json.loads(Path(self.index_path).read_text(encoding="utf-8"))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
             raise EmbeddingProviderError(f"embedding index {self.index_path}: {exc}") from exc
         if (not isinstance(index, list)
                 or not all(type(n) is int for n in index) or len(set(index)) != len(index)):

@@ -137,8 +137,8 @@ def leakage_diagnostic(
     """Probe how easily local testing reveals session identity.
 
     Each entry is the seed-0 local run of tpp_heads (laplacian weighting) or
-    meanpool_tpp (plain-mean) at k_smooth=k, all in one walk on one shared
-    list of session heads: that run's AA / AF, and its task-ID accuracy, the
+    meanpool_tpp (plain-mean) at k_smooth=k, all in one walk, which trains
+    each session head once: that run's AA / AF, and its task-ID accuracy, the
     share of local tasks j routed to session j after the last session. An
     empty or repeating k_grid, a config value, or a k that breaks its rule
     is a ConfigError before any training.
@@ -149,8 +149,7 @@ def leakage_diagnostic(
     if not k_grid or any(k in k_grid[:i] for i, k in enumerate(k_grid)):
         raise ConfigError(f"k_grid takes one or more distinct integers >= 0, got {k_grid!r}")
     config = resolve_point(config)  # each k replaces its k_smooth, which is checked here
-    heads: list = []
-    runners = [_RoutedHeads(plan, {**config, "k_smooth": k}, 0, weighting, heads)
+    runners = [_RoutedHeads(plan, {**config, "k_smooth": k}, 0, weighting)
                for weighting in ("laplacian", "plain-mean") for k in k_grid]
     matrices, _, tasks = walk(runners, LOCAL)
     report = LeakageReport()

@@ -168,7 +168,8 @@ def load_tag(directory) -> TextAttributedGraph:
                 node_id, text, label = rec["id"], rec["text"], rec["label"]
                 if not (type(node_id) is int and type(text) is str and type(label) is int):
                     raise TypeError("id and label must be integers, text a string")
-            except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError, KeyError,
+                    TypeError) as exc:
                 raise TagFormatError(f"nodes.jsonl: malformed record {i}: {exc}") from exc
             if node_id != len(texts):
                 raise TagFormatError(f"nodes.jsonl: non-contiguous id at record {i}")
@@ -193,7 +194,7 @@ def load_tag(directory) -> TextAttributedGraph:
 
     try:
         class_names = json.loads((d / "class_names.json").read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise TagFormatError(f"class_names.json: not a JSON file ({exc})") from exc
     if not isinstance(class_names, list) or not all(isinstance(c, str) for c in class_names):
         raise TagFormatError("class_names.json: expected an array of strings")

@@ -309,6 +309,11 @@ class TaskHead:
         return self.class_ids[np.argmax(logits, axis=1)]
 
 
+# The config keys each shared fit reads (see _Runner._fit_once).
+_HEAD_FIT = ("hidden_dim", "dropout", "epochs", "lr")
+_GCN_FIT = _HEAD_FIT + ("conv_bias",)
+
+
 def _fit_head(plan: SessionPlan, session_idx: int, config: dict, seed: int) -> TaskHead:
     s = plan.sessions[session_idx]
     feats = s.subgraph.features
@@ -320,6 +325,19 @@ def _fit_head(plan: SessionPlan, session_idx: int, config: dict, seed: int) -> T
     p = train_session(p, None, feats, labels, rows, epochs=config["epochs"],
                       lr=config["lr"], seed=_mix(seed, 11, session_idx))
     return TaskHead(params=p, class_ids=class_ids)
+
+
+def _fit_gcn(plan: SessionPlan, session_idx: int, config: dict, seed: int) -> ModelParams:
+    """A fresh GCN trained on one session, as plain fine-tuning trains session 1."""
+    s = plan.sessions[session_idx]
+    X = s.subgraph.features
+    rows, labels = _train_columns(s, s.class_ids)
+    p = init_params(ARCH_GCN, in_dim=X.shape[1], hidden_dim=config["hidden_dim"],
+                    num_classes=len(s.class_ids), seed=_mix(seed, 1),
+                    dropout_rate=config["dropout"], conv_bias=config["conv_bias"])
+    return train_session(p, gcn_normalized_adjacency(s.subgraph), X, labels, rows,
+                         epochs=config["epochs"], lr=config["lr"],
+                         seed=_mix(seed, 3, session_idx + 1))
 
 
 def _train_columns(s: Session, head_classes) -> tuple[np.ndarray, np.ndarray]:
@@ -347,6 +365,17 @@ class _Runner:
         self.config = resolve_point(config)
         self.seed = seed
         self._memo: dict = {}  # per-task work, through _once
+        self.fits: dict = {}  # walk() gives all its runners one dict
+
+    def _fit_once(self, fit, session_idx: int, keys: tuple):
+        """fit(plan, session_idx, hp, seed), computed once per (fit, session_idx, seed, hp)
+        among the runners that share self.fits; hp holds only the config's `keys`, so the
+        key covers every value the fit reads. The result is shared: never update it in place."""
+        hp = {k: self.config[k] for k in keys}
+        key = (fit, session_idx, self.seed, *hp.items())
+        if key not in self.fits:
+            self.fits[key] = fit(self.plan, session_idx, hp, self.seed)
+        return self.fits[key]
 
 
 class _GcnFamily(_Runner):
@@ -364,44 +393,29 @@ class _GcnFamily(_Runner):
 
     def fit_session(self, i: int) -> None:
         s = self.plan.sessions[i - 1]
-        sub = s.subgraph
-        S = gcn_normalized_adjacency(sub)
-        X = sub.features
+        S, X = gcn_normalized_adjacency(s.subgraph), s.subgraph.features
         new_classes = [c for c in s.class_ids if c not in self.head_classes]
-
-        frozen_before = self.params  # grow_output and train_session return new params
         self.head_classes.extend(new_classes)
-        if self.params is None:
-            self.params = init_params(
-                ARCH_GCN,
-                in_dim=X.shape[1],
-                hidden_dim=self.config["hidden_dim"],
-                num_classes=len(self.head_classes),
-                seed=_mix(self.seed, 1),
-                dropout_rate=self.config["dropout"],
-                conv_bias=self.config["conv_bias"],
-            )
+        rows, labels = _train_columns(s, self.head_classes)
+        if self.params is None:  # session 1: no EWC anchor and no LwF source, so shared
+            self.params = self._fit_once(_fit_gcn, 0, _GCN_FIT)
         else:
+            frozen_before = self.params  # grow_output and train_session return new params
             self.params = grow_output(self.params, len(new_classes), seed=_mix(self.seed, 2, i))
             if self.anchor is not None:
                 self.anchor = replace(self.anchor,
                                       params_star=_pad_all(self.anchor.params_star, self.params),
                                       fisher=_pad_all(self.anchor.fisher, self.params))
-
-        rows, labels = _train_columns(s, self.head_classes)
-
-        source = None
-        if frozen_before is not None and self.lwf_weight > 0:
-            source = DistillSource(frozen_before, self.lwf_T, self.lwf_weight)
-
-        self.params = train_session(
-            self.params, S, X, labels, rows,
-            epochs=self.config["epochs"],
-            lr=self.config["lr"],
-            anchor=self.anchor,  # set only when strength > 0
-            distill=source,
-            seed=_mix(self.seed, 3, i),
-        )
+            source = (DistillSource(frozen_before, self.lwf_T, self.lwf_weight)
+                      if self.lwf_weight > 0 else None)
+            self.params = train_session(
+                self.params, S, X, labels, rows,
+                epochs=self.config["epochs"],
+                lr=self.config["lr"],
+                anchor=self.anchor,  # set only when strength > 0
+                distill=source,
+                seed=_mix(self.seed, 3, i),
+            )
 
         if self.strength > 0:
             fisher = fisher_diagonal(self.params, S, X, rows, labels)
@@ -482,11 +496,8 @@ class _FrozenGnnPrototypes(_Prototypes):
         return model_embed(self.params, gcn_normalized_adjacency(graph), graph.features)[rows]
 
     def fit_session(self, i: int) -> None:
-        if i == 1:
-            # The session-1 GCN is the one plain fine-tuning trains first.
-            gcn = _GcnFamily(self.plan, self.config, self.seed)
-            gcn.fit_session(1)
-            self.params = gcn.params
+        if i == 1:  # the session-1 GCN that plain fine-tuning trains first
+            self.params = self._fit_once(_fit_gcn, 0, _GCN_FIT)
         super().fit_session(i)
         if self.use_teen and i > 1:
             teen_calibrate(
@@ -532,26 +543,22 @@ class _RoutedHeads(_Runner):
     A query node set goes to the session whose stored train prototype is
     nearest its own; that session's head then predicts among its own classes
     only (the class-incremental -> task-incremental collapse this measures).
-    Runners given one `heads` list share it (the first to fit session i trains
-    head i), so they must agree on all but k_smooth. A session's prototype is
-    the task_prototype of its train nodes, a task's query that of its eval
-    nodes, computed once per task.
+    A session's prototype is the task_prototype of its train nodes, a task's
+    query that of its eval nodes, computed once per task.
     """
 
     lenient = True  # misrouted predictions fall outside local class sets
 
-    def __init__(self, plan: SessionPlan, config: dict, seed: int, weighting: str,
-                 heads: list[TaskHead] | None = None):
+    def __init__(self, plan: SessionPlan, config: dict, seed: int, weighting: str):
         super().__init__(plan, config, seed)
         self.k = self.config["k_smooth"]
         self.weighting = weighting
-        self.heads = [] if heads is None else heads
+        self.heads: list[TaskHead] = []
         self.protos = TaskPrototypeSet()
 
     def fit_session(self, i: int) -> None:
         s = self.plan.sessions[i - 1]
-        if len(self.heads) < i:
-            self.heads.append(_fit_head(self.plan, i - 1, self.config, self.seed))
+        self.heads.append(self._fit_once(_fit_head, i - 1, _HEAD_FIT))
         self.protos.add(task_prototype(s.subgraph, s.local_ids(s.train_nodes),
                                        s.subgraph.features, self.k, self.weighting))
 
@@ -668,6 +675,9 @@ def walk(runners: list[_Runner], mode: str):
     its fit and its scoring), and the tasks of the last row.
     """
     plan = runners[0].plan
+    fits: dict = {}  # the fits its runners share, through _Runner._fit_once
+    for runner in runners:
+        runner.fits = fits
     matrices = [AccuracyMatrix(mode=mode) for _ in runners]
     seconds: list[list[float]] = [[] for _ in runners]
     tasks: list[EvalTask] = []

@@ -633,6 +633,36 @@ def test_report_of_a_too_deeply_nested_results_file_fails_in_one_line(runner, tm
     assert line.startswith(f"error: {bad}: not a JSON file (maximum recursion depth exceeded")
 
 
+@pytest.mark.parametrize("target", ["config", "class_names.json", "nodes.jsonl", "provider-index"])
+def test_a_too_deeply_nested_json_input_fails_in_one_line(runner, tmp_path, dataset_dir, target):
+    # Each used to end in the JSON decoder's RecursionError traceback.
+    deep = "[" * 100_000 + "]" * 100_000
+    index = tmp_path / "emb.json"
+    index.write_text(deep if target == "provider-index" else "[0]")
+    doc = {"version": 1, "dataset": str(dataset_dir), "methods": ["simplecil"], "seeds": [0],
+           "plan": {"classes_per_session": 2, "num_sessions": 2, "shots": 10, "test_cap": 50},
+           "hyperparameters": {"provider": {"kind": "file", "matrix": str(tmp_path / "emb.bin"),
+                                            "index": str(index)}}}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(deep if target == "config" else json.dumps(doc))
+    nodes = dataset_dir / "nodes.jsonl"
+    records = len(nodes.read_text().splitlines())
+    if target == "nodes.jsonl":
+        nodes.write_text(nodes.read_text() + deep + "\n")
+    if target == "class_names.json":
+        (dataset_dir / target).write_text(deep)
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    (line,) = result.output.splitlines()
+    assert line.startswith({
+        "config": f"error: cannot read config {cfg}: ",
+        "class_names.json": "error: class_names.json: not a JSON file (",
+        "nodes.jsonl": f"error: nodes.jsonl: malformed record {records}: ",
+        "provider-index": f"error: embedding index {index}: ",
+    }[target] + "maximum recursion depth exceeded")
+
+
 def test_unknown_subcommand(runner):
     result = runner.invoke(main, ["frobnicate"])
     assert result.exit_code != 0

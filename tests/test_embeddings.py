@@ -65,7 +65,8 @@ def test_file_source_missing_id(file_source):
     [10, 11, 12.0, 13],
     [10, 11, True, 13],
     "not json",
-], ids=["repeated", "dict", "string-id", "float-id", "bool-id", "not-json"])
+    "[" * 100_000 + "]" * 100_000,  # used to end in a RecursionError traceback
+], ids=["repeated", "dict", "string-id", "float-id", "bool-id", "not-json", "nested-too-deep"])
 def test_file_source_index_must_be_distinct_integers(tmp_path, index):
     _write_matrix(tmp_path / "emb.bin", np.zeros((4, 3)))
     path = tmp_path / "emb.index.json"

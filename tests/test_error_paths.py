@@ -19,6 +19,9 @@ from gclbench.prototypes import PrototypeBank, build_prototypes, classify_batch,
 from gclbench.sessions import build_eval_task, filter_classes
 
 
+_DEEP = "[" * 100_000 + "]" * 100_000  # nested too deep for the JSON decoder
+
+
 @pytest.fixture()
 def saved_dir(tmp_path):
     g = make_graph(np.zeros((3, 2), np.float32), ["a", "b", "c"],
@@ -71,11 +74,14 @@ def test_class_names_must_be_strings(saved_dir):
     ("nodes.jsonl", '{"id": 0.4, "text": "a", "label": 0}', "malformed record 0: id and label"),
     ("nodes.jsonl", '[0, "a", 0]', "malformed record 0"),
     ("class_names.json", '["a", "a", "b", "c"]', "repeated class name 'a' at record 1"),
+    ("nodes.jsonl", _DEEP, "malformed record 0: maximum recursion depth exceeded"),
+    ("class_names.json", _DEEP, r"not a JSON file \(maximum recursion depth exceeded"),
 ], ids=["text-null", "text-int", "label-bool", "label-str", "label-float", "id-float",
-        "record-list", "class-repeated"])
+        "record-list", "class-repeated", "record-nested-too-deep", "class-nested-too-deep"])
 def test_loader_takes_each_field_as_its_json_type(saved_dir, file, content, message):
     # Each used to load: null text as "None", 5 as "5", labels true/"1"/1.7
     # and id 0.4 through int(), and a class list that names one class twice.
+    # A value nested too deep for the decoder ended in a RecursionError traceback.
     (saved_dir / file).write_text(content + "\n")
     with pytest.raises(TagFormatError, match=f"^{file}: {message}"):
         load_tag(saved_dir)

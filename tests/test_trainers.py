@@ -27,11 +27,13 @@ from gclbench.trainers import (
     fisher_diagonal,
     run_method,
     run_methods,
+    _RUNNERS,
     _GcnFamily,
     _RoutedHeads,
     _fit_head,
     _mix,
     train_session,
+    walk,
 )
 
 from oracles import (
@@ -1103,6 +1105,68 @@ def test_one_walk_builds_each_eval_task_once(testkit_plan, monkeypatch, mode):
                           mode=mode)
     assert [i for _, i, _ in built] == list(range(1, testkit_plan.num_sessions + 1))
     assert [r.method for r in results] == ["gcn", "cosine", "tpp_heads"]
+
+
+@pytest.mark.parametrize("mode", ["local", "global"])
+def test_one_walk_trains_each_shared_fit_once(testkit_plan, monkeypatch, mode):
+    # gcn, ewc, lwf, cosine and teen train the same session-1 GCN, and both
+    # routed methods the same session heads; each runner used to train its
+    # own (11 GCN and 6 head train_session calls on this 3-session plan).
+    trained = _count_calls(monkeypatch, "train_session")
+    run_methods(["gcn", "ewc", "lwf", "cosine", "teen", "tpp_heads", "meanpool_tpp"],
+                testkit_plan, dict(CFG, epochs=2), mode=mode)
+    n = testkit_plan.num_sessions
+    archs = [args[0].arch for args in trained]
+    assert (archs.count(ARCH_GCN), archs.count(ARCH_MLP)) == (1 + 3 * (n - 1), n)
+    assert len(archs) == 1 + 3 * (n - 1) + n
+
+
+@pytest.mark.parametrize("method, change, seed, shared", [
+    ("gcn", {"lr": 3e-2}, 4, False),
+    ("gcn", {"hidden_dim": 16}, 4, False),
+    ("gcn", {"dropout": 0.1}, 4, False),
+    ("gcn", {"conv_bias": True}, 4, False),
+    ("gcn", {"epochs": 4}, 4, False),
+    ("gcn", {}, 5, False),
+    ("ewc", {"strength": 10.0}, 4, True),
+    ("tpp_heads", {"lr": 3e-2}, 4, False),
+    ("tpp_heads", {"hidden_dim": 16}, 4, False),
+    ("tpp_heads", {"dropout": 0.1}, 4, False),
+    ("tpp_heads", {"epochs": 4}, 4, False),
+    ("tpp_heads", {}, 5, False),
+    ("tpp_heads", {"k_smooth": 0, "conv_bias": True}, 4, True),
+], ids=["gcn-lr", "gcn-hidden", "gcn-dropout", "gcn-conv-bias", "gcn-epochs", "gcn-seed",
+        "ewc-strength", "heads-lr", "heads-hidden", "heads-dropout", "heads-epochs", "heads-seed",
+        "heads-k-and-conv-bias"])
+def test_two_runners_of_one_method_share_a_fit_only_when_its_key_matches(
+        testkit_plan, monkeypatch, method, change, seed, shared):
+    # A fit is keyed by the session, the seed and every hyperparameter it reads;
+    # a value it does not read (strength, k_smooth, a head's conv_bias) does not split it.
+    configs = [dict(CFG, epochs=3), {**CFG, "epochs": 3, **change}]
+    seeds = (4, seed)
+    runners = [_RUNNERS[method](testkit_plan, c, s, "synth") for c, s in zip(configs, seeds)]
+    trained = _count_calls(monkeypatch, "train_session")
+    matrices, _, _ = walk(runners, "local")
+    n = testkit_plan.num_sessions
+    assert len(trained) == 2 * n - (1 if method != "tpp_heads" else n) * shared
+    for c, s, matrix in zip(configs, seeds, matrices):
+        assert matrix.rows == run_method(method, testkit_plan, c, mode="local", seed=s).matrix.rows
+
+
+def test_a_shared_session1_gcn_is_never_updated_in_place(testkit_plan):
+    # gcn, ewc and lwf grow and retrain the GCN they share with cosine in every
+    # later session; cosine's frozen copy must stay the session-1 fit.
+    cfg = dict(CFG, epochs=5)
+    runners = [_RUNNERS[m](testkit_plan, cfg, 3, "synth") for m in ("gcn", "ewc", "lwf", "cosine")]
+    walk(runners, "local")
+    cosine = runners[-1]
+    (shared,) = cosine.fits.values()  # the session-1 GCN, the walk's one shared fit
+    assert shared is cosine.params and all(r.fits is cosine.fits for r in runners)
+    fresh = _GcnFamily(testkit_plan, cfg, 3)
+    fresh.fit_session(1)
+    assert cosine.params.weights.keys() == fresh.params.weights.keys()
+    for k, w in fresh.params.weights.items():
+        assert np.array_equal(cosine.params.weights[k], w), k
 
 
 @pytest.mark.parametrize("methods, error, message", [
