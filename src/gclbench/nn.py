@@ -19,6 +19,12 @@ for bit. Each dropout mask is drawn for its layer's rows only, in layer
 order, so the random stream depends on `rows`: a pass over every node with
 the same masks on those rows gives the same results.
 
+An epoch costs more in numpy calls than in arithmetic, so the same operations
+run with few calls and temporaries: biases and dropout masks apply in place on
+arrays a pass has just made, adam_step updates the weights in place as views
+of one flat vector for a whole training session, and train_session gathers a
+non-propagating model's input rows once per session.
+
 spmm is the one propagation call: every sparse x dense product in gclbench.
 Dense matrices are float64 numpy arrays throughout; gradients are derived by
 hand and cross-checked against central finite differences. No autodiff.
@@ -69,12 +75,14 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    """First and second moments, each one flat vector over the weights in dict order."""
+    """First and second moments, each one flat vector over the weights in dict
+    order, and `w`, the flat vector whose views the weights are after a step."""
 
     m: np.ndarray
     v: np.ndarray
     lr: float
     step: int = 0
+    w: np.ndarray | None = None
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -134,7 +142,8 @@ def spmm(S: sp.spmatrix, X: np.ndarray) -> np.ndarray:
 def _dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
     # Inverted dropout: kept units scaled by 1/(1-rate) so eval needs no rescale.
     # One uniform per unit of the layer as it runs: its rows only.
-    return (rng.random(shape) >= rate).astype(np.float64) / (1.0 - rate)
+    # Multiplying by the reciprocal gives the quotient bit for bit: each unit is 0 or 1.
+    return np.multiply(rng.random(shape) >= rate, 1.0 / (1.0 - rate))
 
 
 @dataclass(frozen=True)
@@ -225,19 +234,22 @@ def model_forward(
     n = A.shape[0]
     cache: dict = {"X": A, "rows": lr, "training": training}
 
+    # Each array below is new, so biases and dropout apply in place.
     for i in range(1, hidden + 1):
         P = A @ w[f"W{i}"]
         if propagate:
             P = spmm(lr.ops[i - 1][0], P)
         if f"b{i}" in w:
-            P = P + w[f"b{i}"]
-        H = np.maximum(P, 0.0)
-        M = _dropout_mask(rng, H.shape, p.dropout_rate) if training else None
-        D = H * M if training else H
+            P += w[f"b{i}"]
+        D = np.maximum(P, 0.0)
+        M = _dropout_mask(rng, D.shape, p.dropout_rate) if training else None
+        if training:
+            D *= M
         cache.update({f"P{i}": P, f"D{i}": D, f"M{i}": M})
         if i < hidden:
             A = cache[f"A{i + 1}"] = _full(D, lr.hidden[i - 1], n)
-    logits = D @ w[f"W{hidden + 1}"] + w[f"b{hidden + 1}"]
+    logits = D @ w[f"W{hidden + 1}"]
+    logits += w[f"b{hidden + 1}"]
 
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite logits in forward pass")
@@ -273,8 +285,10 @@ def model_backward(cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
     grads[f"W{out}"] = cache[f"D{hidden}"].T @ dlogits
     dD = dlogits @ w[f"W{out}"].T
     for i in range(hidden, 0, -1):
-        dH = dD * cache[f"M{i}"] if cache["training"] else dD
-        dP = dH * (cache[f"P{i}"] > 0)
+        dP = dD  # new at each layer, so the masks apply in place
+        if cache["training"]:
+            dP *= cache[f"M{i}"]
+        np.multiply(dP, cache[f"P{i}"] > 0, out=dP)
         if f"b{i}" in w:
             grads[f"b{i}"] = _full(dP, lr.hidden[i - 1], n).sum(axis=0)
         dT = spmm(lr.ops[i - 1][1], dP) if propagate else dP
@@ -299,19 +313,20 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     n, c = logits.shape
     if labels.shape != (n,):
         raise ValueError("labels must hold one class id per row")
+    if n == 0:
+        raise ValueError("no rows: cross-entropy needs at least one logit row")
     if labels.min() < 0 or labels.max() >= c:
         raise ValueError("label outside logit range")
+    at = (np.arange(n), labels)
     shifted = logits - logits.max(axis=1, keepdims=True)
     expz = np.exp(shifted)
     denom = expz.sum(axis=1, keepdims=True)
-    probs = expz / denom
-    logp = shifted - np.log(denom)
-    loss = float(-logp[np.arange(n), labels].mean())
-
-    dlogits = probs.copy()
-    dlogits[np.arange(n), labels] -= 1.0
-    dlogits /= n
-    return loss, dlogits
+    # log-probabilities at the labels only; expz becomes the softmax, then dlogits
+    loss = float(-(shifted[at] - np.log(denom[:, 0])).mean())
+    expz /= denom
+    expz[at] -= 1.0
+    expz /= n
+    return loss, expz
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite moments and weights raise below
@@ -324,9 +339,12 @@ def adam_step(
     zero; a first moment that overflows makes the weights non-finite.
 
     Each elementwise operation makes one pass over the flat vector of all the
-    weights, so the result is the per-weight update bit for bit; the weights
-    come back as views of the new flat vector. A non-finite value is reported
-    for the first key in `grads` order that holds one, checking its gradient,
+    weights, so the result is the per-weight update bit for bit. The first
+    step makes the weights views of one flat vector, st.w; while they stay
+    its views, later steps update them in place, so the steps of a training
+    session concatenate only the gradients. A step that raises leaves the
+    weights and the state as they were. A non-finite value is reported for
+    the first key in `grads` order that holds one, checking its gradient,
     then its second moment, then its weights.
     """
     if set(grads) != set(p.weights):
@@ -334,25 +352,42 @@ def adam_step(
     for k, g in grads.items():
         if g.shape != p.weights[k].shape:
             raise ValueError(f"shape mismatch for {k}")
-    ends = itertools.accumulate(w.size for w in p.weights.values())
-    spans = {k: slice(end - w.size, end) for (k, w), end in zip(p.weights.items(), ends)}
-    g = np.concatenate([grads[k].ravel() for k in spans])
+    g = np.concatenate([grads[k].ravel() for k in p.weights])
     t = st.step + 1
-    m = ADAM_BETA1 * st.m + (1 - ADAM_BETA1) * g
-    v = ADAM_BETA2 * st.v + (1 - ADAM_BETA2) * g * g
-    mhat = m / (1 - ADAM_BETA1**t)
-    vhat = v / (1 - ADAM_BETA2**t)
-    w = np.concatenate([p.weights[k].ravel() for k in spans])
-    w = w - st.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    m = np.multiply(st.m, ADAM_BETA1)
+    step = np.multiply(g, 1 - ADAM_BETA1)
+    m += step
+    v = np.multiply(st.v, ADAM_BETA2)
+    np.multiply(g, 1 - ADAM_BETA2, out=step)
+    step *= g
+    v += step
+    # step = lr * mhat / (sqrt(vhat) + eps), reusing g for the denominator
+    np.divide(v, 1 - ADAM_BETA2**t, out=g)
+    np.sqrt(g, out=g)
+    g += ADAM_EPS
+    np.divide(m, 1 - ADAM_BETA1**t, out=step)
+    step *= st.lr
+    step /= g
+    fresh = st.w is None or any(x.base is not st.w for x in p.weights.values())
+    flat = np.concatenate([x.ravel() for x in p.weights.values()]) if fresh else st.w
+    w = np.subtract(flat, step, out=step)
     # A non-finite gradient makes its second moment non-finite, so two checks cover all three.
-    if not (np.isfinite(v).all() and np.isfinite(w).all()):
+    finite = np.isfinite(v).all() and np.isfinite(w).all()
+    if fresh or not finite:
+        ends = itertools.accumulate(x.size for x in p.weights.values())
+        spans = {k: slice(end - x.size, end) for (k, x), end in zip(p.weights.items(), ends)}
+    if not finite:
         for k in grads:
-            for x, msg in ((g, "non-finite gradient for {}"),
-                           (v, "non-finite second moment for {}"),
-                           (w, "non-finite weights for {} after the update")):
-                if not np.isfinite(x[spans[k]]).all():
+            for x, msg in ((grads[k], "non-finite gradient for {}"),
+                           (v[spans[k]], "non-finite second moment for {}"),
+                           (w[spans[k]], "non-finite weights for {} after the update")):
+                if not np.isfinite(x).all():
                     raise FloatingPointError(msg.format(k))
-    p.weights.update({k: w[at].reshape(p.weights[k].shape) for k, at in spans.items()})
+    if fresh:
+        p.weights.update({k: w[at].reshape(p.weights[k].shape) for k, at in spans.items()})
+        st.w = w
+    else:
+        flat[...] = w
     st.m, st.v, st.step = m, v, t
     return p, st
 

@@ -121,7 +121,9 @@ class StubEmbeddingServer:
                 self.wfile.write(payload)
 
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        # shutdown() waits for serve_forever's next poll: 0.05 s, not the default 0.5 s.
+        self._thread = threading.Thread(target=self._httpd.serve_forever, args=(0.05,),
+                                        daemon=True)
         self._thread.start()
         return self
 

@@ -247,20 +247,25 @@ def train_session(
 
     Each forward pass computes the train rows' logits only (model_forward's
     `rows`, with the layers' rows and operators built once here): an mlp2
-    model never reads another row of X, and a GCN's layers run only on the
-    train rows' receptive field, with weights bit-identical to a pass over
-    every node that uses the same dropout masks on the field's rows. Each
-    mask is drawn for its layer's rows only, so the train rows steer the
-    random stream.
+    model reads only X's train rows, gathered once here, and a GCN's layers
+    run only on the train rows' receptive field, with weights bit-identical
+    to a pass over every node that uses the same dropout masks on the
+    field's rows. Each mask is drawn for its layer's rows only, so the train
+    rows steer the random stream. The weights are views of one flat vector
+    for the whole session (see nn.adam_step).
     """
     if not lr > 0:
         raise ValueError(f"learning rate must be positive, got {lr!r}")
     if epochs < 0:
         raise ValueError(f"epochs must be non-negative, got {epochs!r}")
+    if np.size(train_rows) == 0:
+        raise ValueError("empty session: no train rows")
     p = p.copy()
     labels = np.asarray(labels, dtype=np.int64)
     X = np.asarray(X, dtype=np.float64)
     rows = layer_rows(p.arch, S, train_rows)
+    if rows.inputs is not None:
+        X, rows = X[rows.inputs], replace(rows, inputs=None)
     if distill is not None:
         old_logits, _ = model_forward(distill.frozen, S, X, dropout_seed=None, rows=rows)
     st = init_adam(p, lr)

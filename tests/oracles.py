@@ -371,8 +371,15 @@ def dropout_masks(p, S, n, rows, dropout_seed) -> list[np.ndarray]:
     for at in layer_fields(p.arch, S, rows):
         u = elsewhere.random((n, h))
         u[at] = rng.random((at.size, h))
-        masks.append((u >= p.dropout_rate).astype(np.float64) / (1.0 - p.dropout_rate))
+        masks.append(inverted_dropout(u, p.dropout_rate))
     return masks
+
+
+def inverted_dropout(u, rate) -> np.ndarray:
+    """The inverted-dropout mask for uniforms u in three passes: compare, cast
+    to float, divide by the keep probability. The reference for nn's one-pass
+    mask."""
+    return (u >= rate).astype(np.float64) / (1.0 - rate)
 
 
 def full_batch_epoch(p, S, X, rows, dl_rows, dropout_seed=None):

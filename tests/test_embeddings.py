@@ -165,6 +165,16 @@ def test_stub_answers_float_lists_unless_asked_for_base64():
             assert reply["data"] == [{"index": 0, "embedding": want}]
 
 
+def test_stub_enter_and_exit_take_well_under_a_poll_interval_of_half_a_second():
+    # Exit waits for serve_forever's next poll; at the 0.5-s default, ten
+    # cycles took 5 s.
+    start = time.perf_counter()
+    for _ in range(10):
+        with StubEmbeddingServer(dim=4) as srv:
+            assert srv.request_count == 0
+    assert time.perf_counter() - start < 2.5
+
+
 def test_http_multi_batch_concurrent_order():
     with StubEmbeddingServer(dim=4) as srv:
         src = HttpSource(srv.endpoint, "stub", batch_size=2, max_in_flight=3)

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -58,6 +61,63 @@ def test_load_tag_citation_scale_round_trip(tmp_path):
     assert loaded.edge_count == g.edge_count
     assert np.array_equal(loaded.features, g.features)
     assert loaded.texts == g.texts
+
+
+def _suite_synth_configs() -> dict[str, dict]:
+    """The keyword arguments of every SynthConfig(...) call in the test suite
+    whose arguments are arithmetic on constants and on the enclosing
+    function's default arguments, keyed by file:line, one entry per distinct
+    config. Calls whose arguments a loop or a generator draws are left out."""
+    arithmetic = (ast.Constant, ast.Name, ast.Load, ast.BinOp, ast.UnaryOp,
+                  ast.operator, ast.unaryop)
+    found: dict[tuple, str] = {}
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope in (tree, *(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))):
+            names = {}
+            if isinstance(scope, ast.FunctionDef):
+                args, defaults = scope.args.args, scope.args.defaults
+                names = {a.arg: d.value for a, d in zip(args[len(args) - len(defaults):], defaults)
+                         if isinstance(d, ast.Constant)}
+            for node in ast.walk(scope):
+                if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "SynthConfig"):
+                    continue
+                if node.args or any(
+                        k.arg is None or not all(isinstance(x, arithmetic) for x in ast.walk(k.value))
+                        or any(isinstance(x, ast.Name) and x.id not in names for x in ast.walk(k.value))
+                        for k in node.keywords):
+                    continue
+                kwargs = tuple((k.arg, eval(compile(ast.Expression(k.value), path.name, "eval"),
+                                            {"__builtins__": {}}, dict(names)))
+                               for k in node.keywords)
+                found.setdefault(kwargs, f"{path.name}:{node.lineno}")
+    return {at: dict(kwargs) for kwargs, at in found.items()}
+
+
+_SYNTH_CONFIGS = _suite_synth_configs()
+
+
+def test_the_suite_synth_configs_are_collected():
+    assert len(_SYNTH_CONFIGS) >= 20
+    assert any(c.get("nodes_per_class") == 300 and c.get("feature_dim") == 64
+               for c in _SYNTH_CONFIGS.values())  # the gnn_train graph of reference.py
+
+
+@pytest.mark.parametrize("kwargs", list(_SYNTH_CONFIGS.values()), ids=list(_SYNTH_CONFIGS))
+def test_every_suite_synth_graph_round_trips_through_save_and_load(kwargs, tmp_path):
+    # A config the suite uses to test a rejection is rejected; every other
+    # one loads back as the graph that was saved.
+    try:
+        g = synth_tag(SynthConfig(**kwargs))
+    except ValueError:
+        return
+    save_tag(g, tmp_path)
+    loaded = load_tag(tmp_path)
+    assert loaded.features.dtype == g.features.dtype
+    assert loaded.features.tobytes() == g.features.tobytes()
+    assert loaded.labels.dtype == g.labels.dtype and np.array_equal(loaded.labels, g.labels)
+    assert loaded.edges.dtype == g.edges.dtype and np.array_equal(loaded.edges, g.edges)
+    assert (loaded.texts, loaded.class_names) == (g.texts, g.class_names)
 
 
 def test_load_tag_empty_edges(tmp_path):

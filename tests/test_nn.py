@@ -8,6 +8,7 @@ from gclbench.graph import gcn_normalized_adjacency
 from gclbench.nn import (
     ARCH_GCN,
     ARCH_MLP,
+    _dropout_mask,
     adam_step,
     cross_entropy,
     grow_output,
@@ -27,6 +28,7 @@ from oracles import (
     dropout_masks,
     finite_diff_check,
     full_batch_epoch,
+    inverted_dropout,
     layer_fields,
     model_forward_dense,
 )
@@ -218,6 +220,21 @@ def test_rows_dropout_masks_have_their_layers_rows(arch, conv_bias, rows):
     assert (cache["M1"] == 0).any() and (cache["M1"] > 0).any()
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(shape=st.tuples(st.integers(0, 40), st.integers(1, 9)),
+       rate=st.floats(0.0, 1.0, exclude_max=True),
+       seed=st.integers(0, 2**32 - 1))
+def test_dropout_mask_is_the_three_pass_formula_bit_for_bit(shape, rate, seed):
+    # One pass, multiplying by the reciprocal of the keep probability, gives
+    # the compare-cast-divide mask and draws the same uniforms.
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _dropout_mask(rng, shape, rate)
+    want = inverted_dropout(oracle_rng.random(shape), rate)
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 @pytest.mark.parametrize("arch, conv_bias", _ROW_ARCHS)
 @pytest.mark.parametrize("rows", list(_ROW_SETS), ids=list(_ROW_SETS))
 @pytest.mark.parametrize("dropout_seed", [None, 21], ids=["eval", "train"])
@@ -329,6 +346,11 @@ def test_cross_entropy_nonnegative_and_gradient_rows():
     assert np.allclose(dl.sum(axis=1), 0, atol=1e-12)
 
 
+def test_cross_entropy_on_no_rows_names_the_cause():
+    with pytest.raises(ValueError, match="no rows"):
+        cross_entropy(np.zeros((0, 3)), np.zeros(0, np.int64))
+
+
 # ----------------------------------------------------------------------- adam
 
 
@@ -374,6 +396,26 @@ def test_adam_nonfinite_gradient_rejected():
     grads["W1"][0, 0] = np.nan
     with pytest.raises(FloatingPointError):
         adam_step(p, grads, st)
+
+
+def test_adam_failed_step_leaves_weights_and_state_untouched():
+    # The later steps update the weights in place, as views of one flat
+    # vector; a step that raises must write none of it.
+    p = init_params(ARCH_MLP, 3, 4, 2, seed=9)
+    st = init_adam(p, lr=1e-2)
+    rng = np.random.default_rng(3)
+    for _ in range(2):
+        p, st = adam_step(p, {k: rng.standard_normal(v.shape) for k, v in p.weights.items()}, st)
+    before = ({k: v.copy() for k, v in p.weights.items()}, st.m.copy(), st.v.copy(), st.w.copy())
+    grads = {k: np.ones(v.shape) for k, v in p.weights.items()}
+    grads["b2"][1] = np.nan
+    with pytest.raises(FloatingPointError, match="non-finite gradient for b2"):
+        adam_step(p, grads, st)
+    assert st.step == 2
+    for k, w in before[0].items():
+        assert np.array_equal(p.weights[k], w) and p.weights[k].base is st.w
+    for got, want in zip((st.m, st.v, st.w), before[1:]):
+        assert np.array_equal(got, want)
 
 
 def _bits(a: np.ndarray) -> bytes:

@@ -106,6 +106,16 @@ def test_train_session_rejects_negative_epochs(testkit_plan):
         run_method("gcn", testkit_plan, {"epochs": -5}, mode="local")
 
 
+@pytest.mark.parametrize("arch", [ARCH_GCN, ARCH_MLP])
+def test_train_session_on_no_train_rows_names_the_cause(arch):
+    # numpy's "zero-size array to reduction operation" used to escape.
+    g, S, X = _separable_session()
+    p = init_params(arch, X.shape[1], 8, 2, seed=1)
+    with pytest.raises(ValueError, match="empty session: no train rows"):
+        train_session(p, S if arch == ARCH_GCN else None, X, np.zeros(0, int),
+                      np.zeros(0, int), epochs=2, lr=1e-2)
+
+
 def test_train_session_zero_epochs_no_change():
     g, S, X = _separable_session()
     p = init_params(ARCH_GCN, X.shape[1], 8, 2, seed=1)
