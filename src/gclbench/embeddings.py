@@ -192,18 +192,20 @@ def _decode(embedding) -> np.ndarray:
 
 
 def cache_key(kind: str, model: str, prompt: str) -> bytes:
-    h = hashlib.sha256()
-    for part in (kind.encode(), model.encode(), prompt.encode()):
-        h.update(struct.pack("<Q", len(part)))
-        h.update(part)
-    return h.digest()
+    """SHA-256 of the three parts' UTF-8 bytes, each after its u64 LE length."""
+    k, m, p = kind.encode(), model.encode(), prompt.encode()
+    return hashlib.sha256(b"".join((struct.pack("<Q", len(k)), k, struct.pack("<Q", len(m)), m,
+                                    struct.pack("<Q", len(p)), p))).digest()
 
 
 class EmbeddingCache:
     """Append-only on-disk store.
 
-    A truncated last record (say, from a crash mid-append) is reported and cut
-    off; every complete record before it is kept.
+    The loader reads each run of consecutive records that share a dimension
+    in one pass: one structured view of the run's bytes and one copy of its
+    vectors, with each key the record's raw 32 bytes. A truncated last record
+    (say, from a crash mid-append) is reported and cut off; every complete
+    record before it is kept.
     """
 
     def __init__(self, path):
@@ -218,13 +220,18 @@ class EmbeddingCache:
         off = 0
         while off + CACHE_KEY_BYTES + 4 <= len(data):
             (dim,) = struct.unpack_from("<I", data, off + CACHE_KEY_BYTES)
-            end = off + CACHE_KEY_BYTES + 4 + dim * 4
-            if end > len(data):
+            size = CACHE_KEY_BYTES + 4 + dim * 4
+            if off + size > len(data):
                 break
-            key = data[off:off + CACHE_KEY_BYTES]
-            self._entries[key] = np.frombuffer(data, dtype="<f4", count=dim,
-                                               offset=off + CACHE_KEY_BYTES + 4).copy()
-            off = end
+            # Every whole record of this size left in the file; the run is the
+            # leading ones whose dimension field matches.
+            recs = np.frombuffer(data, offset=off, count=(len(data) - off) // size, dtype=np.dtype(
+                [("key", "V32"), ("dim", "<u4"), ("vec", "<f4", (dim,))]))
+            other = np.flatnonzero(recs["dim"] != dim)
+            run = int(other[0]) if other.size else len(recs)
+            # A raw-bytes (V32) key keeps trailing NULs, which an S32 field would drop.
+            self._entries.update(zip(recs["key"][:run].tolist(), recs["vec"][:run].copy()))
+            off += run * size
         if off < len(data):
             log.warning("embedding cache %s has a truncated record at byte %d; "
                         "keeping %d complete records", self.path, off, len(self._entries))
@@ -255,7 +262,8 @@ def get_or_embed(src: HttpSource, node_ids, prompt_renderer, cache) -> np.ndarra
     `cache` is an open `EmbeddingCache` or the path of one. Keys hash (provider
     kind, model name, exact prompt bytes), not the endpoint, so a cache filled
     at one address serves another; identical prompts share one provider slot.
-    Misses are fetched in input order and appended with one write.
+    Misses are fetched in input order and appended with one write. No node ids
+    give a (0, 0) float32 array, as `HttpSource.embed([])` does.
     """
     if not isinstance(cache, EmbeddingCache):
         cache = EmbeddingCache(cache)
@@ -270,6 +278,8 @@ def get_or_embed(src: HttpSource, node_ids, prompt_renderer, cache) -> np.ndarra
     if missing:
         cache.put_many(list(missing), src.embed(list(missing.values())))
 
+    if not keys:
+        return np.zeros((0, 0), dtype=np.float32)
     rows = [cache.get(k) for k in keys]
     dims = {r.shape[0] for r in rows}
     if len(dims) != 1:

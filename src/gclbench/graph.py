@@ -321,14 +321,23 @@ def sample_ego_graph(
 
     Hop h holds at most fanouts[h] previously unvisited neighbors of hop h-1
     (hop -1 being the center). Deterministic for fixed (g, v, fanouts, seed).
+    Each fanout must be an integer >= 1, a Python or numpy int but not a bool,
+    as the config's `fanouts` rule says; anything else is a ValueError naming
+    it, raised before any sampling. The generator, seeded by (seed, v), is
+    built only when a hop has more candidates than its fanout and must
+    choose; a sample whose hops all fit builds none.
     """
     if not (0 <= v < g.node_count):
         raise ValueError(f"invalid node id {v}")
     fanouts = list(fanouts)
     if not fanouts:
         raise ValueError("fanouts must be non-empty")
+    for cap in fanouts:
+        if not isinstance(cap, (int, np.integer)) or isinstance(cap, bool) or cap < 1:
+            raise ValueError(f"fanouts must be integers >= 1, got {cap!r}")
+    seed = seed & 0xFFFFFFFFFFFFFFFF  # a non-integer seed fails here, drawn from or not
     indptr, indices = g.neighbor_csr
-    rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, v])
+    rng = None
     visited = {v}
     frontier = [v]
     hops: list[tuple[int, ...]] = []
@@ -336,6 +345,8 @@ def sample_ego_graph(
         reach = {u for w in frontier for u in indices[indptr[w]:indptr[w + 1]].tolist()}
         candidates = sorted(reach - visited)
         if len(candidates) > cap:
+            if rng is None:
+                rng = np.random.default_rng([seed, v])
             picked_idx = rng.choice(len(candidates), size=cap, replace=False)
             picked = [candidates[i] for i in picked_idx]
         else:

@@ -349,6 +349,25 @@ def cache_append_loop(path, keys, vecs) -> None:
             fh.write(vec.tobytes())
 
 
+def cache_load_loop(data: bytes) -> tuple[dict[bytes, np.ndarray], int]:
+    """Embedding-cache file bytes read one record at a time: (entries in
+    insertion order, a later duplicate key overwriting in place; the byte
+    length of the complete records, where a truncated tail begins)."""
+    import struct
+
+    entries = {}
+    off = 0
+    while off + 32 + 4 <= len(data):
+        (dim,) = struct.unpack_from("<I", data, off + 32)
+        end = off + 32 + 4 + dim * 4
+        if end > len(data):
+            break
+        entries[data[off:off + 32]] = np.frombuffer(data, dtype="<f4", count=dim,
+                                                    offset=off + 32 + 4).copy()
+        off = end
+    return entries, off
+
+
 def layer_fields(arch, S, rows) -> list[np.ndarray]:
     """The rows each hidden layer must run on for the logits at `rows`, in
     layer order: for gcn2_mlp1 the nodes S's rows at `rows` read (their

@@ -25,7 +25,7 @@ from gclbench.embeddings import (
 from gclbench.graph import FEATURES_MAGIC, FEATURES_VERSION
 from gclbench.stub_server import StubEmbeddingServer, deterministic_embedding
 
-from oracles import cache_append_loop
+from oracles import cache_append_loop, cache_load_loop
 
 
 def _write_matrix(path, rows):
@@ -478,6 +478,53 @@ def test_cache_put_many_bytes_equal_per_vector_appends(tmp_path_factory, dims):
     assert (d / "c.bin").read_bytes() == (d / "ref.bin").read_bytes()
     reloaded = EmbeddingCache(d / "c.bin")
     assert all(np.array_equal(reloaded.get(k), v) for k, v in zip(keys, vecs))
+
+
+_KEYS = st.one_of(st.binary(min_size=32, max_size=32),
+                  st.sampled_from([bytes(32), b"k" * 31 + b"\x00", b"k" * 32]))  # repeats
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(records=st.lists(st.tuples(_KEYS, st.integers(0, 5)), min_size=1, max_size=8),
+       data=st.data())
+def test_cache_load_matches_record_loop_oracle(tmp_path_factory, records, data):
+    # About 1 key in 256 ends in a NUL byte, which an S32 field would drop.
+    keys = [b"n" * 31 + b"\x00"] + [k for k, _ in records[1:]]
+    vecs = [np.arange(d, dtype="<f4") * 0.5 - i for i, (_, d) in enumerate(records)]
+    raw = bytearray(b"".join(k + struct.pack("<I", v.size) + v.tobytes()
+                             for k, v in zip(keys, vecs)))
+    if data.draw(st.booleans(), label="cut"):
+        del raw[data.draw(st.integers(0, len(raw)), label="at"):]
+    else:  # flip bits in one byte of one record's dimension field
+        i = data.draw(st.integers(0, len(records) - 1), label="record")
+        at = sum(36 + 4 * v.size for v in vecs[:i]) + 32 + data.draw(st.integers(0, 3), label="byte")
+        raw[at] ^= data.draw(st.integers(1, 255), label="mask")
+    path = tmp_path_factory.mktemp("cache") / "c.bin"
+    path.write_bytes(raw)
+
+    want, kept = cache_load_loop(bytes(raw))
+    got = EmbeddingCache(path)._entries
+    assert list(got) == list(want)
+    assert [(v.dtype, v.tobytes()) for v in got.values()] == \
+        [(v.dtype, v.tobytes()) for v in want.values()]
+    assert path.stat().st_size == kept
+
+
+def test_cache_key_golden_digests():
+    # Digests of the released key scheme: a change here orphans every cache file.
+    assert cache_key("http", "stub", "node 7: a paper on graphs").hex() == (
+        "dc4d6c17a22d99f0f5854918e5887d2d57fb504863b223b9002aea59566f968e")
+    assert cache_key("http", "stub", "Ünïcode — 节点 ✓").hex() == (
+        "39574fb80e96635a60c5f53561d8e7b242ebfe193635b3753073f1d6637ac276")
+
+
+def test_get_or_embed_no_node_ids(tmp_path):
+    with StubEmbeddingServer(dim=6) as srv:
+        src = HttpSource(srv.endpoint, "stub", batch_size=8)
+        out = get_or_embed(src, [], str, tmp_path / "c.bin")
+        assert out.shape == (0, 0) and out.dtype == np.float32
+        assert src._session is None and srv.request_count == 0
+        assert not (tmp_path / "c.bin").exists()
 
 
 def test_cache_key_sensitivity():

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -362,6 +363,41 @@ def test_ego_within_khop_oracle(testkit_graph):
 def test_ego_invalid_node(path_graph):
     with pytest.raises(ValueError, match="invalid node id"):
         sample_ego_graph(path_graph, 9, [2], seed=0)
+
+
+@pytest.mark.parametrize("bad", [-1, 0, True, False, 2.5, 2.0, "2", None, np.float64(3.0)])
+def test_ego_rejects_bad_fanout_before_sampling(isolated_node_graph, path_graph, bad):
+    # The isolated node has no candidates, so only the check can catch `bad`.
+    for g, v in ((isolated_node_graph, 0), (path_graph, 1)):
+        with pytest.raises(ValueError, match=re.escape(f"fanouts must be integers >= 1, got {bad!r}")):
+            sample_ego_graph(g, v, [2, bad], seed=0)
+
+
+def test_ego_accepts_numpy_integer_fanouts(testkit_graph):
+    fanouts = np.array([3, 2])
+    assert (sample_ego_graph(testkit_graph, 57, fanouts, seed=9)
+            == sample_ego_graph(testkit_graph, 57, [3, 2], seed=9))
+
+
+def test_ego_builds_a_generator_only_when_a_hop_must_choose(
+        monkeypatch, path_graph, testkit_graph):
+    built = []
+    real = np.random.default_rng
+
+    def counting_rng(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    ego = sample_ego_graph(path_graph, 1, [2, 2], seed=5)  # both hops fit their fanouts
+    assert ego.hop_nodes == ((0, 2), ()) and built == []
+    ego = sample_ego_graph(path_graph, 1, [1, 1], seed=-1)  # hop 0 picks 1 of 2
+    assert len(ego.hop_nodes[0]) == 1 and built == [([2**64 - 1, 1],)]
+    built.clear()
+    ego = sample_ego_graph(testkit_graph, 57, [3, 2], seed=9)  # both hops choose
+    assert [len(h) for h in ego.hop_nodes] == [3, 2] and len(built) == 1
+    with pytest.raises(TypeError):  # a non-integer seed fails even when nothing is drawn
+        sample_ego_graph(path_graph, 1, [2, 2], seed=1.5)
 
 
 # ------------------------------------------------------------ neighbour cache
