@@ -1,5 +1,4 @@
 import ast
-import re
 from pathlib import Path
 
 import numpy as np
@@ -369,8 +368,9 @@ def test_ego_invalid_node(path_graph):
 def test_ego_rejects_bad_fanout_before_sampling(isolated_node_graph, path_graph, bad):
     # The isolated node has no candidates, so only the check can catch `bad`.
     for g, v in ((isolated_node_graph, 0), (path_graph, 1)):
-        with pytest.raises(ValueError, match=re.escape(f"fanouts must be integers >= 1, got {bad!r}")):
+        with pytest.raises(ValueError) as err:
             sample_ego_graph(g, v, [2, bad], seed=0)
+        assert f"fanouts must be integers >= 1, got {bad!r}" in str(err.value)
 
 
 def test_ego_accepts_numpy_integer_fanouts(testkit_graph):
