@@ -13,17 +13,23 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import http.client
 import json
 import logging
+import netrc
 import os
+import select
+import ssl
 import struct
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from urllib.parse import unquote, urlsplit, urlunsplit
+from urllib.request import getproxies, proxy_bypass
 
 import numpy as np
-import requests
 
 from .graph import read_features_bin
 
@@ -38,6 +44,10 @@ HTTP_TIMEOUT = 30.0
 
 class EmbeddingProviderError(RuntimeError):
     pass
+
+
+class _AttemptFailed(EmbeddingProviderError):
+    """One attempt at a batch failed in a way a retry may mend: transport, status or body."""
 
 
 @dataclass
@@ -71,25 +81,60 @@ class FileSource:
         return self._matrix[rows]
 
 
+def _basic(user: str, password: str) -> str:
+    return "Basic " + base64.b64encode(f"{user}:{password}".encode()).decode("ascii")
+
+
+class _Pool:
+    """Keep-alive connections from `connect()`, at most `size` idle. One the server
+    closed while idle reads as readable, so a zero-timeout check drops it before
+    reuse, as urllib3 does; a reply that closes its connection is not kept."""
+
+    def __init__(self, connect, target: str, headers: dict[str, str], size: int):
+        self.connect, self.target, self.headers, self.size = connect, target, headers, size
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+
+    def post(self, body: bytes) -> tuple[int, bytes]:
+        with self._lock:  # the newest idle connection still open, else a new one
+            while self._idle and select.select([self._idle[-1].sock], [], [], 0)[0]:
+                self._idle.pop().close()
+            conn = self._idle.pop() if self._idle else self.connect()
+        try:
+            conn.request("POST", self.target, body, self.headers)
+            resp = conn.getresponse()
+            data = resp.read()
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
+            raise _AttemptFailed(f"embedding request failed: {exc}") from exc
+        with self._lock:
+            if not resp.will_close and len(self._idle) < self.size:
+                self._idle.append(conn)
+                return resp.status, data
+        conn.close()
+        return resp.status, data
+
+    def __del__(self):
+        for conn in self._idle:
+            conn.close()
+
+
 @dataclass
 class HttpSource:
     """Batched, retried client for an embeddings endpoint.
 
-    A source builds one session at its first fetch, with a keep-alive pool of
-    up to `max_in_flight` connections to the endpoint, so later batches reuse
-    open connections. The environment is read then, once: the token, the
-    proxy settings for the endpoint (HTTP(S)_PROXY, NO_PROXY), the CA bundle
-    (REQUESTS_CA_BUNDLE, CURL_CA_BUNDLE) and any .netrc login. A source whose
-    texts are all cached builds nothing. Its connections close when the source
-    is freed.
+    A source builds one keep-alive pool of up to `max_in_flight` idle connections
+    at its first fetch and reads the environment then, once: EMBEDDINGS_API_KEY,
+    HTTP_PROXY, HTTPS_PROXY, ALL_PROXY, NO_PROXY, REQUESTS_CA_BUNDLE,
+    CURL_CA_BUNDLE and a .netrc login ($NETRC or ~/.netrc). A source whose texts
+    are all cached builds nothing. Its connections close when it is freed.
     """
 
     endpoint: str
     model: str
     batch_size: int = 32
     max_in_flight: int = 2
-    _session: requests.Session | None = field(default=None, init=False, repr=False,
-                                              compare=False)
+    _session: _Pool | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -97,40 +142,73 @@ class HttpSource:
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
 
-    def _open_session(self) -> requests.Session:
-        s = requests.Session()
-        adapter = requests.adapters.HTTPAdapter(pool_connections=1, pool_maxsize=self.max_in_flight)
-        s.mount("http://", adapter)
-        s.mount("https://", adapter)
-        # What Session.request would otherwise look up in os.environ per call.
-        s.proxies = requests.utils.get_environ_proxies(self.endpoint)
-        s.verify = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE") or True
-        s.auth = requests.utils.get_netrc_auth(self.endpoint)
-        s.trust_env = False
-        token = os.environ.get("EMBEDDINGS_API_KEY")
-        if token:
-            s.headers["Authorization"] = f"Bearer {token}"
-        return s
+    def _open_session(self) -> _Pool:
+        absolute = self.endpoint.rstrip("/") + "/embeddings"
+        url = urlsplit(absolute)
+        headers = {"Content-Type": "application/json"}
+        try:  # a .netrc login overrides the token; a missing or broken file is none
+            login = netrc.netrc(os.path.expanduser(os.environ.get("NETRC", "~/.netrc")))
+            login = login.authenticators(url.hostname) if url.hostname else None
+        except (OSError, netrc.NetrcParseError):
+            login = None
+        if login and any(login):
+            headers["Authorization"] = _basic(login[0] or login[1] or "", login[2] or "")
+        elif os.environ.get("EMBEDDINGS_API_KEY"):
+            headers["Authorization"] = "Bearer " + os.environ["EMBEDDINGS_API_KEY"]
+        cls, kw = http.client.HTTPConnection, {"timeout": HTTP_TIMEOUT}
+        if url.scheme == "https":
+            ca = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+            cls, kw["context"] = http.client.HTTPSConnection, ssl.create_default_context(
+                **{"capath" if ca and os.path.isdir(ca) else "cafile": ca})
+        address, tunnel = (url.hostname, url.port), None
+        target = urlunsplit(("", "", url.path, url.query, ""))
+        proxies = {} if proxy_bypass(url.netloc) else getproxies()
+        proxy = proxies.get(url.scheme) or proxies.get("all")
+        if proxy:
+            p = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+            if p.scheme != "http":
+                raise EmbeddingProviderError(f"proxy {proxy!r}: only http:// proxies are supported")
+            auth = {"Proxy-Authorization": _basic(unquote(p.username), unquote(p.password or ""))
+                    } if p.username else {}
+            address = (p.hostname, p.port or 80)
+            if url.scheme == "https":  # a CONNECT tunnel through the proxy
+                tunnel = (url.hostname, url.port, auth)
+            else:  # the absolute-form target, to the proxy
+                target, headers = absolute, {**headers, **auth}
+
+        def connect():
+            conn = cls(*address, **kw)
+            if tunnel:
+                conn.set_tunnel(*tunnel)
+            return conn
+        return _Pool(connect, target, headers, self.max_in_flight)
 
     def _post_batch(self, batch: list[str]) -> np.ndarray:
-        url = self.endpoint.rstrip("/") + "/embeddings"
-        body = {"model": self.model, "input": batch, "encoding_format": "base64"}
+        body = json.dumps({"model": self.model, "input": batch,
+                           "encoding_format": "base64"}).encode()
         last_err = None
         for attempt in range(1, HTTP_RETRIES + 1):
             try:
-                resp = self._session.post(url, json=body, timeout=HTTP_TIMEOUT)
-                if 200 <= resp.status_code < 300:
-                    return self._parse(resp.json(), len(batch))
-                last_err = EmbeddingProviderError(
-                    f"embedding endpoint returned status {resp.status_code}"
-                )
-            except requests.RequestException as exc:
-                last_err = EmbeddingProviderError(f"embedding request failed: {exc}")
+                status, data = self._session.post(body)
+                if not 200 <= status < 300:
+                    raise _AttemptFailed(f"embedding endpoint returned status {status}")
+                return self._reply(data, len(batch))
+            except _AttemptFailed as exc:
+                last_err = exc
             log.warning("embedding request attempt %d/%d failed: %s", attempt, HTTP_RETRIES,
                         last_err)
             if attempt < HTTP_RETRIES:
                 time.sleep(HTTP_BACKOFF * 2 ** (attempt - 1))
         raise last_err
+
+    @classmethod
+    def _reply(cls, data: bytes, expected: int) -> np.ndarray:
+        """The vectors of a 2xx reply body; one that is not JSON fails its attempt."""
+        try:
+            payload = json.loads(data)
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+            raise _AttemptFailed(f"embedding request failed: {exc}") from exc
+        return cls._parse(payload, expected)
 
     @staticmethod
     def _parse(payload: dict, expected: int) -> np.ndarray:

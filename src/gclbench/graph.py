@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import operator
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -335,7 +336,7 @@ def sample_ego_graph(
     for cap in fanouts:
         if not isinstance(cap, (int, np.integer)) or isinstance(cap, bool) or cap < 1:
             raise ValueError(f"fanouts must be integers >= 1, got {cap!r}")
-    seed = seed & 0xFFFFFFFFFFFFFFFF  # a non-integer seed fails here, drawn from or not
+    seed = operator.index(seed) & 0xFFFFFFFFFFFFFFFF  # a non-integer seed fails here, drawn or not
     indptr, indices = g.neighbor_csr
     rng = None
     visited = {v}

@@ -9,6 +9,7 @@ no language model runs here.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -126,7 +127,7 @@ def emit_instruction_jsonl(
         "records": count,
         "session_index": session_index,
         "scenario": plan.scenario,
-        "seed": seed,
+        "seed": operator.index(seed),
         "fanouts": list(fanouts),
         "max_node_text_len": template.max_node_text_len,
         # Consumed by the external tuner, not by this package.

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -267,7 +269,7 @@ def degrees_loop(g, self_loops: bool = True) -> np.ndarray:
 def ego_hops_loop(g, v: int, fanouts, seed: int) -> tuple[tuple[int, ...], ...]:
     """Hop node tuples of the seeded breadth-first ego sample, on the loop neighbour lists."""
     nbrs = neighbor_lists_loop(g)
-    rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, v])
+    rng = np.random.default_rng([operator.index(seed) & 0xFFFFFFFFFFFFFFFF, v])
     visited = {v}
     frontier = [v]
     hops = []
@@ -646,3 +648,64 @@ def results_strict(data: bytes):
         if summary != want or any(isinstance(v, bool) for v in summary.values()):
             return None
     return docs
+
+
+_BASE64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+def _base64_loop(text: str) -> bytes | None:
+    """RFC 4648 base64, six bits per character; None for any other text.
+
+    The length is a multiple of 4, with at most two trailing '=' and no other
+    character outside the alphabet. Bits left over after the last whole byte
+    are dropped, whatever their value.
+    """
+    digits = text.rstrip("=")
+    if len(text) % 4 or len(text) - len(digits) > 2 or any(c not in _BASE64 for c in digits):
+        return None
+    bits = "".join(format(_BASE64.index(c), "06b") for c in digits)
+    return bytes(int(bits[i:i + 8], 2) for i in range(0, len(bits) - 7, 8))
+
+
+def provider_reply_strict(data: bytes, expected: int) -> np.ndarray | None:
+    """The float32 rows of an embeddings reply body, or None where a rule breaks.
+
+    The body is UTF-8, strict JSON (no NaN or Infinity literal) and an object
+    whose "data" is a list of `expected` objects. Each has an "index", a JSON
+    integer (never bool) in [0, expected), each index once, and an
+    "embedding": either base64 of little-endian float32 bytes or a list of
+    JSON numbers, each rounded to float32 without overflow. Every vector is
+    non-empty, finite and of one length. Row i is the vector of index i.
+    """
+    try:
+        doc = json.loads(data.decode("utf-8"), parse_constant=_no_constant)
+    except ValueError:
+        return None
+    items = doc.get("data") if isinstance(doc, dict) else None
+    if not isinstance(items, list) or len(items) != expected:
+        return None
+    rows = {}
+    for item in items:
+        if not isinstance(item, dict) or "index" not in item or "embedding" not in item:
+            return None
+        idx, emb = item["index"], item["embedding"]
+        if type(idx) is not int or not 0 <= idx < expected or idx in rows:
+            return None
+        if isinstance(emb, str):
+            raw = _base64_loop(emb)
+            if raw is None or len(raw) % 4:
+                return None
+            vec = [struct.unpack("<f", raw[i:i + 4])[0] for i in range(0, len(raw), 4)]
+        elif isinstance(emb, list) and all(type(x) in (int, float) for x in emb):
+            try:
+                vec = [struct.unpack("<f", struct.pack("<f", x))[0] for x in emb]
+            except OverflowError:  # beyond float32's range
+                return None
+        else:
+            return None
+        if not vec or not all(math.isfinite(x) for x in vec):
+            return None
+        rows[idx] = vec
+    if len({len(v) for v in rows.values()}) != 1:
+        return None
+    return np.array([rows[i] for i in range(expected)], dtype=np.float32)

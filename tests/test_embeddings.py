@@ -1,4 +1,5 @@
 import base64
+import contextlib
 import json
 import logging
 import socket
@@ -6,10 +7,11 @@ import struct
 import sys
 import threading
 import time
+import urllib.request
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +27,7 @@ from gclbench.embeddings import (
 from gclbench.graph import FEATURES_MAGIC, FEATURES_VERSION
 from gclbench.stub_server import StubEmbeddingServer, deterministic_embedding
 
-from oracles import cache_append_loop, cache_load_loop
+from oracles import cache_append_loop, cache_load_loop, provider_reply_strict
 
 
 def _write_matrix(path, rows):
@@ -159,7 +161,10 @@ def test_stub_answers_float_lists_unless_asked_for_base64():
         for fmt in (None, "float", "base64"):
             body = {"model": "stub", "input": ["alpha"],
                     **({} if fmt is None else {"encoding_format": fmt})}
-            reply = requests.post(srv.endpoint + "/embeddings", json=body, timeout=10).json()
+            req = urllib.request.Request(srv.endpoint + "/embeddings", json.dumps(body).encode(),
+                                         {"Content-Type": "application/json"})
+            with urllib.request.urlopen(req, timeout=10) as resp:
+                reply = json.load(resp)
             assert srv.last_encoding_format == fmt
             want = _wire(deterministic_embedding("alpha", 4), fmt)
             assert reply["data"] == [{"index": 0, "embedding": want}]
@@ -277,6 +282,153 @@ def test_http_proxy_environment_honoured(monkeypatch):
         out = HttpSource(srv.endpoint, "stub", batch_size=4).embed(["a"])
         assert out.shape == (1, 4)
         assert srv.request_count == 1
+
+
+def _clear_proxy_env(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+
+
+@contextlib.contextmanager
+def _canned_server(status, body, seen):
+    """A local server answering every POST or CONNECT with `status` and `body`.
+
+    It appends each request's line and headers to `seen`, and closes each
+    connection after its reply.
+    """
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+
+        def log_message(self, *args):
+            pass
+
+        def do_POST(self):
+            seen.append((self.requestline, dict(self.headers)))
+            self.rfile.read(int(self.headers.get("Content-Length", "0")))
+            self.send_response(status)
+            self.send_header("Content-Length", str(len(body)))
+            self.send_header("Connection", "close")
+            self.end_headers()
+            self.wfile.write(body)
+
+        do_CONNECT = do_POST
+
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=httpd.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{httpd.server_address[1]}"
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def test_http_proxy_gets_the_absolute_form_request(monkeypatch):
+    # The stub serves any path ending in /embeddings, the absolute-form target too.
+    _clear_proxy_env(monkeypatch)
+    with StubEmbeddingServer(dim=4) as target, StubEmbeddingServer(dim=4) as proxy:
+        monkeypatch.setenv("HTTP_PROXY", proxy.endpoint)
+        out = HttpSource(target.endpoint, "stub").embed(["a"])
+        assert np.array_equal(out, np.array([deterministic_embedding("a", 4)], np.float32))
+        assert (proxy.request_count, target.request_count) == (1, 0)
+
+
+def test_http_proxy_credentials_become_proxy_authorization(monkeypatch):
+    # An http endpoint is posted to the proxy in absolute form; an https one
+    # asks the proxy for a CONNECT tunnel, which this proxy refuses.
+    monkeypatch.setattr(embeddings, "HTTP_BACKOFF", 0.01)
+    _clear_proxy_env(monkeypatch)
+    monkeypatch.delenv("EMBEDDINGS_API_KEY", raising=False)
+    monkeypatch.setenv("NETRC", "/nonexistent/netrc")
+    auth = "Basic " + base64.b64encode(b"us@er:p:ss").decode()
+    reply = json.dumps(_reply((0, deterministic_embedding("a", 4)), form="base64")).encode()
+    seen = []
+    with _canned_server(200, reply, seen) as proxy:
+        monkeypatch.setenv("HTTP_PROXY", proxy.replace("//", "//us%40er:p%3Ass@"))
+        out = HttpSource("http://127.0.0.1:1", "stub").embed(["a"])
+    assert np.array_equal(out, np.array([deterministic_embedding("a", 4)], np.float32))
+    ((line, headers),) = seen
+    assert line == "POST http://127.0.0.1:1/embeddings HTTP/1.1"
+    assert headers["Proxy-Authorization"] == auth and "Authorization" not in headers
+    seen.clear()
+    with _canned_server(407, b"", seen) as proxy:
+        monkeypatch.setenv("HTTPS_PROXY", proxy.replace("//", "//us%40er:p%3Ass@"))
+        with pytest.raises(EmbeddingProviderError, match="request failed"):
+            HttpSource("https://127.0.0.1:1", "stub").embed(["a"])
+    assert len(seen) == embeddings.HTTP_RETRIES
+    for line, headers in seen:
+        assert line.startswith("CONNECT 127.0.0.1:1 HTTP/1.")
+        assert headers["Proxy-Authorization"] == auth
+
+
+def test_http_netrc_login_overrides_the_token(monkeypatch, tmp_path):
+    _clear_proxy_env(monkeypatch)
+    monkeypatch.setenv("EMBEDDINGS_API_KEY", "sekret")
+    path = tmp_path / "netrc"
+    path.write_text("machine 127.0.0.1 login alice password s3cret\n")
+    monkeypatch.setenv("NETRC", str(path))
+    with StubEmbeddingServer(dim=4) as srv:
+        HttpSource(srv.endpoint, "stub").embed(["a"])
+        assert srv.last_auth_header == "Basic " + base64.b64encode(b"alice:s3cret").decode()
+        path.unlink()
+        HttpSource(srv.endpoint, "stub").embed(["a"])
+        assert srv.last_auth_header == "Bearer sekret"
+
+
+def test_http_idle_connection_the_server_closed_is_replaced(monkeypatch, caplog):
+    _clear_proxy_env(monkeypatch)
+    with caplog.at_level(logging.WARNING, logger=embeddings.log.name):
+        with StubEmbeddingServer(dim=4) as srv:
+            src = HttpSource(srv.endpoint, "stub", max_in_flight=1)
+            src.embed(["a"])
+            with srv._lock:
+                for conn in srv._connections:
+                    conn.shutdown(socket.SHUT_RDWR)
+            out = src.embed(["b"])
+            assert np.array_equal(out, np.array([deterministic_embedding("b", 4)], np.float32))
+            assert (srv.request_count, srv.connection_count) == (2, 2)
+    assert caplog.records == []
+
+
+@pytest.mark.parametrize("body", [b"not json", b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not-json", "nested-too-deep"])  # the second was a RecursionError
+def test_http_undecodable_2xx_body_is_a_failed_attempt(monkeypatch, caplog, body):
+    monkeypatch.setattr(embeddings, "HTTP_BACKOFF", 0.01)
+    _clear_proxy_env(monkeypatch)
+    seen = []
+    with caplog.at_level(logging.WARNING, logger=embeddings.log.name):
+        with _canned_server(200, body, seen) as endpoint:
+            with pytest.raises(EmbeddingProviderError, match="^embedding request failed: "):
+                HttpSource(endpoint, "stub").embed(["a"])
+    assert len(seen) == embeddings.HTTP_RETRIES
+    assert [r.getMessage().split(": ")[0] for r in caplog.records] == [
+        f"embedding request attempt {i}/3 failed" for i in (1, 2, 3)]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(form=st.sampled_from(["base64", "list"]), count=st.integers(1, 3),
+       dim=st.integers(1, 5), data=st.data())
+def test_http_reply_with_one_byte_changed_matches_the_strict_oracle(form, count, dim, data):
+    # A stub reply body with one byte replaced, through the code a 2xx reply
+    # runs: the oracle's rows bit for bit, or an EmbeddingProviderError.
+    texts = [f"text {i}" for i in range(count)]
+    body = bytearray(json.dumps(_reply(*((i, deterministic_embedding(t, dim))
+                                         for i, t in enumerate(texts)), form=form)).encode())
+    at = data.draw(st.integers(0, len(body) - 1), label="at")
+    # Any byte, or one of those that keep more bodies valid JSON.
+    byte = st.one_of(st.integers(0, 255), st.sampled_from(b'0159-+.eE "\\/=Aaz,'))
+    body[at] = data.draw(byte.filter(lambda b: b != body[at]), label="byte")
+    want = provider_reply_strict(bytes(body), count)
+    try:
+        got = HttpSource._reply(bytes(body), count)
+    except EmbeddingProviderError:
+        assert want is None
+    else:
+        assert want is not None
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 def _threads_left(before, timeout=10.0):

@@ -138,3 +138,30 @@ def test_emit_session_out_of_range(tmp_path, cora_shaped_plan):
     with pytest.raises(IndexError):
         emit_instruction_jsonl(cora_shaped_plan, 5, default_template("Cora"),
                                tmp_path / "x.jsonl", seed=0)
+
+
+@pytest.mark.parametrize("seed", [0, -1])
+def test_numpy_integer_seed_samples_and_emits_as_its_python_int(tmp_path, testkit_plan, seed):
+    # A numpy seed used to raise OverflowError in the 64-bit mask (numpy 2
+    # integer promotion), and the sidecar could not hold it as JSON.
+    import numpy as np
+
+    from oracles import ego_hops_loop
+
+    g = testkit_plan.graph
+    for v in range(0, g.node_count, 7):
+        want = sample_ego_graph(g, v, (2, 2), seed)
+        assert sample_ego_graph(g, v, (2, 2), np.int64(seed)) == want
+        assert ego_hops_loop(g, v, (2, 2), np.int64(seed)) == want.hop_nodes
+    for name, s in (("py", seed), ("np", np.int64(seed))):
+        emit_instruction_jsonl(testkit_plan, 0, default_template("Cora"), tmp_path / f"{name}.jsonl",
+                               seed=s, fanouts=(2, 2))
+    for suffix in (".jsonl", ".meta.json"):
+        assert (tmp_path / f"np{suffix}").read_bytes() == (tmp_path / f"py{suffix}").read_bytes()
+    with pytest.raises(TypeError):
+        sample_ego_graph(g, 0, (2, 2), float(seed))
+    with pytest.raises(TypeError):
+        ego_hops_loop(g, 0, (2, 2), float(seed))
+    with pytest.raises(TypeError):
+        emit_instruction_jsonl(testkit_plan, 0, default_template("Cora"), tmp_path / "f.jsonl",
+                               seed=float(seed))
